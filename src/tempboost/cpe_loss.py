@@ -96,8 +96,10 @@ def partial_loss_neg(u, cfg: TemperConfig):
 
 
 def _weighted(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
-    # 0 * inf at the endpoints resolves to 0 (no mass, no charge).
-    return np.where(weight == 0.0, 0.0, weight * value)
+    # No mass, no charge: the product is skipped where the weight is 0, so
+    # 0 * inf at the endpoints is never evaluated.
+    out = np.zeros(np.broadcast(weight, value).shape)
+    return np.multiply(weight, value, out=out, where=weight != 0.0)
 
 
 def pointwise_risk(u, v, cfg: TemperConfig):

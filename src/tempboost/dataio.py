@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,23 @@ class Dataset:
 
     def row(self, i: int) -> tuple:
         return tuple(column.values[i] for column in self.columns)
+
+    @cached_property
+    def numeric_block(self) -> tuple:
+        """``(features, orders, sorted_values)`` of the numeric columns.
+
+        ``features`` lists the numeric column indices; row f of ``orders``
+        is a stable argsort of column ``features[f]`` and row f of
+        ``sorted_values`` that column in this order.  Tree induction filters
+        the block by a leaf's rows instead of sorting every leaf, so it is
+        built on first use and reused by every tree grown on this Dataset;
+        ``take`` and ``with_labels`` return a new Dataset with its own block.
+        """
+        features = [j for j, c in enumerate(self.columns) if c.kind == NUMERIC]
+        values = np.array([self.columns[j].values for j in features], dtype=float)
+        values = values.reshape(len(features), self.m)
+        orders = np.argsort(values, axis=1, kind="stable")
+        return features, orders, np.take_along_axis(values, orders, axis=1)
 
     def feature_matrix(self) -> np.ndarray:
         """Dense float matrix; only defined when all columns are numeric."""

@@ -18,18 +18,29 @@ posterior strictly inside (0, 1) and every leaf prediction
 finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  Leaf
 masses come from the booster's co-density weights, so at uniform weights
 they reduce to example counts over m.
+
+Numeric candidates come from a presorted block, the column block of
+XGBoost (Chen & Guestrin, KDD 2016).  ``Dataset.numeric_block`` sorts
+each numeric column once per Dataset, when the first tree is grown on it,
+and every later tree on that Dataset (each boosting round of a cell)
+reuses it.  A leaf filters the presorted orders by its rows, which stay
+ascending, so the result equals a stable argsort of the leaf's own values
+and the split found is the one a per-leaf sort finds.  All thresholds of
+all numeric features are scored in one vectorised pass; taking the first
+maximum in feature-major order keeps the tie-break of lowest feature,
+then lowest threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .cpe_loss import bayes_risk
-from .dataio import CATEGORICAL, NUMERIC, Dataset
+from .dataio import CATEGORICAL, Dataset
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
 
@@ -43,14 +54,11 @@ class NumericSplit:
     feature: int
     threshold: float
 
-    def evaluate(self, data: Dataset) -> np.ndarray:
-        return data.columns[self.feature].values >= self.threshold
+    def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
+        return data.columns[self.feature].values[rows] >= self.threshold
 
     def evaluate_row(self, row) -> bool:
         return float(row[self.feature]) >= self.threshold
-
-    def sort_key(self):
-        return (self.feature, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -60,14 +68,11 @@ class CategoricalSplit:
     feature: int
     subset: tuple
 
-    def evaluate(self, data: Dataset) -> np.ndarray:
-        return np.isin(data.columns[self.feature].values, self.subset)
+    def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
+        return np.isin(data.columns[self.feature].values[rows], self.subset)
 
     def evaluate_row(self, row) -> bool:
         return str(row[self.feature]) in self.subset
-
-    def sort_key(self):
-        return (self.feature, self.subset)
 
 
 SplitPredicate = Union[NumericSplit, CategoricalSplit]
@@ -115,17 +120,18 @@ class DecisionTree:
     n_nodes: int
 
     def predict(self, data: Dataset) -> np.ndarray:
+        """Leaf prediction per row; each row is tested only along its path."""
         out = np.empty(data.m)
-        self._fill(self.root, data, np.ones(data.m, dtype=bool), out)
+        stack = [(self.root, np.arange(data.m))]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, LeafNode):
+                out[rows] = node.prediction
+            else:
+                test = node.predicate.evaluate(data, rows)
+                stack.append((node.left, rows.compress(~test)))
+                stack.append((node.right, rows.compress(test)))
         return out
-
-    def _fill(self, node, data, mask, out):
-        if isinstance(node, LeafNode):
-            out[mask] = node.prediction
-            return
-        test = node.predicate.evaluate(data)
-        self._fill(node.left, data, mask & ~test, out)
-        self._fill(node.right, data, mask & test, out)
 
     def predict_row(self, row) -> float:
         node = self.root
@@ -175,51 +181,17 @@ def split_gain(parent: LeafStats, left: LeafStats, right: LeafStats, cfg: Temper
     return parent_term - left_term - right_term
 
 
-class _Candidate(NamedTuple):
-    gain: float
-    predicate: SplitPredicate
-    left: LeafStats
-    right: LeafStats
-
-
-def _better(a: Optional[_Candidate], b: _Candidate) -> bool:
-    """True when b beats a: larger gain, ties to the smaller sort key."""
-    if a is None:
-        return True
-    if b.gain != a.gain:
-        return b.gain > a.gain
-    return b.predicate.sort_key() < a.predicate.sort_key()
-
-
 def _risk_term(m_pos, m_neg, cfg):
-    mass = np.maximum(m_pos + m_neg, 0.0)
-    p = np.divide(m_pos, mass, out=np.zeros_like(np.asarray(mass, dtype=float)), where=mass > 0)
-    p = np.clip(p, 0.0, 1.0)  # cancellation noise in mass subtractions
-    return mass * np.atleast_1d(bayes_risk(p, cfg))
-
-
-def _numeric_candidates(values, wpos, wneg):
-    """Sorted distinct-value boundaries with class masses on both sides.
-
-    Suffix masses are accumulated directly rather than derived as
-    total - prefix: sums of nonnegative terms cannot go negative, so a
-    zero mass means a genuinely empty side and admissibility stays exact.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cp = np.cumsum(wpos[order])
-    cn = np.cumsum(wneg[order])
-    sp = np.cumsum(wpos[order][::-1])[::-1]
-    sn = np.cumsum(wneg[order][::-1])[::-1]
-    boundary = np.flatnonzero(v[:-1] < v[1:])
-    thresholds = 0.5 * (v[boundary] + v[boundary + 1])
-    return thresholds, cp[boundary], cn[boundary], sp[boundary + 1], sn[boundary + 1]
+    """r L_t(p) of candidate sides whose class masses are both positive."""
+    mass = m_pos + m_neg
+    return mass * bayes_risk(m_pos / mass, cfg)
 
 
 def _category_masses(values, wpos, wneg):
-    cats = np.unique(values)
-    pos = np.array([wpos[values == c].sum() for c in cats])
-    neg = np.array([wneg[values == c].sum() for c in cats])
+    cats, codes = np.unique(values, return_inverse=True)
+    members = codes == np.arange(cats.size)[:, None]
+    pos = np.array([wpos.compress(rows).sum() for rows in members])
+    neg = np.array([wneg.compress(rows).sum() for rows in members])
     return cats, pos, neg
 
 
@@ -232,136 +204,120 @@ def _masks_to_bits(masks: np.ndarray, k: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(k)) & 1
 
 
-def _best_split(data, rows, labels, weights, cfg, rng, split_cap, parent):
-    """Best admissible split of one leaf, or None."""
-    wpos = np.where(labels[rows] > 0, weights[rows], 0.0)
-    wneg = np.where(labels[rows] < 0, weights[rows], 0.0)
+def _best_split(data, rows, wpos, wneg, cfg, rng, split_cap, parent):
+    """Best admissible split predicate of one leaf, or None.
+
+    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  Ties
+    in gain go to the lowest feature, then the lowest threshold (the first
+    argmax over the feature-major candidate block) or the smallest subset.
+    """
     parent_term = parent.r * bayes_risk(parent.p, cfg)
+    features, order, v = data.numeric_block
+    if rows.size < data.m:  # below the root: keep the leaf's rows, in order
+        in_leaf = np.zeros(data.m, dtype=bool)
+        in_leaf[rows] = True
+        # compress, not a boolean index: several times faster on scattered masks
+        keep = in_leaf[order].ravel()
+        order = order.compress(keep).reshape(len(features), rows.size)
+        v = v.compress(keep).reshape(len(features), rows.size)
+    pos = wpos[order]
+    neg = wneg[order]
+    # Suffix masses are accumulated directly rather than derived as
+    # total - prefix: sums of nonnegative terms cannot go negative, so a
+    # zero mass means a genuinely empty side and admissibility stays exact.
+    left_pos = np.cumsum(pos, axis=1)[:, :-1]
+    left_neg = np.cumsum(neg, axis=1)[:, :-1]
+    right_pos = np.cumsum(pos[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    right_neg = np.cumsum(neg[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    boundary = v[:, :-1] < v[:, 1:]
 
-    per_feature = []
-    total = 0
+    per_row = boundary.sum(axis=1)
+    counts = [0] * data.d
+    for f, n in enumerate(per_row.tolist()):
+        counts[features[f]] = n
+    categorical = {}
     for j, column in enumerate(data.columns):
-        values = column.values[rows]
-        if column.kind == NUMERIC:
-            payload = _numeric_candidates(values, wpos, wneg)
-            count = int(payload[0].size)
-            per_feature.append((j, NUMERIC, payload))
-        else:
-            cats, cat_pos, cat_neg = _category_masses(values, wpos, wneg)
-            count = (1 << (len(cats) - 1)) - 1 if len(cats) > 1 else 0
-            per_feature.append((j, CATEGORICAL, (cats, cat_pos, cat_neg)))
-        total += count
-
+        if column.kind == CATEGORICAL:
+            categorical[j] = _category_masses(column.values[rows], wpos[rows], wneg[rows])
+            counts[j] = (1 << (len(categorical[j][0]) - 1)) - 1
+    total = sum(counts)
     if total == 0:
         return None
     sampled = None
     if total > split_cap:
-        sampled = _sample_candidates(per_feature, total, split_cap, rng)
+        sampled = _sample_candidates(counts, categorical, split_cap, rng)
+        # the k-th boundary of row f is entry starts[f] + k of the flat list
+        starts = np.cumsum(per_row) - per_row
+        picks = [starts[f] + sampled[j] for f, j in enumerate(features) if j in sampled]
+        at = np.flatnonzero(boundary)[np.concatenate(picks)] if picks else []
+        boundary = np.zeros_like(boundary)
+        boundary.flat[at] = True
 
-    best: Optional[_Candidate] = None
-    for j, kind, payload in per_feature:
-        if kind == NUMERIC:
-            thresholds, left_pos, left_neg, right_pos, right_neg = payload
-            if thresholds.size == 0:
-                continue
-            if sampled is not None:
-                keep = sampled.get(j)
-                if keep is None:
-                    continue
-                thresholds = thresholds[keep]
-                left_pos = left_pos[keep]
-                left_neg = left_neg[keep]
-                right_pos = right_pos[keep]
-                right_neg = right_neg[keep]
-            admissible = (
-                (left_pos > 0) & (left_neg > 0) & (right_pos > 0) & (right_neg > 0)
-            )
-            if not np.any(admissible):
-                continue
-            gains = np.full(thresholds.shape, -math.inf)
-            gains[admissible] = (
-                parent_term
-                - _risk_term(left_pos, left_neg, cfg)[admissible]
-                - _risk_term(right_pos, right_neg, cfg)[admissible]
-            )
-            for i in np.flatnonzero(admissible):
-                candidate = _Candidate(
-                    float(gains[i]),
-                    NumericSplit(j, float(thresholds[i])),
-                    LeafStats(float(left_pos[i]), float(left_neg[i])),
-                    LeafStats(float(right_pos[i]), float(right_neg[i])),
-                )
-                if _better(best, candidate):
-                    best = candidate
-        else:
-            cats, cat_pos, cat_neg = payload
-            k = len(cats)
-            if k < 2:
-                continue
-            if sampled is not None:
-                masks = sampled.get(j)
-                if masks is None:
-                    continue
-            else:
-                masks = _subset_masks(k)
-            bits = _masks_to_bits(masks, k)
-            in_pos = bits @ cat_pos
-            in_neg = bits @ cat_neg
-            out_pos = (1 - bits) @ cat_pos
-            out_neg = (1 - bits) @ cat_neg
-            admissible = (in_pos > 0) & (in_neg > 0) & (out_pos > 0) & (out_neg > 0)
-            if not np.any(admissible):
-                continue
-            gains = np.full(masks.shape, -math.inf)
-            gains[admissible] = (
-                parent_term
-                - _risk_term(in_pos, in_neg, cfg)[admissible]
-                - _risk_term(out_pos, out_neg, cfg)[admissible]
-            )
-            for i in np.flatnonzero(admissible):
-                subset = tuple(sorted(cats[bits[i].astype(bool)].tolist()))
-                candidate = _Candidate(
-                    float(gains[i]),
-                    CategoricalSplit(j, subset),
-                    LeafStats(float(out_pos[i]), float(out_neg[i])),
-                    LeafStats(float(in_pos[i]), float(in_neg[i])),
-                )
-                if _better(best, candidate):
-                    best = candidate
-    return best
+    found = []  # (gain, feature, predicate): the best candidate of each feature
+    admissible = (
+        boundary & (left_pos > 0) & (left_neg > 0) & (right_pos > 0) & (right_neg > 0)
+    )
+    f, k = np.nonzero(admissible)
+    if f.size:
+        gains = (
+            parent_term
+            - _risk_term(left_pos[f, k], left_neg[f, k], cfg)
+            - _risk_term(right_pos[f, k], right_neg[f, k], cfg)
+        )
+        i = int(np.argmax(gains))
+        threshold = 0.5 * (v[f[i], k[i]] + v[f[i], k[i] + 1])
+        j = features[f[i]]
+        found.append((gains[i], j, NumericSplit(j, float(threshold))))
+
+    for j, (cats, cat_pos, cat_neg) in categorical.items():
+        n_cats = len(cats)
+        if n_cats < 2 or (sampled is not None and j not in sampled):
+            continue
+        masks = _subset_masks(n_cats) if sampled is None else sampled[j]
+        bits = _masks_to_bits(masks, n_cats)
+        in_pos = bits @ cat_pos
+        in_neg = bits @ cat_neg
+        out_pos = (1 - bits) @ cat_pos
+        out_neg = (1 - bits) @ cat_neg
+        ok = np.flatnonzero((in_pos > 0) & (in_neg > 0) & (out_pos > 0) & (out_neg > 0))
+        if not ok.size:
+            continue
+        gains = (
+            parent_term
+            - _risk_term(in_pos[ok], in_neg[ok], cfg)
+            - _risk_term(out_pos[ok], out_neg[ok], cfg)
+        )
+        top = ok[gains == gains.max()]
+        subset = min(tuple(cats[bits[i] == 1].tolist()) for i in top)
+        found.append((gains.max(), j, CategoricalSplit(j, subset)))
+
+    if not found:
+        return None
+    return max(found, key=lambda c: (c[0], -c[1]))[2]
 
 
-def _sample_candidates(per_feature, total, cap, rng):
+def _sample_candidates(counts, categorical, cap, rng):
     """Uniform sample of ``cap`` candidate splits across all features.
 
-    Draws are with replacement over the (possibly astronomically large)
-    candidate space and deduplicated, so a touch under ``cap`` distinct
-    candidates can result.
+    ``counts[j]`` is feature j's candidate count.  Returns feature ->
+    picks: boundary positions for a numeric feature, distinct canonical
+    subset masks for a categorical one.  Draws are with replacement over
+    the (possibly astronomically large) candidate space, so repeats leave
+    a touch under ``cap`` distinct candidates.
     """
-    counts = []
-    for j, kind, payload in per_feature:
-        if kind == NUMERIC:
-            counts.append(payload[0].size)
-        else:
-            k = len(payload[0])
-            counts.append((1 << (k - 1)) - 1 if k > 1 else 0)
-    probs = np.array(counts, dtype=float) / float(total)
-    draws = rng.choice(len(per_feature), size=cap, p=probs)
+    probs = np.array(counts, dtype=float) / float(sum(counts))
+    draws = rng.choice(len(counts), size=cap, p=probs)
     chosen: dict = {}
-    for slot in range(len(per_feature)):
-        n = int(np.sum(draws == slot))
+    for j, n in enumerate(np.bincount(draws, minlength=len(counts)).tolist()):
         if n == 0:
             continue
-        j, kind, payload = per_feature[slot]
-        if kind == NUMERIC:
-            picks = rng.integers(0, counts[slot], size=n)
-            chosen[j] = np.unique(picks)
-        else:
-            k = len(payload[0])
-            full = (1 << k) - 1
+        if j in categorical:
+            full = (1 << len(categorical[j][0])) - 1
             raw = rng.integers(1, full, size=n)  # proper nonempty subsets
             canonical = np.where(raw & 1, raw, full ^ raw)
             chosen[j] = np.unique(canonical.astype(np.int64))
+        else:
+            chosen[j] = rng.integers(0, counts[j], size=n)
     return chosen
 
 
@@ -381,6 +337,10 @@ def induce_tree(
     lowest feature index, then the lowest threshold or lexicographically
     smallest category subset; ties among equally heavy leaves break to the
     oldest.  Growth stops at the node budget or when no live leaf remains.
+
+    Numeric thresholds are scored from ``data.numeric_block``, which the
+    first call on a Dataset builds and every later call (each boosting
+    round on the same training set) reuses; the presort changes no split.
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")
@@ -391,41 +351,33 @@ def induce_tree(
         raise ValueError("weights must sum to 1 (a co-density)")
     if rng is None or not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    labels = data.labels
+    wpos = np.where(data.labels > 0, weights, 0.0)
+    wneg = np.where(data.labels < 0, weights, 0.0)
+    if wpos.sum() <= 0 or wneg.sum() <= 0:
+        raise ValueError("training rows must carry weighted mass of both classes")
 
     q1 = data.m ** (-cfg.t_star)
 
     def make_leaf(rows):
-        stats = LeafStats(
-            float(np.where(labels[rows] > 0, weights[rows], 0.0).sum()),
-            float(np.where(labels[rows] < 0, weights[rows], 0.0).sum()),
-        )
+        stats = LeafStats(float(wpos[rows].sum()), float(wneg[rows].sum()))
         return LeafNode(stats, leaf_prediction(stats.p, q1, cfg), rows)
 
-    root_rows = np.arange(data.m)
-    root_pos = float(np.where(labels > 0, weights, 0.0).sum())
-    root_neg = float(np.where(labels < 0, weights, 0.0).sum())
-    if root_pos <= 0 or root_neg <= 0:
-        raise ValueError("training rows must carry weighted mass of both classes")
-
-    root = make_leaf(root_rows)
+    root = make_leaf(np.arange(data.m))
     n_nodes = 1
     live = [(root, None, None)]  # (leaf, parent, side)
 
     while n_nodes + 2 <= max_nodes and live:
         heaviest = max(range(len(live)), key=lambda i: live[i][0].stats.r)
         leaf, parent, side = live.pop(heaviest)
-        found = _best_split(
-            data, leaf.rows, labels, weights, cfg, rng, split_cap, leaf.stats
+        predicate = _best_split(
+            data, leaf.rows, wpos, wneg, cfg, rng, split_cap, leaf.stats
         )
-        if found is None:
+        if predicate is None:
             continue  # retired: no admissible split on this leaf
-        test = found.predicate.evaluate(data)
-        left_rows = leaf.rows[~test[leaf.rows]]
-        right_rows = leaf.rows[test[leaf.rows]]
-        left = make_leaf(left_rows)
-        right = make_leaf(right_rows)
-        node = SplitNode(found.predicate, left, right)
+        test = predicate.evaluate(data, leaf.rows)
+        left = make_leaf(leaf.rows.compress(~test))
+        right = make_leaf(leaf.rows.compress(test))
+        node = SplitNode(predicate, left, right)
         if parent is None:
             root = node
         elif side == "left":
