@@ -96,6 +96,21 @@ class Dataset:
         orders = np.argsort(values, axis=1, kind="stable")
         return features, orders, np.take_along_axis(values, orders, axis=1)
 
+    @cached_property
+    def category_codes(self) -> dict:
+        """Categorical column index -> ``(levels, codes)``.
+
+        ``levels`` holds the column's distinct values, sorted, and
+        ``codes[i]`` is row i's position in it, so that
+        ``levels[codes]`` is the column.  Built on first use, like
+        ``numeric_block``; a Dataset from ``take`` has its own table.
+        """
+        return {
+            j: np.unique(c.values, return_inverse=True)
+            for j, c in enumerate(self.columns)
+            if c.kind == CATEGORICAL
+        }
+
     def feature_matrix(self) -> np.ndarray:
         """Dense float matrix; only defined when all columns are numeric."""
         if any(c.kind != NUMERIC for c in self.columns):

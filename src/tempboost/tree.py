@@ -7,17 +7,22 @@ leaf (largest co-density mass) with the split that maximizes
 
 L_t the tempered Bayes risk; concavity of L_t makes the gain nonnegative.
 Numeric split candidates are midpoints between consecutive observed
-values, categorical candidates are the proper nonempty subsets of the
-observed values up to complement.  When the candidate count exceeds the
-cap, the best split is searched in a uniformly sampled subset instead.
-Splits creating a pure leaf are inadmissible, which keeps every leaf
-posterior strictly inside (0, 1) and every leaf prediction
+values; above ``split_cap`` of them, a uniform sample is searched.  A
+categorical feature with k levels in the leaf has the k-1 prefixes of its
+levels sorted by posterior as candidates: for two classes and a concave
+impurity such as L_t, the best subset is one of them (Breiman et al.,
+CART 1984, section 9.4).  Splits creating a pure leaf are inadmissible,
+which keeps every leaf posterior strictly inside (0, 1) and every leaf
+prediction
 
     H = (q1^(1-t) / (1-t)) (p^(1-t) - (1-p)^(1-t)) / (p^(1-t) + (1-p)^(1-t))
 
 finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  Leaf
 masses come from the booster's co-density weights, so at uniform weights
-they reduce to example counts over m.
+they reduce to example counts over m.  The admissibility rule limits the
+prefix scan: it is exact when every level in the leaf holds both classes,
+but a single-class level can make the best admissible subset a non-prefix
+one, which the scan misses.
 
 Numeric candidates come from a presorted block, the column block of
 XGBoost (Chen & Guestrin, KDD 2016).  ``Dataset.numeric_block`` sorts
@@ -25,10 +30,8 @@ each numeric column once per Dataset, when the first tree is grown on it,
 and every later tree on that Dataset (each boosting round of a cell)
 reuses it.  A leaf filters the presorted orders by its rows, which stay
 ascending, so the result equals a stable argsort of the leaf's own values
-and the split found is the one a per-leaf sort finds.  All thresholds of
-all numeric features are scored in one vectorised pass; taking the first
-maximum in feature-major order keeps the tie-break of lowest feature,
-then lowest threshold.
+and the split found is the one a per-leaf sort finds.  The thresholds and
+prefixes of all features are scored in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .cpe_loss import bayes_risk
-from .dataio import CATEGORICAL, Dataset
+from .dataio import Dataset
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
 
@@ -63,13 +66,14 @@ class NumericSplit:
 
 @dataclass(frozen=True)
 class CategoricalSplit:
-    """Test x[feature] in subset; the subset is a proper nonempty one."""
+    """Test x[feature] in subset; other levels, even unseen ones, test false."""
 
     feature: int
     subset: tuple
 
     def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
-        return np.isin(data.columns[self.feature].values[rows], self.subset)
+        levels, codes = data.category_codes[self.feature]
+        return np.isin(levels, self.subset)[codes[rows]]
 
     def evaluate_row(self, row) -> bool:
         return str(row[self.feature]) in self.subset
@@ -181,37 +185,56 @@ def split_gain(parent: LeafStats, left: LeafStats, right: LeafStats, cfg: Temper
     return parent_term - left_term - right_term
 
 
-def _risk_term(m_pos, m_neg, cfg):
-    """r L_t(p) of candidate sides whose class masses are both positive."""
-    mass = m_pos + m_neg
-    return mass * bayes_risk(m_pos / mass, cfg)
+def _cuts(pos, neg):
+    """Class masses on both sides of each cut between neighbours in a row.
+
+    Returns ``(left_pos, left_neg, right_pos, right_neg)`` and the mask of
+    admissible cuts, those leaving both classes on both sides.  Suffixes are
+    summed directly, not as total - prefix: sums of nonnegative terms stay
+    nonnegative, so a zero mass means a genuinely empty side.
+    """
+    sides = (
+        np.cumsum(pos, axis=1)[:, :-1],
+        np.cumsum(neg, axis=1)[:, :-1],
+        np.cumsum(pos[:, ::-1], axis=1)[:, ::-1][:, 1:],
+        np.cumsum(neg[:, ::-1], axis=1)[:, ::-1][:, 1:],
+    )
+    return sides, np.logical_and.reduce([side > 0 for side in sides])
 
 
-def _category_masses(values, wpos, wneg):
-    cats, codes = np.unique(values, return_inverse=True)
-    members = codes == np.arange(cats.size)[:, None]
-    pos = np.array([wpos.compress(rows).sum() for rows in members])
-    neg = np.array([wneg.compress(rows).sum() for rows in members])
-    return cats, pos, neg
+def _level_prefixes(codes, rows, wpos, wneg):
+    """Prefix candidates of the categorical features ``codes`` at a leaf.
 
-
-def _subset_masks(k: int) -> np.ndarray:
-    # Proper nonempty subsets up to complement: bitmasks containing bit 0.
-    return np.arange(1, (1 << k) - 1, 2, dtype=np.int64)
-
-
-def _masks_to_bits(masks: np.ndarray, k: int) -> np.ndarray:
-    return (masks[:, None] >> np.arange(k)) & 1
+    Row r holds the leaf's level masses of the r-th feature, ranked by
+    posterior; levels without mass, and the padding, rank last, so no
+    admissible prefix holds one.  Returns the ranking, the ``_cuts`` masses
+    and the (row, cut) positions of the admissible prefixes.
+    """
+    width = max(levels.size for levels, _ in codes.values())
+    level_pos = np.zeros((len(codes), width))
+    level_neg = np.zeros((len(codes), width))
+    leaf_pos, leaf_neg = wpos[rows], wneg[rows]
+    for r, (levels, row_codes) in enumerate(codes.values()):
+        leaf_codes = row_codes[rows]
+        level_pos[r, : levels.size] = np.bincount(leaf_codes, leaf_pos, levels.size)
+        level_neg[r, : levels.size] = np.bincount(leaf_codes, leaf_neg, levels.size)
+    mass = level_pos + level_neg
+    posterior = np.divide(level_pos, mass, out=np.full_like(mass, 2.0), where=mass > 0)
+    ranked = np.argsort(posterior, axis=1, kind="stable")
+    prefixes, admissible = _cuts(
+        np.take_along_axis(level_pos, ranked, axis=1),
+        np.take_along_axis(level_neg, ranked, axis=1),
+    )
+    return ranked, prefixes, np.nonzero(admissible)
 
 
 def _best_split(data, rows, wpos, wneg, cfg, rng, split_cap, parent):
     """Best admissible split predicate of one leaf, or None.
 
-    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  Ties
-    in gain go to the lowest feature, then the lowest threshold (the first
-    argmax over the feature-major candidate block) or the smallest subset.
+    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  All
+    candidates of all features are scored in one pass; ties in gain go to
+    the lowest feature, then the lowest threshold or the shortest prefix.
     """
-    parent_term = parent.r * bayes_risk(parent.p, cfg)
     features, order, v = data.numeric_block
     if rows.size < data.m:  # below the root: keep the leaf's rows, in order
         in_leaf = np.zeros(data.m, dtype=bool)
@@ -220,105 +243,57 @@ def _best_split(data, rows, wpos, wneg, cfg, rng, split_cap, parent):
         keep = in_leaf[order].ravel()
         order = order.compress(keep).reshape(len(features), rows.size)
         v = v.compress(keep).reshape(len(features), rows.size)
-    pos = wpos[order]
-    neg = wneg[order]
-    # Suffix masses are accumulated directly rather than derived as
-    # total - prefix: sums of nonnegative terms cannot go negative, so a
-    # zero mass means a genuinely empty side and admissibility stays exact.
-    left_pos = np.cumsum(pos, axis=1)[:, :-1]
-    left_neg = np.cumsum(neg, axis=1)[:, :-1]
-    right_pos = np.cumsum(pos[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    right_neg = np.cumsum(neg[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    numeric, admissible = _cuts(wpos[order], wneg[order])
     boundary = v[:, :-1] < v[:, 1:]
-
     per_row = boundary.sum(axis=1)
-    counts = [0] * data.d
-    for f, n in enumerate(per_row.tolist()):
-        counts[features[f]] = n
-    categorical = {}
-    for j, column in enumerate(data.columns):
-        if column.kind == CATEGORICAL:
-            categorical[j] = _category_masses(column.values[rows], wpos[rows], wneg[rows])
-            counts[j] = (1 << (len(categorical[j][0]) - 1)) - 1
-    total = sum(counts)
-    if total == 0:
+    if per_row.sum() > split_cap:
+        boundary = _sample_thresholds(boundary, per_row, split_cap, rng)
+    block_row, cut = np.nonzero(boundary & admissible)
+    # (false_pos, false_neg, true_pos, true_neg) per candidate, where true
+    # means x >= threshold, or a level in the prefix
+    sides = [side[block_row, cut] for side in numeric]
+    codes = data.category_codes
+    if codes:
+        ranked, prefixes, (c, n) = _level_prefixes(codes, rows, wpos, wneg)
+        sides = [
+            np.concatenate([a, b[c, n]]) for a, b in zip(sides, prefixes[2:] + prefixes[:2])
+        ]
+        block_row = np.concatenate([block_row, len(features) + c])
+        cut = np.concatenate([cut, n + 1])
+    if not block_row.size:
         return None
-    sampled = None
-    if total > split_cap:
-        sampled = _sample_candidates(counts, categorical, split_cap, rng)
-        # the k-th boundary of row f is entry starts[f] + k of the flat list
-        starts = np.cumsum(per_row) - per_row
-        picks = [starts[f] + sampled[j] for f, j in enumerate(features) if j in sampled]
-        at = np.flatnonzero(boundary)[np.concatenate(picks)] if picks else []
-        boundary = np.zeros_like(boundary)
-        boundary.flat[at] = True
-
-    found = []  # (gain, feature, predicate): the best candidate of each feature
-    admissible = (
-        boundary & (left_pos > 0) & (left_neg > 0) & (right_pos > 0) & (right_neg > 0)
-    )
-    f, k = np.nonzero(admissible)
-    if f.size:
-        gains = (
-            parent_term
-            - _risk_term(left_pos[f, k], left_neg[f, k], cfg)
-            - _risk_term(right_pos[f, k], right_neg[f, k], cfg)
-        )
-        i = int(np.argmax(gains))
-        threshold = 0.5 * (v[f[i], k[i]] + v[f[i], k[i] + 1])
-        j = features[f[i]]
-        found.append((gains[i], j, NumericSplit(j, float(threshold))))
-
-    for j, (cats, cat_pos, cat_neg) in categorical.items():
-        n_cats = len(cats)
-        if n_cats < 2 or (sampled is not None and j not in sampled):
-            continue
-        masks = _subset_masks(n_cats) if sampled is None else sampled[j]
-        bits = _masks_to_bits(masks, n_cats)
-        in_pos = bits @ cat_pos
-        in_neg = bits @ cat_neg
-        out_pos = (1 - bits) @ cat_pos
-        out_neg = (1 - bits) @ cat_neg
-        ok = np.flatnonzero((in_pos > 0) & (in_neg > 0) & (out_pos > 0) & (out_neg > 0))
-        if not ok.size:
-            continue
-        gains = (
-            parent_term
-            - _risk_term(in_pos[ok], in_neg[ok], cfg)
-            - _risk_term(out_pos[ok], out_neg[ok], cfg)
-        )
-        top = ok[gains == gains.max()]
-        subset = min(tuple(cats[bits[i] == 1].tolist()) for i in top)
-        found.append((gains.max(), j, CategoricalSplit(j, subset)))
-
-    if not found:
-        return None
-    return max(found, key=lambda c: (c[0], -c[1]))[2]
+    side_pos = np.concatenate([sides[0], sides[2]])
+    side_mass = side_pos + np.concatenate([sides[1], sides[3]])
+    terms = side_mass * bayes_risk(side_pos / side_mass, cfg)
+    gains = parent.r * bayes_risk(parent.p, cfg) - terms[: cut.size] - terms[cut.size :]
+    feature = np.array(features + list(codes), dtype=int)[block_row]
+    best = np.flatnonzero(gains == gains.max())
+    i = best[np.argmin(feature[best])]  # the first of the lowest tied feature
+    j, row, at = int(feature[i]), int(block_row[i]), int(cut[i])
+    if row >= len(features):
+        prefix = np.sort(ranked[row - len(features), :at])
+        return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
+    return NumericSplit(j, float(0.5 * (v[row, at] + v[row, at + 1])))
 
 
-def _sample_candidates(counts, categorical, cap, rng):
-    """Uniform sample of ``cap`` candidate splits across all features.
+def _sample_thresholds(boundary, per_row, cap, rng):
+    """``boundary`` cut down to a uniform sample of ``cap`` of its thresholds.
 
-    ``counts[j]`` is feature j's candidate count.  Returns feature ->
-    picks: boundary positions for a numeric feature, distinct canonical
-    subset masks for a categorical one.  Draws are with replacement over
-    the (possibly astronomically large) candidate space, so repeats leave
-    a touch under ``cap`` distinct candidates.
+    ``per_row[f]`` is the threshold count of row f.  Draws are with
+    replacement, so repeats leave a touch under ``cap`` distinct thresholds.
     """
-    probs = np.array(counts, dtype=float) / float(sum(counts))
-    draws = rng.choice(len(counts), size=cap, p=probs)
-    chosen: dict = {}
-    for j, n in enumerate(np.bincount(draws, minlength=len(counts)).tolist()):
-        if n == 0:
-            continue
-        if j in categorical:
-            full = (1 << len(categorical[j][0])) - 1
-            raw = rng.integers(1, full, size=n)  # proper nonempty subsets
-            canonical = np.where(raw & 1, raw, full ^ raw)
-            chosen[j] = np.unique(canonical.astype(np.int64))
-        else:
-            chosen[j] = rng.integers(0, counts[j], size=n)
-    return chosen
+    draws = rng.choice(per_row.size, size=cap, p=per_row / per_row.sum())
+    # the k-th threshold of row f is entry starts[f] + k of the flat list
+    starts = np.cumsum(per_row) - per_row
+    picks = [
+        starts[f] + rng.integers(0, per_row[f], size=n)
+        for f, n in enumerate(np.bincount(draws, minlength=per_row.size).tolist())
+        if n
+    ]
+    sampled = np.zeros_like(boundary)
+    if picks:
+        sampled.flat[np.flatnonzero(boundary)[np.concatenate(picks)]] = True
+    return sampled
 
 
 def induce_tree(
@@ -333,14 +308,21 @@ def induce_tree(
 
     ``weights`` is the booster's co-density over the training rows.  The
     heaviest live leaf is expanded first; a leaf none of whose splits is
-    admissible is retired.  Ties among equal-gain splits break to the
-    lowest feature index, then the lowest threshold or lexicographically
-    smallest category subset; ties among equally heavy leaves break to the
-    oldest.  Growth stops at the node budget or when no live leaf remains.
+    admissible is retired.  Candidates are the midpoints between a leaf's
+    distinct numeric values and the prefixes of each categorical feature's
+    levels ranked by leaf posterior (exact unless a level in the leaf holds
+    one class only; see the module notes).  ``split_cap`` bounds the numeric
+    thresholds only; above it a uniform sample of them is scored.  Ties
+    among equal-gain splits break to the lowest feature index, then the
+    lowest threshold or the shortest prefix; ties among equally heavy
+    leaves break to the oldest.  A categorical split sends the prefix
+    (stored sorted) to the true branch and every other level, seen in the
+    leaf or not, to the false one.  Growth stops at the node budget or
+    when no live leaf remains.
 
-    Numeric thresholds are scored from ``data.numeric_block``, which the
-    first call on a Dataset builds and every later call (each boosting
-    round on the same training set) reuses; the presort changes no split.
+    Numeric thresholds come from ``data.numeric_block`` and level codes
+    from ``data.category_codes``, built by the first call on a Dataset and
+    reused by every later one (each boosting round of a cell).
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")

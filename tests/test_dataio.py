@@ -1,0 +1,59 @@
+"""CSV round trip, categorical level codes and stratified folds."""
+
+import numpy as np
+import pytest
+
+from tempboost.dataio import CATEGORICAL, NUMERIC, load_csv, save_csv, stratified_folds
+from tempboost.synthetic import make_mixed_table
+
+
+def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
+    data = make_mixed_table(m=120, seed=4)
+    path = tmp_path / "mixed.csv"
+    save_csv(data, path)
+    loaded = load_csv(path)
+    assert loaded.label_name == data.label_name
+    assert np.array_equal(loaded.labels, data.labels)
+    assert [(c.name, c.kind) for c in loaded.columns] == [
+        (c.name, c.kind) for c in data.columns
+    ]
+    for got, want in zip(loaded.columns, data.columns):
+        assert np.array_equal(got.values, want.values)  # repr() keeps floats exact
+
+
+def test_category_codes_rebuild_each_categorical_column():
+    data = make_mixed_table(m=80, seed=5)
+    codes = data.category_codes
+    assert sorted(codes) == [j for j, c in enumerate(data.columns) if c.kind == CATEGORICAL]
+    assert all(data.columns[j].kind == NUMERIC for j in range(data.d) if j not in codes)
+    for j, (levels, row_codes) in codes.items():
+        assert levels.tolist() == sorted(set(data.columns[j].values.tolist()))
+        assert np.array_equal(levels[row_codes], data.columns[j].values)
+
+
+def test_take_builds_its_own_category_codes():
+    data = make_mixed_table(m=80, seed=6)
+    j = next(iter(data.category_codes))
+    values = data.columns[j].values
+    dropped = values[0]
+    rows = np.flatnonzero(values != dropped)
+    sub = data.take(rows)
+    levels, row_codes = sub.category_codes[j]
+    assert dropped not in levels.tolist()
+    assert np.array_equal(levels[row_codes], values[rows])
+    assert data.category_codes[j][0].tolist().count(dropped) == 1
+
+
+@pytest.mark.parametrize("k", (2, 3, 7))
+def test_stratified_folds_partition_rows_in_proportion(k):
+    data = make_mixed_table(m=101, seed=7)
+    folds = stratified_folds(data, k, seed=9)
+    assert len(folds) == k
+    tests = [test for _, test in folds]
+    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(data.m))
+    for train, test in folds:
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(data.m))
+        for cls in (-1, 1):
+            share = np.sum(data.labels == cls) / k
+            assert abs(np.sum(data.labels[test] == cls) - share) < 1
+    assert stratified_folds(data, k, seed=9)[0][1].tolist() == tests[0].tolist()

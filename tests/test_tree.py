@@ -9,6 +9,7 @@ from oracles import describe_tree, naive_tree
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import CATEGORICAL, NUMERIC, Column, Dataset
+from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, exp_t, log_t
 from tempboost.tree import (
     CategoricalSplit,
@@ -78,7 +79,11 @@ def split_features(node):
 
 
 def root_gain(tree, data, w, cfg):
-    right = tree.root.predicate.evaluate(data)
+    return partition_gain(data, w, tree.root.predicate.evaluate(data), cfg)
+
+
+def partition_gain(data, w, right, cfg):
+    """split_gain of sending the rows where ``right`` holds to the right."""
     pos = np.where(data.labels > 0, w, 0.0)
     neg = np.where(data.labels < 0, w, 0.0)
     return split_gain(
@@ -345,12 +350,124 @@ class TestInduceTree:
             ),
         )
 
-    def test_categorical_subset_count(self):
-        # 4 categories: 2^(4-1) - 1 = 7 distinct subset splits up to complement
-        from tempboost.tree import _subset_masks
 
-        assert _subset_masks(4).size == 7
-        assert _subset_masks(2).size == 1
+def graded_column(levels, m, seed, mixed):
+    """One categorical column with weighted labels drawn per level.
+
+    With ``mixed`` every level holds both classes; otherwise about a
+    third of the levels hold a single class.
+    """
+    rng = np.random.default_rng(seed)
+    level = np.concatenate([np.repeat(np.arange(levels), 2), rng.integers(0, levels, m)])
+    rate = rng.uniform(0.1, 0.9, size=levels)
+    if not mixed:
+        rate[rng.random(levels) < 0.35] = rng.choice([0.0, 1.0])
+    labels = np.where(rng.random(level.size) < rate[level], 1, -1).astype(np.int64)
+    if mixed:
+        labels[: 2 * levels] = np.tile([1, -1], levels)
+    names = np.array([f"v{k}" for k in range(levels)])
+    data = Dataset((Column("grade", CATEGORICAL, names[level]),), labels)
+    w = rng.uniform(0.2, 2.0, size=level.size)
+    return data, w / w.sum()
+
+
+def enumerated_gain(data, w, t):
+    """Root gain of the best admissible subset, by enumerating all subsets."""
+    found = naive_tree(data, w, 3, t)
+    if found[0] == "leaf":
+        return -math.inf
+    values = data.columns[found[1]].values
+    return partition_gain(data, w, np.isin(values, found[2]), TemperConfig(t))
+
+
+def best_prefix_gain(data, w, cfg):
+    """Best admissible prefix of the levels ranked by posterior, level order on ties."""
+    values = data.columns[0].values
+    levels = sorted(set(values.tolist()))
+    pos = {v: w[(values == v) & (data.labels > 0)].sum() for v in levels}
+    neg = {v: w[(values == v) & (data.labels < 0)].sum() for v in levels}
+    ranked = sorted(levels, key=lambda v: pos[v] / (pos[v] + neg[v]))
+    return max(
+        partition_gain(data, w, np.isin(values, ranked[:n]), cfg)
+        for n in range(1, len(ranked))
+    )
+
+
+class TestCategoricalSplits:
+    @pytest.mark.parametrize("t", (0.0, 0.5, 1.0, 1.5))
+    def test_gain_matches_enumeration_when_levels_are_mixed(self, t):
+        cfg = TemperConfig(t)
+        for levels in range(2, 11):
+            data, w = graded_column(levels, 40, seed=levels, mixed=True)
+            tree = induce_tree(data, w, 3, cfg, np.random.default_rng(0))
+            assert root_gain(tree, data, w, cfg) == pytest.approx(
+                enumerated_gain(data, w, t), rel=0, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("t", (0.0, 0.5, 1.0, 1.5))
+    def test_pure_levels_give_best_admissible_prefix(self, t):
+        # A single-class level can make the best admissible subset a
+        # non-prefix one; the scan then returns the best prefix, no more.
+        cfg = TemperConfig(t)
+        short = 0
+        for seed in range(24):
+            levels = 3 + seed % 8
+            data, w = graded_column(levels, 30, seed=100 + seed, mixed=False)
+            tree = induce_tree(data, w, 3, cfg, np.random.default_rng(0))
+            prefix = best_prefix_gain(data, w, cfg)
+            enumerated = enumerated_gain(data, w, t)
+            if prefix == -math.inf:
+                assert tree.n_nodes == 1
+                continue
+            gain = root_gain(tree, data, w, cfg)
+            assert gain == pytest.approx(prefix, rel=0, abs=1e-12)
+            assert gain <= enumerated + 1e-12
+            short += gain < enumerated - 1e-12
+        assert short > 0  # the limit is real on these draws
+
+    @pytest.mark.parametrize("levels", (70, 200))
+    def test_high_cardinality_grows_a_full_tree(self, levels):
+        data, w = graded_column(levels, 600 - 2 * levels, seed=levels, mixed=False)
+        tree = induce_tree(data, w, 15, TemperConfig(0.5), np.random.default_rng(0))
+        assert tree.n_nodes == 15
+        rowwise = [tree.predict_row(data.row(i)) for i in range(data.m)]
+        assert np.array_equal(tree.predict(data), rowwise)
+
+    def test_levels_without_mass_take_the_false_branch(self):
+        data, w = graded_column(6, 60, seed=3, mixed=True)
+        weightless = data.columns[0].values == "v2"
+        w = np.where(weightless, 0.0, w) / w[~weightless].sum()
+        tree = induce_tree(data, w, 7, TemperConfig(0.5), np.random.default_rng(0))
+        assert tree.n_nodes == 7
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, LeafNode):
+                assert "v2" not in node.predicate.subset
+                stack.extend((node.left, node.right))
+
+    def test_categorical_only_table_splits(self):
+        full = make_mixed_table(m=300, seed=2)
+        data = Dataset(full.columns[:2], full.labels)
+        assert all(c.kind == CATEGORICAL for c in data.columns)
+        w = np.full(data.m, 1.0 / data.m)
+        tree = induce_tree(data, w, 7, TemperConfig(0.5), np.random.default_rng(0))
+        assert tree.n_nodes > 1
+
+    def test_predict_handles_unseen_and_missing_levels(self):
+        data, w = weighted_mixed_dataset(m=60, seed=8)
+        tree = induce_tree(data, w, 9, TemperConfig(0.5), np.random.default_rng(0))
+        assert 1 in split_features(tree.root)
+        grade = data.columns[1].values
+        # a level never seen in training, and a fold where "b" is missing
+        renamed = Column("x2", CATEGORICAL, np.where(grade == "a", "z", grade))
+        unseen = Dataset((data.columns[0], renamed), data.labels)
+        keep = np.flatnonzero(grade != "b")
+        for other in (unseen, data.take(keep)):
+            rowwise = [tree.predict_row(other.row(i)) for i in range(other.m)]
+            assert np.array_equal(tree.predict(other), rowwise)
+        # "z" rows were "a" rows: an unseen level takes the false branch
+        assert np.array_equal(CategoricalSplit(1, ("a", "b")).evaluate(unseen), grade == "b")
 
 
 class TestBoosterIntegration:
