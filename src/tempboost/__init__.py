@@ -8,87 +8,9 @@ recovers the classic AdaBoost exactly.  The same machinery yields a
 strictly proper family of class-probability losses (Gini at t=0, Matusita
 at t=1) used here to induce decision-tree weak learners, plus a
 cross-validation harness over temperature grids.
+
+Import the submodules directly, e.g. ``from tempboost.booster import boost``;
+importing the package itself loads nothing else.
 """
 
 __version__ = "0.1.0"
-
-from .booster import (
-    Ensemble,
-    EnsembleMember,
-    IterationRecord,
-    boost,
-    confidence_bounds,
-    edge,
-    kt_bound,
-    leveraging,
-    predict,
-    risk_bound,
-    tempered_exp_loss,
-    zero_one_error,
-)
-from .cpe_loss import (
-    CpeLoss,
-    PropernessReport,
-    bayes_risk,
-    bayes_risk_coverage,
-    check_strict_properness,
-    partial_loss_neg,
-    partial_loss_pos,
-    pointwise_risk,
-)
-from .dataio import (
-    CATEGORICAL,
-    NUMERIC,
-    Column,
-    Dataset,
-    inject_label_noise,
-    load_csv,
-    save_csv,
-    stratified_folds,
-)
-from .errors import (
-    AllZeroError,
-    CollinearError,
-    DegenerateHypothesisError,
-    EdgeSaturatedError,
-    NoMixedSignsError,
-    TempBoostError,
-    WeightOverflowError,
-)
-from .experiment import (
-    RunSpec,
-    TraceRow,
-    emit_plots,
-    paired_ttest,
-    run,
-    spec_from_manifest,
-)
-from .talgebra import (
-    CLASSIC_TOLERANCE,
-    TemperConfig,
-    clamped_sum,
-    exp_t,
-    log_t,
-    power_mean,
-    t_minus,
-    t_product,
-)
-from .tree import (
-    CategoricalSplit,
-    DecisionTree,
-    LeafStats,
-    NumericSplit,
-    TreeWeakLearner,
-    induce_tree,
-    leaf_prediction,
-    split_gain,
-)
-from .weights import (
-    CoDensity,
-    TemWeights,
-    co_density,
-    solve_projection,
-    tempered_relative_entropy,
-    tempered_update,
-    uniform_init,
-)

@@ -13,6 +13,13 @@ drives the guarantee: the training 0/1 risk of both the plain and the
 progressively clamped model is at most
 prod_j (1 + m_dagger_j q_dagger_j^(2-t)) K_t(rho_j) for t in [0, 1].
 
+Each round yields an ``IterationRecord``: the edge rho, the confidence
+bound R, the switched-off count m_dagger and surrogate weight q_dagger,
+mu, alpha, Z, the co-density range, and the training 0/1 errors of the
+plain and the clamped model.  Those errors come from running training
+scores built from the one prediction per tree the round makes anyway, and
+``boost`` checks the guarantee on exit from the last of them.
+
 A weak hypothesis is any object with ``predict(data) -> ndarray`` over a
 Dataset and ``predict_row(row) -> float`` for a single observation; a weak
 learner is a callable ``learner(weights, data) -> hypothesis``.
@@ -21,7 +28,7 @@ learner is a callable ``learner(weights, data) -> hypothesis``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +44,10 @@ RHO_CAP = 1e-12
 class IterationRecord:
     """Everything one boosting round produces, for traces and bounds.
 
-    ``v`` is the coefficient under which the weights unravel into a clamped
-    sum of margins, m^(1-t*) (prod Z)^(1-t) mu; it equals ``alpha`` by
-    construction and is recorded separately because the weight-unravel
-    identity is stated in terms of it.
+    ``alpha`` is also the coefficient under which the weights unravel into
+    a clamped sum of margins, m^(1-t*) (prod Z)^(1-t) mu.  ``train_err`` and
+    ``train_err_clamped`` are the training 0/1 errors of the plain and the
+    clamped model after this round (the latter nan unless t < 1).
     """
 
     rho: float
@@ -50,10 +57,10 @@ class IterationRecord:
     mu: float
     alpha: float
     z: float
-    v: float
     min_codensity: float
     max_codensity: float
-    infinite_weights: int = 0
+    train_err: float
+    train_err_clamped: float
 
 
 @dataclass(frozen=True)
@@ -75,55 +82,40 @@ class Ensemble:
 
     members: tuple
     cfg: TemperConfig
-    m: int
-
-    @property
-    def clamp_delta(self) -> float:
-        if self.cfg.t < 1.0 and not self.cfg.is_classic():
-            return 1.0 / (1.0 - self.cfg.t)
-        return math.inf
-
-    def _require_clampable(self):
-        if self.cfg.is_classic() or self.cfg.t > 1.0:
-            raise ValueError("clamped prediction requires t < 1")
 
     def decision_scores(self, data: Dataset, clamped: bool = False) -> np.ndarray:
         """Scores of every row of ``data``; clamped uses the running fold."""
         if not self.members:
             raise ValueError("empty ensemble")
+        delta = _fold_delta(self.cfg, clamped)
         scores = np.zeros(data.m)
-        if clamped:
-            self._require_clampable()
-            delta = self.clamp_delta
-            for member in self.members:
-                scores = np.clip(
-                    scores + member.alpha * member.hypothesis.predict(data),
-                    -delta,
-                    delta,
-                )
-        else:
-            for member in self.members:
-                scores += member.alpha * member.hypothesis.predict(data)
+        for member in self.members:
+            # with delta = inf the clip returns the plain sum bit for bit
+            scores = np.clip(
+                scores + member.alpha * member.hypothesis.predict(data), -delta, delta
+            )
         return scores
+
+
+def _fold_delta(cfg: TemperConfig, clamped: bool) -> float:
+    if clamped and math.isinf(cfg.clamp_delta):
+        raise ValueError("clamped prediction requires t < 1")
+    return cfg.clamp_delta if clamped else math.inf
 
 
 def predict(ensemble: Ensemble, x, clamped: bool = False):
     """Score and +/-1 label for one observation (a row of raw values).
 
-    Clamped prediction folds the per-member contributions in training order
-    through the doubly clamped sum at delta = 1/(1-t); ties in the sign go
-    to +1.
+    The row-wise reference for ``Ensemble.decision_scores``: the per-member
+    contributions are folded in training order, through the doubly clamped
+    sum at delta = 1/(1-t) when clamped; ties in the sign go to +1.
     """
     if not ensemble.members:
         raise ValueError("empty ensemble")
     contributions = [
         member.alpha * member.hypothesis.predict_row(x) for member in ensemble.members
     ]
-    if clamped:
-        ensemble._require_clampable()
-        score = clamped_sum(contributions, ensemble.clamp_delta, mode="double")
-    else:
-        score = math.fsum(contributions)
+    score = clamped_sum(contributions, _fold_delta(ensemble.cfg, clamped))
     return score, (1 if score >= 0 else -1)
 
 
@@ -242,7 +234,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
 
     ``on_round(member, record, weights)``, when given, runs after every
     round with the freshly updated weights; a truthy return stops early.
-    The training-risk guarantee is re-checked on exit for t <= 1.
+    For t <= 1 the training-risk guarantee is checked on exit against
+    the last round's training errors.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -256,10 +249,14 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     z_product = 1.0
     members = []
     trace = []
+    delta = cfg.clamp_delta
+    scores = np.zeros(data.m)
+    clamped_scores = np.zeros(data.m)
     for _ in range(rounds):
         hypothesis = weak_learner(weights, data)
-        u = labels * np.asarray(hypothesis.predict(data), dtype=float)
-        m_dagger = len(weights.dagger_set)
+        h = np.asarray(hypothesis.predict(data), dtype=float)
+        u = labels * h
+        m_dagger = weights.dagger_indices().size
         r_max, q_dagger = confidence_bounds(weights, u)
         rho = edge(weights, u, r_max, q_dagger)
         try:
@@ -268,7 +265,13 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
             break
         weights, z = tempered_update(weights, u, mu)
         z_product *= z
-        p = co_density(weights).p
+        p = co_density(weights)
+        contribution = alpha * h
+        scores = scores + contribution
+        train_err_clamped = math.nan
+        if delta < math.inf:
+            clamped_scores = np.clip(clamped_scores + contribution, -delta, delta)
+            train_err_clamped = zero_one_error(clamped_scores, labels)
         member = EnsembleMember(hypothesis, mu, alpha, z)
         record = IterationRecord(
             rho=rho,
@@ -278,31 +281,25 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
             mu=mu,
             alpha=alpha,
             z=z,
-            v=alpha,
             min_codensity=float(p.min()),
             max_codensity=float(p.max()),
+            train_err=zero_one_error(scores, labels),
+            train_err_clamped=train_err_clamped,
         )
         members.append(member)
         trace.append(record)
         if on_round is not None and on_round(member, record, weights):
             break
 
-    ensemble = Ensemble(tuple(members), cfg, data.m)
-    if members and cfg.t <= 1.0:
-        _check_guarantee(ensemble, trace, data, labels)
-    return ensemble, trace
+    if trace and cfg.t <= 1.0:
+        _check_guarantee(trace, cfg)
+    return Ensemble(tuple(members), cfg), trace
 
 
-def _check_guarantee(ensemble, trace, data, labels):
-    bound = risk_bound(trace, ensemble.cfg) + 1e-9
-    err = zero_one_error(ensemble.decision_scores(data), labels)
-    if err > bound:
-        raise RuntimeError(f"risk guarantee violated: {err} > {bound}")
-    if ensemble.cfg.t < 1.0 and not ensemble.cfg.is_classic():
-        err_clamped = zero_one_error(
-            ensemble.decision_scores(data, clamped=True), labels
-        )
-        if err_clamped > bound:
-            raise RuntimeError(
-                f"clamped risk guarantee violated: {err_clamped} > {bound}"
-            )
+def _check_guarantee(trace, cfg: TemperConfig):
+    """Training-risk bound of the last round, for the plain and the clamped
+    model; a nan error (no clamped model) never exceeds the bound."""
+    bound = risk_bound(trace, cfg) + 1e-9
+    for model, err in (("", trace[-1].train_err), ("clamped ", trace[-1].train_err_clamped)):
+        if err > bound:
+            raise RuntimeError(f"{model}risk guarantee violated: {err} > {bound}")

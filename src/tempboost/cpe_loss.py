@@ -29,45 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .talgebra import TemperConfig, power_mean
+from .talgebra import TemperConfig, _finish, _prepare, power_mean
 
 _DEFAULT_U_STEP = 1e-4
 
 
-def _mean_power(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
-    """Vectorized two-point power mean with the limit branches."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if q == math.inf:
-        return np.maximum(a, b)
-    if q == -math.inf:
-        return np.minimum(a, b)
-    if q == 0.0:
-        return np.sqrt(a * b)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    out = np.zeros(np.broadcast(a, b).shape)
-    if q > 0:
-        nz = hi > 0
-        ratio = np.divide(lo, hi, out=np.zeros_like(out), where=nz)
-        out[nz] = (hi * ((1.0 + ratio**q) / 2.0) ** (1.0 / q))[nz]
-    else:
-        nz = lo > 0
-        ratio = np.divide(hi, lo, out=np.ones_like(out), where=nz)
-        out[nz] = (lo * ((1.0 + ratio**q) / 2.0) ** (1.0 / q))[nz]
-    return out
-
-
 def _prepare_unit(z, name: str):
-    arr = np.asarray(z, dtype=float)
-    flat = np.atleast_1d(arr)
+    flat, scalar, shape = _prepare(z)
     if np.any(flat < 0) or np.any(flat > 1) or np.any(np.isnan(flat)):
         raise ValueError(f"{name} must lie in [0, 1]")
-    return flat, arr.ndim == 0, arr.shape
-
-
-def _finish(out, scalar, shape):
-    return float(out[0]) if scalar else out.reshape(shape)
+    return flat, scalar, shape
 
 
 def partial_loss_pos(u, cfg: TemperConfig):
@@ -81,7 +52,7 @@ def partial_loss_pos(u, cfg: TemperConfig):
     if t == -math.inf:
         out = 2.0 * (arr <= 0.5)
         return _finish(out, scalar, shape)
-    mean = _mean_power(arr, 1.0 - arr, 1.0 - t)
+    mean = power_mean(arr, 1.0 - arr, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ((1.0 - arr) / mean) ** (2.0 - t)
     out[arr == 1.0] = 0.0  # settles the 0/0 at the right endpoint for t >= 1
@@ -127,29 +98,10 @@ def bayes_risk(v, cfg: TemperConfig):
         out = 2.0 * np.minimum(arr, 1.0 - arr)
         return _finish(out, scalar, shape)
     numerator = 2.0 * arr * (1.0 - arr)
-    mean = _mean_power(arr, 1.0 - arr, 1.0 - t)
+    mean = power_mean(arr, 1.0 - arr, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(numerator == 0.0, 0.0, numerator / mean)
     return _finish(out, scalar, shape)
-
-
-@dataclass(frozen=True)
-class CpeLoss:
-    """Bundles a temperature with the loss family's callables."""
-
-    cfg: TemperConfig
-
-    def partial_pos(self, u):
-        return partial_loss_pos(u, self.cfg)
-
-    def partial_neg(self, u):
-        return partial_loss_neg(u, self.cfg)
-
-    def pointwise_risk(self, u, v):
-        return pointwise_risk(u, v, self.cfg)
-
-    def bayes_risk(self, v):
-        return bayes_risk(v, self.cfg)
 
 
 @dataclass(frozen=True)

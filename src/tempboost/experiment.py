@@ -91,6 +91,10 @@ class RunSpec:
             raise ValueError("clamped must be both|on|off")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.tree_nodes < 1 or self.tree_nodes % 2 == 0:
+            raise ValueError(f"tree_nodes must be odd and at least 1, got {self.tree_nodes}")
+        if self.split_cap < 1:
+            raise ValueError(f"split_cap must be at least 1, got {self.split_cap}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class TraceRow:
     alpha: float
     z: float
     m_dagger: int
-    infinite_weights: int
+    infinite_weights: int = 0  # overflow raises, so always 0; kept as a trace column
 
 
 @dataclass
@@ -132,12 +136,6 @@ class RunResult:
         return sum(1 for cell in self.cells if cell.status != "ok")
 
 
-def _evaluate_clamped(spec: RunSpec, t: float) -> bool:
-    if spec.clamped == "off":
-        return False
-    return t < 1.0 and abs(t - 1.0) >= 1e-9
-
-
 def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: int, spec: RunSpec):
     """One (fold, temperature) cell; returns (rows, status)."""
     status = CellStatus(fold=fold, t=t)
@@ -155,20 +153,18 @@ def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: in
     learner = TreeWeakLearner(
         spec.tree_nodes, spec.split_cap, rng=np.random.default_rng(tree_stream)
     )
-    track_clamped = _evaluate_clamped(spec, t)
-    delta = 1.0 / (1.0 - t) if track_clamped else math.inf
+    delta = cfg.clamp_delta
+    track_clamped = spec.clamped != "off" and delta < math.inf
 
-    train_scores = np.zeros(train.m)
     test_scores = np.zeros(test.m)
     test_scores_clamped = np.zeros(test.m)
     round_index = 0
 
     def on_round(member, record, weights):
-        nonlocal round_index, train_scores, test_scores, test_scores_clamped
+        # the training scores are boost's: record.train_err
+        nonlocal round_index, test_scores, test_scores_clamped
         round_index += 1
-        h_train = member.alpha * member.hypothesis.predict(train)
         h_test = member.alpha * member.hypothesis.predict(test)
-        train_scores = train_scores + h_train
         test_scores = test_scores + h_test
         if track_clamped:
             test_scores_clamped = np.clip(
@@ -182,7 +178,7 @@ def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: in
                 fold=fold,
                 t=t,
                 j=round_index,
-                train_err=zero_one_error(train_scores, train.labels),
+                train_err=record.train_err,
                 test_err_unclamped=zero_one_error(test_scores, test.labels),
                 test_err_clamped=clamped_err,
                 min_codensity=record.min_codensity,
@@ -192,7 +188,6 @@ def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: in
                 alpha=record.alpha,
                 z=record.z,
                 m_dagger=record.m_dagger,
-                infinite_weights=record.infinite_weights,
             )
         )
         return False
@@ -230,7 +225,7 @@ def run(spec: RunSpec) -> RunResult:
         outcomes = [_run_cell(*payload) for payload in payloads]
     else:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_run_cell_star, payloads))
+            outcomes = list(pool.map(_run_cell, *zip(*payloads)))
 
     rows: list = []
     cells: list = []
@@ -246,10 +241,6 @@ def run(spec: RunSpec) -> RunResult:
     emit_plots(rows, out_dir)
     _write_manifest(out_dir / "manifest.json", spec, data, cells)
     return RunResult(out_dir=out_dir, rows=rows, cells=cells)
-
-
-def _run_cell_star(payload):
-    return _run_cell(*payload)
 
 
 def _format_value(value) -> str:
@@ -429,20 +420,23 @@ def main(argv=None) -> int:
     parser.add_argument("--split-cap", type=int, default=DEFAULT_SPLIT_CAP)
     args = parser.parse_args(argv)
 
-    spec = RunSpec(
-        data_path=args.data,
-        label_column=args.label_col,
-        t_values=tuple(float(v) for v in args.t.split(",") if v.strip() != ""),
-        rounds=args.iters,
-        tree_nodes=args.tree_nodes,
-        folds=args.folds,
-        noise=args.noise,
-        clamped=args.clamped,
-        seed=args.seed,
-        jobs=args.jobs,
-        out_dir=args.out,
-        split_cap=args.split_cap,
-    )
+    try:
+        spec = RunSpec(
+            data_path=args.data,
+            label_column=args.label_col,
+            t_values=tuple(float(v) for v in args.t.split(",") if v.strip() != ""),
+            rounds=args.iters,
+            tree_nodes=args.tree_nodes,
+            folds=args.folds,
+            noise=args.noise,
+            clamped=args.clamped,
+            seed=args.seed,
+            jobs=args.jobs,
+            out_dir=args.out,
+            split_cap=args.split_cap,
+        )
+    except ValueError as exc:  # an invalid setting: exit 2 before any cell runs
+        parser.error(str(exc))
     result = run(spec)
     print(f"wrote {result.out_dir / 'trace.csv'} ({len(result.rows)} rows)")
     if result.failed_cells:

@@ -24,6 +24,8 @@ import numpy as np
 
 CLASSIC_TOLERANCE = 1e-9
 
+_SMALL_EXPONENT = 1e-2  # power_mean switches to expm1/log1p below this |q|
+
 _CLAMP_MODES = ("upper", "lower", "double")
 
 
@@ -54,8 +56,12 @@ class TemperConfig:
         """True when t is (numerically) 1 and ops use exact ln/exp forms."""
         return abs(self.t - 1.0) < CLASSIC_TOLERANCE
 
-
-CLASSIC = TemperConfig(1.0)
+    @property
+    def clamp_delta(self) -> float:
+        """Clamp 1/(1-t) of the clamped model for t < 1; +inf otherwise."""
+        if self.t < 1.0 and not self.is_classic():
+            return 1.0 / (1.0 - self.t)
+        return math.inf
 
 
 def _prepare(z):
@@ -174,32 +180,42 @@ def t_minus(a, b, cfg: TemperConfig):
     return _finish(out, scalar, shape_a if not scalar_a else shape_b)
 
 
-def power_mean(a: float, b: float, q: float) -> float:
+def power_mean(a, b, q: float):
     """Two-point power mean ((a^q + b^q)/2)^(1/q) for a, b >= 0.
 
-    Explicit limit branches: geometric mean at q=0, max at q=+inf, min at
-    q=-inf, and 0 for q < 0 when either operand is 0.  Factoring out the
-    dominant operand keeps extreme exponents from overflowing.
+    Floats or arrays, broadcast together; two floats give a float,
+    computed in scalar arithmetic, since numpy's vectorised pow can differ
+    from libm's in the last bit.  Limits: geometric mean at q=0, max at
+    q=+inf, min at q=-inf, and 0 for q < 0 when either operand is 0.
+    Factoring out the operand that keeps the ratio's q-th power at most 1
+    keeps extreme exponents from overflowing.  For |q| < 1e-2 the form
+    ((1 + r^q)/2)^(1/q) cancels (relative error about eps/|q|), so it is
+    evaluated as exp(log1p(expm1(q ln r)/2)/q) instead.
     """
-    a = float(a)
-    b = float(b)
-    if a < 0 or b < 0:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scalar = a.ndim == 0 and b.ndim == 0
+    if scalar:  # numpy scalars, not 0-d arrays: their pow is libm's
+        a, b = a[()], b[()]
+    lo = np.minimum(a, b)
+    if (lo < 0).any():
         raise ValueError("power_mean requires nonnegative operands")
-    if a == b:
-        return a
-    if abs(q) < CLASSIC_TOLERANCE:
-        # below this the q-power pipeline rounds to 1 and collapses
-        return math.sqrt(a * b)
-    if math.isinf(q):
-        return max(a, b) if q > 0 else min(a, b)
-    lo, hi = min(a, b), max(a, b)
-    if q > 0:
-        if hi == 0.0:
-            return 0.0
-        return hi * ((1.0 + (lo / hi) ** q) / 2.0) ** (1.0 / q)
-    if lo == 0.0:
-        return 0.0
-    return lo * ((1.0 + (hi / lo) ** q) / 2.0) ** (1.0 / q)
+    if q == -math.inf:
+        out = lo
+    elif q == math.inf:
+        out = np.maximum(a, b)
+    elif abs(q) < CLASSIC_TOLERANCE:
+        # the q -> 0 limit, where the forms below divide by q
+        out = np.sqrt(a * b)
+    else:
+        hi = np.maximum(a, b)
+        base, other = (hi, lo) if q > 0 else (lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if abs(q) < _SMALL_EXPONENT:
+                out = hi * np.exp(np.log1p(np.expm1(q * np.log(lo / hi)) / 2.0) / q)
+            else:
+                out = base * ((1.0 + (other / base) ** q) / 2.0) ** (1.0 / q)
+        out = np.where(base > 0, out, 0.0)
+    return float(out) if scalar else out
 
 
 def clamped_sum(values, delta: float, mode: str = "double") -> float:

@@ -385,7 +385,6 @@ class TreeWeakLearner:
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     def __call__(self, weights: TemWeights, data: Dataset) -> DecisionTree:
-        p = co_density(weights).p
         return induce_tree(
-            data, p, self.max_nodes, weights.cfg, self.rng, self.split_cap
+            data, co_density(weights), self.max_nodes, weights.cfg, self.rng, self.split_cap
         )

@@ -11,7 +11,7 @@ the entropy projection onto a single linear constraint q'u = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,15 @@ _BISECT_MAX_ITER = 80
 
 @dataclass(frozen=True)
 class TemWeights:
-    """A weight vector on the co-simplex, with its switched-off index set.
+    """A weight vector on the co-simplex.
 
-    ``dagger_set`` is derived at construction as {i : q_i = 0}; weights can
-    hit exact zero through the clamp in the deformed exponential when t < 1
-    (an example "too well classified" switches off) and may later revive.
+    Weights can hit exact zero through the clamp in the deformed exponential
+    when t < 1 (an example "too well classified" switches off) and may later
+    revive; ``dagger_indices`` lists the switched-off examples.
     """
 
     q: np.ndarray
     cfg: TemperConfig
-    dagger_set: frozenset = field(init=False)
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
@@ -57,9 +56,6 @@ class TemWeights:
             )
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        object.__setattr__(
-            self, "dagger_set", frozenset(np.flatnonzero(q == 0.0).tolist())
-        )
 
     @property
     def m(self) -> int:
@@ -67,20 +63,6 @@ class TemWeights:
 
     def dagger_indices(self) -> np.ndarray:
         return np.flatnonzero(self.q == 0.0)
-
-
-@dataclass(frozen=True)
-class CoDensity:
-    """The probability vector p = q^(2-t) induced by co-simplex weights."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > COSIMPLEX_TOLERANCE:
-            raise ValueError("co-density must be a probability vector")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
 
 
 def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
@@ -91,9 +73,12 @@ def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
     return TemWeights(q, cfg)
 
 
-def co_density(weights: TemWeights) -> CoDensity:
-    """Map co-simplex weights to their probability vector q^(2-t)."""
-    return CoDensity(weights.q ** (2.0 - weights.cfg.t))
+def co_density(weights: TemWeights) -> np.ndarray:
+    """Map co-simplex weights to their probability vector p = q^(2-t).
+
+    ``TemWeights`` already checked that p sums to 1.
+    """
+    return weights.q ** (2.0 - weights.cfg.t)
 
 
 def _check_pair(q_new: TemWeights, q_old: TemWeights):
@@ -111,7 +96,7 @@ def tempered_relative_entropy(q_new: TemWeights, q_old: TemWeights) -> float:
     q_new are fine (z log_t z -> 0); zero entries in q_old are not.
     """
     _check_pair(q_new, q_old)
-    if q_old.dagger_set:
+    if q_old.dagger_indices().size:
         raise ValueError("reference weights must be strictly positive")
     qn, qo = q_new.q, q_old.q
     t = q_new.cfg.t
@@ -129,14 +114,6 @@ def tempered_relative_entropy(q_new: TemWeights, q_old: TemWeights) -> float:
     return float(np.sum(entropy_term - cross_term + tail))
 
 
-def _update_brackets(q: np.ndarray, u: np.ndarray, mu: float, t: float) -> np.ndarray:
-    # exp_t(log_t q - mu u) fused: [q^(1-t) - (1-t) mu u]_+^(1/(1-t)).
-    om = 1.0 - t
-    with np.errstate(divide="ignore"):
-        qpow = q**om
-    return qpow - om * mu * u
-
-
 def _margins(u, m: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (m,):
@@ -144,6 +121,37 @@ def _margins(u, m: int) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("margins must be finite")
     return u
+
+
+def _unnormalized(q: np.ndarray, u: np.ndarray, mu: float, cfg: TemperConfig):
+    """The update w = exp_t(log_t q - mu u) before normalization, and Z_t.
+
+    Z_t is the (2-t)-norm of w.  Raises WeightOverflowError when a weight
+    overflows (t = 1) or lands on the divergent branch of exp_t (t > 1),
+    and AllZeroError when every weight is clamped to zero (t < 1).
+    """
+    t = cfg.t
+    if cfg.is_classic():
+        with np.errstate(over="ignore"):
+            w = q * np.exp(-mu * u)
+        infinite = ~np.isfinite(w)
+        if np.any(infinite):
+            raise WeightOverflowError(int(infinite.sum()))
+        w_pow, co = w, 1.0
+    else:
+        om, co = 1.0 - t, 2.0 - t
+        # exp_t(log_t q - mu u) fused: [q^(1-t) - (1-t) mu u]_+^(1/(1-t))
+        with np.errstate(divide="ignore"):
+            bracket = q**om - om * mu * u
+        nonpositive = bracket <= 0  # clamped to 0 for t < 1, divergent for t > 1
+        if t > 1 and np.any(nonpositive):
+            raise WeightOverflowError(int(nonpositive.sum()))
+        bracket = np.where(nonpositive, 0.0, bracket)
+        w, w_pow = bracket ** (1.0 / om), bracket ** (co / om)
+    total = w_pow.sum()
+    if total == 0.0:
+        raise AllZeroError("all weights vanished before normalization")
+    return w, total ** (1.0 / co)
 
 
 def tempered_update(weights: TemWeights, u, mu: float):
@@ -155,75 +163,30 @@ def tempered_update(weights: TemWeights, u, mu: float):
     the divergent branch raises WeightOverflowError with the count.
     """
     cfg = weights.cfg
-    t = cfg.t
     u = _margins(u, weights.m)
     mu = float(mu)
     if not math.isfinite(mu):
         raise ValueError("update coefficient must be finite")
-    if t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_set:
+    if cfg.t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_indices().size:
         raise ValueError("zero weights cannot revive for t >= 1")
-
-    if cfg.is_classic():
-        with np.errstate(over="ignore"):
-            w = weights.q * np.exp(-mu * u)
-        infinite = ~np.isfinite(w)
-        if np.any(infinite):
-            raise WeightOverflowError(int(infinite.sum()))
-        total = w.sum()
-        if total == 0.0:
-            raise AllZeroError("all weights vanished before normalization")
-        return TemWeights(w / total, cfg), float(total)
-
-    bracket = _update_brackets(weights.q, u, mu, t)
-    om = 1.0 - t
-    co = 2.0 - t
-    if t < 1:
-        positive = bracket > 0
-        w_pow = np.zeros_like(bracket)
-        w_pow[positive] = bracket[positive] ** (co / om)
-        total = w_pow.sum()
-        if total == 0.0:
-            raise AllZeroError("all weights clamped to zero before normalization")
-        z = total ** (1.0 / co)
-        q_new = np.zeros_like(bracket)
-        q_new[positive] = bracket[positive] ** (1.0 / om) / z
-    else:
-        diverged = bracket <= 0
-        if np.any(diverged):
-            raise WeightOverflowError(int(diverged.sum()))
-        w_pow = bracket ** (co / om)
-        total = w_pow.sum()
-        z = total ** (1.0 / co)
-        q_new = bracket ** (1.0 / om) / z
-    return TemWeights(q_new, cfg), float(z)
+    w, z = _unnormalized(weights.q, u, mu, cfg)
+    return TemWeights(w / z, cfg), float(z)
 
 
 def _constraint_value(q: np.ndarray, u: np.ndarray, mu: float, cfg: TemperConfig):
-    """q~(mu) . u for the normalized update; None when a weight diverges."""
-    t = cfg.t
+    """q~(mu) . u for the normalized update; None when a weight diverges
+    (t > 1) or every weight is clamped to zero (t < 1)."""
     if cfg.is_classic():
+        # the log-sum-exp shift keeps large |mu| from overflowing
         support = q > 0
         logs = np.log(q[support]) - mu * u[support]
         logs -= logs.max()
         w = np.exp(logs)
         return float(np.dot(w, u[support]) / w.sum())
-    bracket = _update_brackets(q, u, mu, t)
-    om = 1.0 - t
-    co = 2.0 - t
-    if t < 1:
-        positive = bracket > 0
-        if not np.any(positive):
-            return None
-        w_pow = np.zeros_like(bracket)
-        w_pow[positive] = bracket[positive] ** (co / om)
-        z = w_pow.sum() ** (1.0 / co)
-        w = np.zeros_like(bracket)
-        w[positive] = bracket[positive] ** (1.0 / om)
-        return float(np.dot(w, u) / z)
-    if np.any(bracket <= 0):
+    try:
+        w, z = _unnormalized(q, u, mu, cfg)
+    except (AllZeroError, WeightOverflowError):
         return None
-    w = bracket ** (1.0 / om)
-    z = (bracket ** (co / om)).sum() ** (1.0 / co)
     return float(np.dot(w, u) / z)
 
 
@@ -242,7 +205,7 @@ def solve_projection(weights: TemWeights, u):
     t = cfg.t
     q = weights.q
     u = _margins(u, weights.m)
-    if t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_set:
+    if t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_indices().size:
         raise ValueError("zero weights cannot revive for t >= 1")
 
     support = q > 0

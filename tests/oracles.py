@@ -73,7 +73,7 @@ class StumpLearner:
     """Weak learner handing fit_stump the co-density as the distribution."""
 
     def __call__(self, weights, data):
-        p = co_density(weights).p
+        p = co_density(weights)
         return fit_stump(data.feature_matrix(), data.labels.astype(float), p)
 
 
@@ -419,7 +419,7 @@ class EnforcedEdgeLearner:
     def __call__(self, weights, data):
         q = weights.q
         t = weights.cfg.t
-        p = co_density(weights).p
+        p = co_density(weights)
         v = np.ones(weights.m)
         total = p.sum()
         for i in np.argsort(-p, kind="stable"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import EnforcedEdgeLearner, StumpLearner, textbook_adaboost
+from tempboost import booster
 from tempboost.booster import (
     Ensemble,
     EnsembleMember,
@@ -190,7 +191,6 @@ class TestBoostLoop:
         expected_rho = float(np.dot(w0.q, u) / expected_r)
         assert record.rho == pytest.approx(expected_rho, rel=1e-12)
         assert record.m_dagger == 0
-        assert record.alpha == record.v
         err = zero_one_error(ens.decision_scores(data), data.labels)
         assert err <= risk_bound(trace, TemperConfig(0.5)) + 1e-9
 
@@ -297,6 +297,59 @@ class TestBoostLoop:
             boost(one_class, TreeWeakLearner(), 3, TemperConfig(0.5))
 
 
+class TestRunningTrainingScores:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 1.5])
+    def test_record_errors_equal_refolded_prefixes(self, t):
+        data = make_mixed_table(m=120, seed=6)
+        learner = TreeWeakLearner(max_nodes=5, rng=np.random.default_rng(9))
+        self._check_prefixes(data, learner, TemperConfig(t), 6)
+
+    def test_clamped_error_while_the_clamp_bites(self):
+        # two examples are misclassified with margins near -2 for five
+        # rounds, so at t=0 their scores pass -delta = -1; then margins near
+        # +4 pull the clamped scores back above 0 before the plain ones
+        data = make_mixed_table(m=60, seed=6)
+        base = data.labels * np.linspace(0.2, 1.0, data.m)
+        calls = []
+
+        def learner(weights, data):
+            calls.append(1)
+            values = base.copy()
+            values[:2] *= -10.0 if len(calls) <= 5 else 20.0
+            return ConstantHypothesis(values)
+
+        trace = self._check_prefixes(data, learner, TemperConfig(0.0), 13)
+        assert any(r.train_err_clamped != r.train_err for r in trace)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
+    def test_guarantee_is_checked_on_exit_for_t_at_most_one(self, t, monkeypatch):
+        monkeypatch.setattr(booster, "risk_bound", lambda trace, cfg: -1.0)
+        data = make_mixed_table(m=40, seed=1)
+        learner = TreeWeakLearner(max_nodes=3, rng=np.random.default_rng(0))
+        if t > 1.0:
+            boost(data, learner, 2, TemperConfig(t))
+        else:
+            with pytest.raises(RuntimeError, match="risk guarantee violated"):
+                boost(data, learner, 2, TemperConfig(t))
+
+    @staticmethod
+    def _check_prefixes(data, learner, cfg, rounds):
+        """Each record's errors against those of the prefix ensembles."""
+        ens, trace = boost(data, learner, rounds, cfg)
+        assert len(trace) == len(ens.members) == rounds
+        assert trace[0].train_err > 0.0
+        for j, record in enumerate(trace, start=1):
+            prefix = Ensemble(ens.members[:j], cfg)
+            plain = zero_one_error(prefix.decision_scores(data), data.labels)
+            assert record.train_err == plain
+            if cfg.t < 1.0:
+                clamped = prefix.decision_scores(data, clamped=True)
+                assert record.train_err_clamped == zero_one_error(clamped, data.labels)
+            else:
+                assert math.isnan(record.train_err_clamped)
+        return trace
+
+
 class TestWeightUnravel:
     def test_identity_over_short_run(self):
         data = make_mixed_table(m=40, seed=8)
@@ -312,7 +365,7 @@ class TestWeightUnravel:
             )
             labels = data.labels.astype(float)
             margins = np.stack([labels * mm.hypothesis.predict(data) for mm in ens.members])
-            vs = np.array([r.v for r in trace])
+            vs = np.array([r.alpha for r in trace])
             z_prod = float(np.prod([r.z for r in trace]))
             delta = 1.0 / (1.0 - t)
             lhs = logged[-1] * data.m**cfg.t_star * z_prod
@@ -340,7 +393,7 @@ class TestPrediction:
         members = tuple(
             EnsembleMember(RowHypothesis(c), 1.0, 1.0, 1.0) for c in contributions
         )
-        return Ensemble(members, TemperConfig(t), 4)
+        return Ensemble(members, TemperConfig(t))
 
     def test_single_member_clamp_base_case(self):
         ens = self._two_member_ensemble([5.0], 0.5)  # delta = 2

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tempboost.cpe_loss import (
-    CpeLoss,
     bayes_risk,
     bayes_risk_coverage,
     check_strict_properness,
@@ -25,6 +24,12 @@ class TestPartialLosses:
         for t in T_SPAN:
             assert partial_loss_pos(0.5, TemperConfig(t)) == pytest.approx(1.0, rel=1e-12)
         assert partial_loss_pos(0.5, NEG_INF) == 2.0  # the step loss doubles there
+
+    def test_half_point_mirror_and_bayes_diagonal(self):
+        cfg = TemperConfig(0.5)
+        assert partial_loss_pos(0.5, cfg) == pytest.approx(1.0)
+        assert partial_loss_neg(0.25, cfg) == pytest.approx(partial_loss_pos(0.75, cfg))
+        assert bayes_risk(0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
 
     def test_t_zero_square_form(self):
         # (2 (1-u))^2
@@ -208,10 +213,3 @@ class TestCoverage:
         with pytest.raises(ValueError):
             bayes_risk_coverage(0.0, 0.5)
 
-
-class TestCpeLossBundle:
-    def test_methods_delegate(self):
-        loss = CpeLoss(TemperConfig(0.5))
-        assert loss.partial_pos(0.5) == pytest.approx(1.0)
-        assert loss.partial_neg(0.25) == pytest.approx(loss.partial_pos(0.75))
-        assert loss.bayes_risk(0.4) == pytest.approx(loss.pointwise_risk(0.4, 0.4))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempboost.talgebra import (
@@ -215,6 +215,7 @@ class TestPowerMean:
         q1=st.floats(-5, 5).filter(lambda q: q == 0 or abs(q) > 1e-9),
         q2=st.floats(-5, 5).filter(lambda q: q == 0 or abs(q) > 1e-9),
     )
+    @example(a=5.0, b=7.0, q1=0.0, q2=5.960464477539063e-08)
     @settings(max_examples=300, deadline=None)
     def test_monotone_in_exponent(self, a, b, q1, q2):
         lo, hi = sorted((q1, q2))

@@ -69,7 +69,7 @@ class TestTemWeights:
     def test_dagger_set_derived(self):
         q = np.array([0.0, 1.0])
         w = TemWeights(q, TemperConfig(0.5))
-        assert w.dagger_set == frozenset({0})
+        assert w.dagger_indices().tolist() == [0]
 
     def test_vector_is_read_only(self):
         w = uniform_init(3, TemperConfig(0.5))
@@ -81,15 +81,15 @@ class TestCoDensity:
     def test_classic_identity(self):
         rng = np.random.default_rng(0)
         w = random_weights(rng, 5, 1.0)
-        np.testing.assert_allclose(co_density(w).p, w.q)
+        np.testing.assert_allclose(co_density(w), w.q)
 
     def test_squaring_at_t_zero(self):
         w = TemWeights(np.array([1.0, 1.0]) / math.sqrt(2), TemperConfig(0.0))
-        np.testing.assert_allclose(co_density(w).p, [0.5, 0.5])
+        np.testing.assert_allclose(co_density(w), [0.5, 0.5])
 
     def test_uniform_maps_to_uniform(self):
         for t in (0.0, 0.6, 1.0, 1.4):
-            p = co_density(uniform_init(7, TemperConfig(t))).p
+            p = co_density(uniform_init(7, TemperConfig(t)))
             np.testing.assert_allclose(p, 1.0 / 7.0, rtol=1e-12)
 
 
@@ -181,7 +181,7 @@ class TestTemperedUpdate:
         mu = 10.0  # q^(1-t) - (1-t) mu u goes negative for u=+1
         w2, _ = tempered_update(w, u, mu)
         assert w2.q[0] == 0.0
-        assert w2.dagger_set == frozenset({0})
+        assert w2.dagger_indices().tolist() == [0]
         # a later update with opposite margin revives the weight
         w3, _ = tempered_update(w2, np.array([-1.0, 1.0]), 1.0)
         assert w3.q[0] > 0.0
