@@ -118,12 +118,13 @@ class Dataset:
         return np.column_stack([c.values for c in self.columns])
 
 
-def _parse_numeric(cell: str):
+def _parse_numeric(cells):
+    """The cells as floats, or None unless every one is a finite real."""
     try:
-        value = float(cell)
+        values = np.array(list(map(float, cells)))
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return values if np.isfinite(values).all() else None
 
 
 def load_csv(path, label_column: str = "last") -> Dataset:
@@ -170,9 +171,9 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         if j == label_idx:
             continue
         cells = raw[j]
-        numeric = [_parse_numeric(cell) for cell in cells]
-        if all(value is not None for value in numeric):
-            columns.append(Column(name, NUMERIC, np.array(numeric, dtype=float)))
+        numeric = _parse_numeric(cells)
+        if numeric is not None:
+            columns.append(Column(name, NUMERIC, numeric))
         else:
             if len(set(cells)) < 2:
                 raise ValueError(f"categorical column {name!r} is constant")

@@ -281,18 +281,18 @@ def _sample_thresholds(boundary, per_row, cap, rng):
 
     ``per_row[f]`` is the threshold count of row f.  Draws are with
     replacement, so repeats leave a touch under ``cap`` distinct thresholds.
+    The one ``rng.integers`` call, one bound per pick with rows in order,
+    reproduces the stream of a ``rng.integers(0, per_row[f], size=n)`` call
+    per row, so sampled trees are unchanged; a draw only equal in
+    distribution, such as ``rng.integers(0, per_row.sum(), size=cap)``, is not.
     """
     draws = rng.choice(per_row.size, size=cap, p=per_row / per_row.sum())
+    counts = np.bincount(draws, minlength=per_row.size)
     # the k-th threshold of row f is entry starts[f] + k of the flat list
     starts = np.cumsum(per_row) - per_row
-    picks = [
-        starts[f] + rng.integers(0, per_row[f], size=n)
-        for f, n in enumerate(np.bincount(draws, minlength=per_row.size).tolist())
-        if n
-    ]
+    picks = np.repeat(starts, counts) + rng.integers(0, np.repeat(per_row, counts))
     sampled = np.zeros_like(boundary)
-    if picks:
-        sampled.flat[np.flatnonzero(boundary)[np.concatenate(picks)]] = True
+    sampled.flat[np.flatnonzero(boundary)[picks]] = True
     return sampled
 
 

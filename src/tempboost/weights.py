@@ -49,13 +49,16 @@ class TemWeights:
             raise ValueError("co-simplex weights require a finite temperature")
         if not np.all(np.isfinite(q)) or np.any(q < 0):
             raise ValueError("weights must be finite and nonnegative")
-        residual = abs(np.sum(q ** (2.0 - self.cfg.t)) - 1.0)
+        p = q ** (2.0 - self.cfg.t)
+        residual = abs(np.sum(p) - 1.0)
         if residual > COSIMPLEX_TOLERANCE:
             raise ValueError(
                 f"not on the co-simplex: |sum q^(2-t) - 1| = {residual:.3e}"
             )
         q.setflags(write=False)
+        p.setflags(write=False)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_co_density", p)
 
     @property
     def m(self) -> int:
@@ -76,9 +79,9 @@ def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
 def co_density(weights: TemWeights) -> np.ndarray:
     """Map co-simplex weights to their probability vector p = q^(2-t).
 
-    ``TemWeights`` already checked that p sums to 1.
+    ``TemWeights`` computed p, read-only, when it checked that p sums to 1.
     """
-    return weights.q ** (2.0 - weights.cfg.t)
+    return weights._co_density
 
 
 def _check_pair(q_new: TemWeights, q_old: TemWeights):

@@ -386,6 +386,28 @@ def describe_tree(tree):
     return walk(tree.root)
 
 
+def per_feature_thresholds(boundary, per_row, cap, rng):
+    """Uniform threshold sample with one ``rng.integers`` call per feature.
+
+    Reference for ``tree._sample_thresholds``: ``cap`` features are drawn in
+    proportion to their threshold counts ``per_row``, then each drawn
+    feature draws its own threshold positions, features in order.  The
+    library's single batched draw must leave the same mask and the same
+    generator state.
+    """
+    draws = rng.choice(per_row.size, size=cap, p=per_row / per_row.sum())
+    starts = np.cumsum(per_row) - per_row
+    picks = [
+        starts[f] + rng.integers(0, per_row[f], size=n)
+        for f, n in enumerate(np.bincount(draws, minlength=per_row.size).tolist())
+        if n
+    ]
+    sampled = np.zeros_like(boundary)
+    if picks:
+        sampled.flat[np.flatnonzero(boundary)[np.concatenate(picks)]] = True
+    return sampled
+
+
 # ---------------------------------------------------------------------------
 # edge-enforcing weak learner (the weak-learning premise, made concrete)
 

@@ -57,3 +57,48 @@ def test_stratified_folds_partition_rows_in_proportion(k):
             share = np.sum(data.labels == cls) / k
             assert abs(np.sum(data.labels[test] == cls) - share) < 1
     assert stratified_folds(data, k, seed=9)[0][1].tolist() == tests[0].tolist()
+
+
+def write_csv(path, header, rows):
+    path.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return path
+
+
+def test_numeric_cells_parse_as_python_floats(tmp_path):
+    cells = ["0.1", "-0", "1e-300", "5e-324", " 2.5 ", "1_000", "3.141592653589793", "-7"]
+    rows = [[cell, "a" if i % 2 else "b"] for i, cell in enumerate(cells)]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    (column,) = data.columns
+    assert column.kind == NUMERIC
+    expected = np.array([float(cell) for cell in cells])
+    assert column.values.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+
+
+@pytest.mark.parametrize("odd", ["nan", "NaN", "inf", "-inf", "1e999", "x"])
+def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path, odd):
+    rows = [["1.5", "a"], [odd, "b"], ["2", "a"], ["1.5", "b"]]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    (column,) = data.columns
+    assert column.kind == CATEGORICAL
+    assert column.values.tolist() == ["1.5", odd, "2", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({3: ["1", "a", "b"], 5: ["2", " "]}, "row 5 has 3 cells, expected 2"),
+        ({3: ["1", ""], 5: ["2"]}, "missing cell in row 5"),
+        ({2: ["1", "b", "c"]}, "row 4 has 3 cells, expected 2"),
+        ({6: ["1"]}, "row 8 has 1 cells, expected 2"),
+    ],
+)
+def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, message):
+    rows = [bad.get(i, [str(i), "ab"[i % 2]]) for i in range(8)]  # row i is line i + 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+
+
+def test_constant_categorical_column_is_rejected(tmp_path):
+    rows = [["red", str(i), "ab"[i % 2]] for i in range(4)]
+    with pytest.raises(ValueError, match="categorical column 'c' is constant"):
+        load_csv(write_csv(tmp_path / "x.csv", ["c", "x", "y"], rows))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, naive_tree
+from oracles import describe_tree, naive_tree, per_feature_thresholds
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import CATEGORICAL, NUMERIC, Column, Dataset
@@ -17,6 +17,7 @@ from tempboost.tree import (
     LeafStats,
     NumericSplit,
     TreeWeakLearner,
+    _sample_thresholds,
     induce_tree,
     leaf_prediction,
     split_gain,
@@ -349,6 +350,36 @@ class TestInduceTree:
                 ("leaf", 0.962962963, 0.27),
             ),
         )
+
+    def test_batched_sampler_keeps_the_per_feature_stream(self):
+        """Same mask and same generator state as one draw per feature.
+
+        Rows hold no threshold, exactly one (a draw with no bits to
+        consume) or a random number of them; caps run from 1 to well
+        above the threshold count.
+        """
+        shapes = np.random.default_rng(2306)
+        kinds = np.zeros(3, dtype=int)
+        for case in range(240):
+            n_rows, width = shapes.integers(1, 9), shapes.integers(1, 60)
+            kind = shapes.integers(0, 3, size=n_rows)
+            kind[shapes.integers(n_rows)] = 2  # at least one row to sample from
+            boundary = shapes.random((n_rows, width)) < shapes.random((n_rows, 1))
+            boundary[kind == 0] = False
+            boundary[kind == 1] = False
+            boundary[kind == 1, shapes.integers(width)] = True
+            boundary[kind == 2, shapes.integers(width)] = True
+            kinds += np.bincount(kind, minlength=3) > 0
+            per_row = boundary.sum(axis=1)
+            total = int(per_row.sum())
+            cap = int(shapes.choice([1, 2, max(1, total // 3), total, 4 * total]))
+            got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+            got = _sample_thresholds(boundary, per_row, cap, got_rng)
+            want = per_feature_thresholds(boundary, per_row, cap, want_rng)
+            assert np.array_equal(got, want), case
+            assert not (got & ~boundary).any()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+        assert kinds.min() > 100
 
 
 def graded_column(levels, m, seed, mixed):

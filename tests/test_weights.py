@@ -92,6 +92,16 @@ class TestCoDensity:
             p = co_density(uniform_init(7, TemperConfig(t)))
             np.testing.assert_allclose(p, 1.0 / 7.0, rtol=1e-12)
 
+    def test_read_only_and_exactly_the_power(self):
+        rng = np.random.default_rng(3)
+        for t in (0.0, 0.6, 1.0, 1.4):
+            w = random_weights(rng, 9, t)
+            p = co_density(w)
+            assert np.array_equal(p, w.q ** (2.0 - t))
+            assert co_density(w) is p  # computed once per weight vector
+            with pytest.raises(ValueError):
+                p[0] = 0.5
+
 
 class TestTemperedRelativeEntropy:
     def test_identity_of_indiscernibles(self):
