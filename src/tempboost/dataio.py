@@ -17,6 +17,9 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
+# Split candidates per numeric column: the cuts between its equal-count bins
+MAX_BINS = 256
+
 
 @dataclass(frozen=True)
 class Column:
@@ -74,27 +77,39 @@ class Dataset:
         return Dataset(columns, self.labels[indices], self.label_name)
 
     def with_labels(self, labels) -> "Dataset":
-        return Dataset(self.columns, labels, self.label_name)
+        """Same columns, new labels; the column tables built so far are kept."""
+        relabelled = Dataset(self.columns, labels, self.label_name)
+        kept = ("numeric_block", "category_codes")  # neither reads labels
+        relabelled.__dict__.update({k: v for k, v in self.__dict__.items() if k in kept})
+        return relabelled
 
     def row(self, i: int) -> tuple:
         return tuple(column.values[i] for column in self.columns)
 
     @cached_property
     def numeric_block(self) -> tuple:
-        """``(features, orders, sorted_values)`` of the numeric columns.
+        """``(features, orders, bins)`` of the numeric columns.
 
         ``features`` lists the numeric column indices; row f of ``orders``
-        is a stable argsort of column ``features[f]`` and row f of
-        ``sorted_values`` that column in this order.  Tree induction filters
-        the block by a leaf's rows instead of sorting every leaf, so it is
-        built on first use and reused by every tree grown on this Dataset;
-        ``take`` and ``with_labels`` return a new Dataset with its own block.
+        is a stable argsort of column ``features[f]`` and row f of ``bins``
+        the bin code of each entry in that order: the value's rank among
+        at most ``MAX_BINS`` distinct values, else ``first * MAX_BINS // m``
+        for ``first`` the value's first sorted position, so that equal
+        values share a bin and bins hold nearly equal counts.  Built on
+        first use and reused by every tree grown on this Dataset; ``take``
+        returns a Dataset with its own block, ``with_labels`` shares it.
         """
         features = [j for j, c in enumerate(self.columns) if c.kind == NUMERIC]
         values = np.array([self.columns[j].values for j in features], dtype=float)
         values = values.reshape(len(features), self.m)
         orders = np.argsort(values, axis=1, kind="stable")
-        return features, orders, np.take_along_axis(values, orders, axis=1)
+        ordered = np.take_along_axis(values, orders, axis=1)
+        new = np.ones(ordered.shape, dtype=bool)
+        new[:, 1:] = ordered[:, :-1] < ordered[:, 1:]
+        rank = np.cumsum(new, axis=1) - 1
+        first = np.maximum.accumulate(np.where(new, np.arange(self.m), 0), axis=1)
+        bins = np.where(rank[:, -1:] < MAX_BINS, rank, first * MAX_BINS // self.m)
+        return features, orders, bins.astype(np.min_scalar_type(MAX_BINS - 1))
 
     @cached_property
     def category_codes(self) -> dict:
@@ -142,11 +157,16 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     if len(header) < 2:
         raise ValueError("need at least one feature column plus the label")
     data_rows = rows[1:]
-    for k, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {k + 2} has {len(row)} cells, expected {len(header)}")
-        if any(cell.strip() == "" for cell in row):
-            raise ValueError(f"missing cell in row {k + 2}")
+    # missing cells are sought column-wise before the first ragged row: the first bad row wins
+    lengths = np.fromiter(map(len, data_rows), dtype=int, count=len(data_rows))
+    ragged = np.flatnonzero(lengths != len(header))
+    whole = int(ragged[0]) if ragged.size else len(data_rows)
+    raw = [list(map(str.strip, column)) for column in zip(*data_rows[:whole])]
+    missing = [column.index("") for column in raw if "" in column]
+    if missing:
+        raise ValueError(f"missing cell in row {min(missing) + 2}")
+    if ragged.size:
+        raise ValueError(f"row {whole + 2} has {lengths[whole]} cells, expected {len(header)}")
 
     if label_column == "last":
         label_idx = len(header) - 1
@@ -156,7 +176,6 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         except ValueError:
             raise ValueError(f"no column named {label_column!r}") from None
 
-    raw = [[row[j].strip() for row in data_rows] for j in range(len(header))]
     label_values = raw[label_idx]
     distinct = sorted(set(label_values))
     if len(distinct) == 1:

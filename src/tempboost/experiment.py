@@ -7,9 +7,12 @@ It emits a flat ``trace.csv``, a per-temperature ``summary.csv`` with
 paired t-test verdicts against t=1, tidy per-panel plot data, and a
 ``manifest.json`` recording enough to rerun the whole thing bit for bit.
 
-Cells are independent: each derives its own RNG stream from
-(seed, fold, temperature-index), so results do not depend on execution
-order and --jobs N can fan cells out across processes.
+Each fold's training and test Datasets are taken once and shared by its
+cells, so every temperature trains on the same rows and, with label noise,
+on the same noisy labels: the noise is drawn once per fold from a stream
+derived from (seed, fold).  Tree induction draws no random numbers, so a
+cell depends only on its fold and temperature; results do not depend on
+execution order, and --jobs N can fan cells out across processes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .booster import boost, zero_one_error
 from .dataio import Dataset, inject_label_noise, load_csv, stratified_folds
 from .errors import TempBoostError
 from .talgebra import TemperConfig
-from .tree import DEFAULT_SPLIT_CAP, TreeWeakLearner
+from .tree import TreeWeakLearner
 
 DEFAULT_T_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1)
 
@@ -75,7 +78,6 @@ class RunSpec:
     seed: int = 0
     jobs: int = 1
     out_dir: str = "results"
-    split_cap: int = DEFAULT_SPLIT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
@@ -93,8 +95,6 @@ class RunSpec:
             raise ValueError("jobs must be positive")
         if self.tree_nodes < 1 or self.tree_nodes % 2 == 0:
             raise ValueError(f"tree_nodes must be odd and at least 1, got {self.tree_nodes}")
-        if self.split_cap < 1:
-            raise ValueError(f"split_cap must be at least 1, got {self.split_cap}")
 
 
 @dataclass(frozen=True)
@@ -136,23 +136,12 @@ class RunResult:
         return sum(1 for cell in self.cells if cell.status != "ok")
 
 
-def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: int, spec: RunSpec):
-    """One (fold, temperature) cell; returns (rows, status)."""
-    status = CellStatus(fold=fold, t=t)
+def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: float, spec: RunSpec):
+    """One (fold, temperature) cell on the fold's shared Datasets; returns (rows, status)."""
+    status = CellStatus(fold=fold, t=t, noise_flips=noise_flips)
     rows: list = []
-    seed_sequence = np.random.SeedSequence(entropy=(spec.seed, fold, t_idx))
-    noise_stream, tree_stream = seed_sequence.spawn(2)
-    train = data.take(train_idx)
-    test = data.take(test_idx)
-    if spec.noise > 0:
-        noisy = inject_label_noise(train, spec.noise, noise_stream)
-        status.noise_flips = int(np.sum(noisy.labels != train.labels))
-        train = noisy
-
     cfg = TemperConfig(t)
-    learner = TreeWeakLearner(
-        spec.tree_nodes, spec.split_cap, rng=np.random.default_rng(tree_stream)
-    )
+    learner = TreeWeakLearner(spec.tree_nodes)
     delta = cfg.clamp_delta
     track_clamped = spec.clamped != "off" and delta < math.inf
 
@@ -205,23 +194,27 @@ def _run_cell(data: Dataset, fold: int, train_idx, test_idx, t: float, t_idx: in
     return rows, status
 
 
-_FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from cell streams
+_FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from the (seed, fold) noise streams
 
 
-def _cell_payloads(data: Dataset, spec: RunSpec):
+def _folds(data: Dataset, spec: RunSpec):
+    """``(fold, train, test, noise_flips)`` per fold, noise drawn from (seed, fold)."""
     folds = stratified_folds(
         data, spec.folds, np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
     )
     for fold, (train_idx, test_idx) in enumerate(folds):
-        for t_idx, t in enumerate(spec.t_values):
-            yield (data, fold, train_idx, test_idx, t, t_idx, spec)
+        train = data.take(train_idx)
+        stream = np.random.SeedSequence(entropy=(spec.seed, fold))
+        noisy = inject_label_noise(train, spec.noise, stream)
+        flips = int(np.sum(noisy.labels != train.labels))
+        yield fold, noisy, data.take(test_idx), flips
 
 
 def run(spec: RunSpec) -> RunResult:
     """Execute the whole grid and write results under ``spec.out_dir``."""
     data = load_csv(spec.data_path, spec.label_column)
-    payloads = list(_cell_payloads(data, spec))
-    if spec.jobs == 1:
+    payloads = ((*fold, t, spec) for fold in _folds(data, spec) for t in spec.t_values)
+    if spec.jobs == 1:  # lazily: one fold's Datasets alive at a time
         outcomes = [_run_cell(*payload) for payload in payloads]
     else:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -393,6 +386,8 @@ def spec_from_manifest(path) -> RunSpec:
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     raw = dict(manifest["spec"])
+    if "split_cap" in raw:  # a sampled split search, removed since
+        raise ValueError(f"{path} predates the binned split search; its trees cannot be rerun")
     raw["t_values"] = tuple(raw["t_values"])
     return RunSpec(**raw)
 
@@ -417,7 +412,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel cells")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--split-cap", type=int, default=DEFAULT_SPLIT_CAP)
     args = parser.parse_args(argv)
 
     try:
@@ -433,7 +427,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             jobs=args.jobs,
             out_dir=args.out,
-            split_cap=args.split_cap,
         )
     except ValueError as exc:  # an invalid setting: exit 2 before any cell runs
         parser.error(str(exc))

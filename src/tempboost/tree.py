@@ -6,8 +6,8 @@ leaf (largest co-density mass) with the split that maximizes
     r_parent L_t(p_parent) - r_left L_t(p_left) - r_right L_t(p_right),
 
 L_t the tempered Bayes risk; concavity of L_t makes the gain nonnegative.
-Numeric split candidates are midpoints between consecutive observed
-values; above ``split_cap`` of them, a uniform sample is searched.  A
+Numeric split candidates are midpoints between consecutive values of the
+leaf that lie in different bins of their column (see below).  A
 categorical feature with k levels in the leaf has the k-1 prefixes of its
 levels sorted by posterior as candidates: for two classes and a concave
 impurity such as L_t, the best subset is one of them (Breiman et al.,
@@ -25,13 +25,17 @@ but a single-class level can make the best admissible subset a non-prefix
 one, which the scan misses.
 
 Numeric candidates come from a presorted block, the column block of
-XGBoost (Chen & Guestrin, KDD 2016).  ``Dataset.numeric_block`` sorts
-each numeric column once per Dataset, when the first tree is grown on it,
-and every later tree on that Dataset (each boosting round of a cell)
-reuses it.  A leaf filters the presorted orders by its rows, which stay
-ascending, so the result equals a stable argsort of the leaf's own values
-and the split found is the one a per-leaf sort finds.  The thresholds and
-prefixes of all features are scored in one vectorised pass.
+XGBoost (Chen & Guestrin, KDD 2016): ``Dataset.numeric_block`` sorts each
+numeric column once per Dataset and stores a bin code next to each sorted
+entry, and every tree grown on that Dataset reuses it.  The candidates
+are the cuts between bins, the fixed global proposal of XGBoost's
+approximate split finding (section 3.2 there): every midpoint of a column
+with at most ``dataio.MAX_BINS`` distinct values, else at most
+``MAX_BINS - 1`` cuts between equal-count bins, never between equal
+values, and no random draw.  A leaf filters the block by its rows, which
+stay ascending, and sums the class masses of each run of equal codes
+before the prefix sums; a cut's threshold is the midpoint of the leaf
+values on either side.  All candidates are scored in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from .cpe_loss import bayes_risk
 from .dataio import Dataset
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
-
-DEFAULT_SPLIT_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -228,27 +230,48 @@ def _level_prefixes(codes, rows, wpos, wneg):
     return ranked, prefixes, np.nonzero(admissible)
 
 
-def _best_split(data, rows, wpos, wneg, cfg, rng, split_cap, parent):
+def _run_sums(run_start, *masses):
+    """Each block of ``masses`` summed over the runs that ``run_start`` marks.
+
+    Row f holds the sums of row f's runs, in order, then zero padding, which
+    leaves the cuts next to it an empty side, so none is admissible.
+    """
+    first = np.flatnonzero(run_start)
+    runs = run_start.sum(axis=1)
+    width = runs.max(initial=0)
+    # a run's slot in the flattened block: row * width plus its rank in the row
+    offset = np.arange(runs.size) * width - (np.cumsum(runs) - runs)
+    slot = np.arange(first.size) + np.repeat(offset, runs)
+    sums = []
+    for mass in masses:
+        block = np.zeros(runs.size * width)
+        block[slot] = np.add.reduceat(mass.ravel(), first)
+        sums.append(block.reshape(runs.size, width))
+    return sums
+
+
+def _best_split(data, rows, wpos, wneg, cfg, parent):
     """Best admissible split predicate of one leaf, or None.
 
     ``wpos``/``wneg`` are the class-split weights of all of ``data``.  All
     candidates of all features are scored in one pass; ties in gain go to
     the lowest feature, then the lowest threshold or the shortest prefix.
     """
-    features, order, v = data.numeric_block
+    features, order, bins = data.numeric_block
     if rows.size < data.m:  # below the root: keep the leaf's rows, in order
         in_leaf = np.zeros(data.m, dtype=bool)
         in_leaf[rows] = True
         # compress, not a boolean index: several times faster on scattered masks
         keep = in_leaf[order].ravel()
         order = order.compress(keep).reshape(len(features), rows.size)
-        v = v.compress(keep).reshape(len(features), rows.size)
-    numeric, admissible = _cuts(wpos[order], wneg[order])
-    boundary = v[:, :-1] < v[:, 1:]
-    per_row = boundary.sum(axis=1)
-    if per_row.sum() > split_cap:
-        boundary = _sample_thresholds(boundary, per_row, split_cap, rng)
-    block_row, cut = np.nonzero(boundary & admissible)
+        bins = bins.compress(keep).reshape(len(features), rows.size)
+    run_start = np.ones(bins.shape, dtype=bool)
+    np.not_equal(bins[:, 1:], bins[:, :-1], out=run_start[:, 1:])
+    pos, neg = wpos[order], wneg[order]
+    if not run_start.all():  # else the sums are the block itself; skipping is faster
+        pos, neg = _run_sums(run_start, pos, neg)
+    numeric, admissible = _cuts(pos, neg)
+    block_row, cut = np.nonzero(admissible)
     # (false_pos, false_neg, true_pos, true_neg) per candidate, where true
     # means x >= threshold, or a level in the prefix
     sides = [side[block_row, cut] for side in numeric]
@@ -273,56 +296,28 @@ def _best_split(data, rows, wpos, wneg, cfg, rng, split_cap, parent):
     if row >= len(features):
         prefix = np.sort(ranked[row - len(features), :at])
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
-    return NumericSplit(j, float(0.5 * (v[row, at] + v[row, at + 1])))
+    x = data.columns[j].values
+    right = np.flatnonzero(run_start[row])[at + 1]  # the first entry right of the cut
+    return NumericSplit(j, float(0.5 * (x[order[row, right - 1]] + x[order[row, right]])))
 
 
-def _sample_thresholds(boundary, per_row, cap, rng):
-    """``boundary`` cut down to a uniform sample of ``cap`` of its thresholds.
-
-    ``per_row[f]`` is the threshold count of row f.  Draws are with
-    replacement, so repeats leave a touch under ``cap`` distinct thresholds.
-    The one ``rng.integers`` call, one bound per pick with rows in order,
-    reproduces the stream of a ``rng.integers(0, per_row[f], size=n)`` call
-    per row, so sampled trees are unchanged; a draw only equal in
-    distribution, such as ``rng.integers(0, per_row.sum(), size=cap)``, is not.
-    """
-    draws = rng.choice(per_row.size, size=cap, p=per_row / per_row.sum())
-    counts = np.bincount(draws, minlength=per_row.size)
-    # the k-th threshold of row f is entry starts[f] + k of the flat list
-    starts = np.cumsum(per_row) - per_row
-    picks = np.repeat(starts, counts) + rng.integers(0, np.repeat(per_row, counts))
-    sampled = np.zeros_like(boundary)
-    sampled.flat[np.flatnonzero(boundary)[picks]] = True
-    return sampled
-
-
-def induce_tree(
-    data: Dataset,
-    weights,
-    max_nodes: int,
-    cfg: TemperConfig,
-    rng,
-    split_cap: int = DEFAULT_SPLIT_CAP,
-) -> DecisionTree:
+def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> DecisionTree:
     """Grow a tree of at most ``max_nodes`` nodes (must be odd).
 
     ``weights`` is the booster's co-density over the training rows.  The
     heaviest live leaf is expanded first; a leaf none of whose splits is
     admissible is retired.  Candidates are the midpoints between a leaf's
-    distinct numeric values and the prefixes of each categorical feature's
-    levels ranked by leaf posterior (exact unless a level in the leaf holds
-    one class only; see the module notes).  ``split_cap`` bounds the numeric
-    thresholds only; above it a uniform sample of them is scored.  Ties
-    among equal-gain splits break to the lowest feature index, then the
-    lowest threshold or the shortest prefix; ties among equally heavy
-    leaves break to the oldest.  A categorical split sends the prefix
-    (stored sorted) to the true branch and every other level, seen in the
-    leaf or not, to the false one.  Growth stops at the node budget or
-    when no live leaf remains.
-
-    Numeric thresholds come from ``data.numeric_block`` and level codes
-    from ``data.category_codes``, built by the first call on a Dataset and
-    reused by every later one (each boosting round of a cell).
+    neighbouring numeric values that lie in different bins of
+    ``data.numeric_block`` (every pair of distinct values, for a column
+    with at most ``MAX_BINS`` of them) and the prefixes of each categorical
+    feature's levels ranked by leaf posterior (exact unless a level in the
+    leaf holds one class only; see the module notes).  Ties among
+    equal-gain splits break to the lowest feature index, then the lowest
+    threshold or the shortest prefix; ties among equally heavy leaves
+    break to the oldest.  A categorical split sends the prefix (stored
+    sorted) to the true branch and every other level, seen in the leaf or
+    not, to the false one.  Growth stops at the node budget or when no
+    live leaf remains.  The tree depends only on the arguments.
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")
@@ -331,8 +326,6 @@ def induce_tree(
         raise ValueError("need one nonnegative weight per example")
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("weights must sum to 1 (a co-density)")
-    if rng is None or not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     wpos = np.where(data.labels > 0, weights, 0.0)
     wneg = np.where(data.labels < 0, weights, 0.0)
     if wpos.sum() <= 0 or wneg.sum() <= 0:
@@ -351,9 +344,7 @@ def induce_tree(
     while n_nodes + 2 <= max_nodes and live:
         heaviest = max(range(len(live)), key=lambda i: live[i][0].stats.r)
         leaf, parent, side = live.pop(heaviest)
-        predicate = _best_split(
-            data, leaf.rows, wpos, wneg, cfg, rng, split_cap, leaf.stats
-        )
+        predicate = _best_split(data, leaf.rows, wpos, wneg, cfg, leaf.stats)
         if predicate is None:
             continue  # retired: no admissible split on this leaf
         test = predicate.evaluate(data, leaf.rows)
@@ -379,12 +370,8 @@ def induce_tree(
 class TreeWeakLearner:
     """Adapter plugging tempered-loss trees into the boosting loop."""
 
-    def __init__(self, max_nodes: int = 15, split_cap: int = DEFAULT_SPLIT_CAP, rng=None):
+    def __init__(self, max_nodes: int = 15):
         self.max_nodes = max_nodes
-        self.split_cap = split_cap
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     def __call__(self, weights: TemWeights, data: Dataset) -> DecisionTree:
-        return induce_tree(
-            data, co_density(weights), self.max_nodes, weights.cfg, self.rng, self.split_cap
-        )
+        return induce_tree(data, co_density(weights), self.max_nodes, weights.cfg)

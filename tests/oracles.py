@@ -9,6 +9,7 @@ weak-learning premise of the convergence analysis.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -250,7 +251,7 @@ def grid_min_normalizer(q: np.ndarray, u: np.ndarray, t: float, radius: float, n
 
 
 # ---------------------------------------------------------------------------
-# naive top-down tree (no vectorization, no candidate sampling)
+# naive top-down tree (no vectorization, no presorting)
 
 
 def _naive_bayes_risk(p: float, t: float) -> float:
@@ -264,14 +265,36 @@ def _naive_bayes_risk(p: float, t: float) -> float:
     return 2.0 * p * (1.0 - p) / mean
 
 
-def naive_tree(data, weights, max_nodes: int, t: float):
+def value_bins(values, max_bins):
+    """value -> bin of a numeric column, from the definition of the bins.
+
+    Each distinct value is its own bin when there are at most ``max_bins``
+    of them (or ``max_bins`` is None); otherwise a value's bin is the
+    position of its first occurrence in the sorted column times
+    ``max_bins``, divided (floor) by the column length.
+    """
+    ordered = sorted(values.tolist())
+    distinct = sorted(set(ordered))
+    if max_bins is None or len(distinct) <= max_bins:
+        return {v: k for k, v in enumerate(distinct)}
+    return {v: bisect.bisect_left(ordered, v) * max_bins // len(ordered) for v in distinct}
+
+
+def naive_tree(data, weights, max_nodes: int, t: float, max_bins=None):
     """Plain top-down induction mirroring the library's contract.
 
+    A numeric candidate is the midpoint of two consecutive distinct leaf
+    values lying in different bins of their column (``value_bins`` over
+    all of ``data``); with ``max_bins`` None every midpoint is one.
     Leaves are dicts; the returned structure is a nested description
     (feature, key, left, right) with leaves (p, r) rounded for comparison.
     """
     labels = data.labels
     weights = np.asarray(weights, dtype=float)
+    bins = [
+        value_bins(column.values, max_bins) if column.kind == "numeric" else None
+        for column in data.columns
+    ]
 
     def leaf(rows):
         mp = float(weights[rows][labels[rows] > 0].sum())
@@ -292,7 +315,9 @@ def naive_tree(data, weights, max_nodes: int, t: float):
             if column.kind == "numeric":
                 distinct = np.unique(values)
                 candidates = [
-                    ("num", 0.5 * (a + b)) for a, b in zip(distinct[:-1], distinct[1:])
+                    ("num", 0.5 * (a + b))
+                    for a, b in zip(distinct[:-1], distinct[1:])
+                    if bins[f][a] != bins[f][b]
                 ]
             else:
                 # proper nonempty subsets up to complement: those with cats[0]
@@ -384,28 +409,6 @@ def describe_tree(tree):
         return ("split", predicate.feature, key, walk(node.left), walk(node.right))
 
     return walk(tree.root)
-
-
-def per_feature_thresholds(boundary, per_row, cap, rng):
-    """Uniform threshold sample with one ``rng.integers`` call per feature.
-
-    Reference for ``tree._sample_thresholds``: ``cap`` features are drawn in
-    proportion to their threshold counts ``per_row``, then each drawn
-    feature draws its own threshold positions, features in order.  The
-    library's single batched draw must leave the same mask and the same
-    generator state.
-    """
-    draws = rng.choice(per_row.size, size=cap, p=per_row / per_row.sum())
-    starts = np.cumsum(per_row) - per_row
-    picks = [
-        starts[f] + rng.integers(0, per_row[f], size=n)
-        for f, n in enumerate(np.bincount(draws, minlength=per_row.size).tolist())
-        if n
-    ]
-    sampled = np.zeros_like(boundary)
-    if picks:
-        sampled.flat[np.flatnonzero(boundary)[np.concatenate(picks)]] = True
-    return sampled
 
 
 # ---------------------------------------------------------------------------

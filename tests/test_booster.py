@@ -223,7 +223,7 @@ class TestBoostLoop:
         for t in (0.0, 0.4, 0.8, 1.0):
             cfg = TemperConfig(t)
             ens, trace = boost(
-                data, TreeWeakLearner(max_nodes=7, rng=np.random.default_rng(5)), 8, cfg
+                data, TreeWeakLearner(max_nodes=7), 8, cfg
             )
             z_product_pow = np.prod([r.z ** (2 - t) for r in trace])
             err = zero_one_error(ens.decision_scores(data), data.labels)
@@ -301,7 +301,7 @@ class TestRunningTrainingScores:
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 1.5])
     def test_record_errors_equal_refolded_prefixes(self, t):
         data = make_mixed_table(m=120, seed=6)
-        learner = TreeWeakLearner(max_nodes=5, rng=np.random.default_rng(9))
+        learner = TreeWeakLearner(max_nodes=5)
         self._check_prefixes(data, learner, TemperConfig(t), 6)
 
     def test_clamped_error_while_the_clamp_bites(self):
@@ -325,7 +325,7 @@ class TestRunningTrainingScores:
     def test_guarantee_is_checked_on_exit_for_t_at_most_one(self, t, monkeypatch):
         monkeypatch.setattr(booster, "risk_bound", lambda trace, cfg: -1.0)
         data = make_mixed_table(m=40, seed=1)
-        learner = TreeWeakLearner(max_nodes=3, rng=np.random.default_rng(0))
+        learner = TreeWeakLearner(max_nodes=3)
         if t > 1.0:
             boost(data, learner, 2, TemperConfig(t))
         else:
@@ -358,7 +358,7 @@ class TestWeightUnravel:
             logged = []
             ens, trace = boost(
                 data,
-                TreeWeakLearner(max_nodes=5, rng=np.random.default_rng(4)),
+                TreeWeakLearner(max_nodes=5),
                 6,
                 cfg,
                 on_round=lambda member, record, weights: logged.append(weights.q.copy()),
@@ -429,7 +429,7 @@ class TestPrediction:
     def test_vectorized_matches_rowwise(self):
         data = make_mixed_table(m=50, seed=1)
         ens, _ = boost(
-            data, TreeWeakLearner(max_nodes=5, rng=np.random.default_rng(2)), 4, TemperConfig(0.5)
+            data, TreeWeakLearner(max_nodes=5), 4, TemperConfig(0.5)
         )
         for clamped in (False, True):
             scores = ens.decision_scores(data, clamped=clamped)

@@ -31,6 +31,17 @@ def test_category_codes_rebuild_each_categorical_column():
         assert np.array_equal(levels[row_codes], data.columns[j].values)
 
 
+def test_with_labels_keeps_the_column_tables():
+    data = make_mixed_table(m=80, seed=3)
+    block, codes = data.numeric_block, data.category_codes
+    flipped = data.with_labels(-data.labels)
+    assert flipped.numeric_block is block and flipped.category_codes is codes
+    assert np.array_equal(flipped.labels, -data.labels)
+    fresh = make_mixed_table(m=80, seed=3).with_labels(data.labels)
+    assert "numeric_block" not in fresh.__dict__  # nothing built, nothing shared
+    assert np.array_equal(fresh.numeric_block[2], block[2])
+
+
 def test_take_builds_its_own_category_codes():
     data = make_mixed_table(m=80, seed=6)
     j = next(iter(data.category_codes))
@@ -90,6 +101,7 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
         ({3: ["1", ""], 5: ["2"]}, "missing cell in row 5"),
         ({2: ["1", "b", "c"]}, "row 4 has 3 cells, expected 2"),
         ({6: ["1"]}, "row 8 has 1 cells, expected 2"),
+        ({3: ["", "a", "b"], 5: ["2", ""]}, "row 5 has 3 cells, expected 2"),
     ],
 )
 def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, message):

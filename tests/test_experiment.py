@@ -1,21 +1,23 @@
 """The cross-validated grid end to end, pinned by its trace hash."""
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from tempboost import experiment, tree
-from tempboost.dataio import CATEGORICAL, Column, Dataset, save_csv
-from tempboost.experiment import RunSpec, main, run
+from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
+from tempboost.experiment import RunSpec, main, run, spec_from_manifest
 from tempboost.synthetic import make_mixed_table, make_wideband
 from tempboost.tree import DecisionTree
 
 # sha256 of trace.csv for the grids below.  Every tree, weight update and
 # prediction feeds it, so a change that alters results has to change this
 # pin and say why.
-SMOKE_TRACE_SHA256 = "3921ea689eea7523c9aca601cb639ee8736bb096aaa308faa877676d57e7c5f2"
-CATEGORICAL_TRACE_SHA256 = "90e3ef0d8fe443caf0902c4dac6c32199f8bd04284facabe87bbf6fed6c4166b"
+SMOKE_TRACE_SHA256 = "932a3465a59948c2fb34f3322a3f861eb6da5c7e3f9204e6ae536d5e6ed58af0"
+CATEGORICAL_TRACE_SHA256 = "a5342dfec5e70043b061d20f5b04736bb5699c3d185288dd9ee0adfb820a68ce"
 
 
 def run_grid(tmp_path, data, **grid):
@@ -28,8 +30,8 @@ def run_grid(tmp_path, data, **grid):
 
 
 def test_smoke_grid_trace_is_pinned(tmp_path):
-    # 139 training rows x 60 columns exceed the default split_cap at the
-    # root, so the sampled search runs as well as the exhaustive one.
+    # 139 training rows: every numeric column has fewer than MAX_BINS
+    # distinct values, so every midpoint is a candidate.
     result, digest = run_grid(
         tmp_path, make_wideband(seed=11), t_values=(0.5, 1.0), rounds=2, folds=3
     )
@@ -39,16 +41,11 @@ def test_smoke_grid_trace_is_pinned(tmp_path):
 
 
 def test_categorical_grid_trace_is_pinned(tmp_path):
-    # Two categorical and two numeric columns; the cap of 150 is below the
-    # root's ~400 numeric thresholds, so sampled and exhaustive numeric
-    # search both run next to the categorical prefix scan.
+    # Two categorical and two numeric columns; the 400 training rows give
+    # each numeric column more than MAX_BINS distinct values, so the binned
+    # candidates are searched next to the categorical prefix scan.
     result, digest = run_grid(
-        tmp_path,
-        make_mixed_table(m=300, seed=11),
-        t_values=(0.5, 1.0),
-        rounds=3,
-        folds=3,
-        split_cap=150,
+        tmp_path, make_mixed_table(m=600, seed=11), t_values=(0.5, 1.0), rounds=3, folds=3
     )
     assert result.failed_cells == 0
     assert len(result.rows) == 3 * 2 * 3
@@ -92,22 +89,72 @@ def test_each_tree_predicts_train_and_test_once(tmp_path, monkeypatch):
     assert calls["predict"] == 2 * calls["trees"]
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("split_cap", -1), ("split_cap", 0), ("tree_nodes", 4), ("tree_nodes", 0), ("tree_nodes", -1)],
-)
+@pytest.mark.parametrize("field, value", [("tree_nodes", 4), ("tree_nodes", 0), ("tree_nodes", -1)])
 def test_run_spec_rejects_bad_tree_settings(field, value):
     with pytest.raises(ValueError, match=field):
         RunSpec(data_path="data.csv", **{field: value})
 
 
-def test_cli_rejects_negative_split_cap_before_any_cell(tmp_path, monkeypatch, capsys):
+def test_cli_rejects_an_even_tree_size_before_any_cell(tmp_path, monkeypatch, capsys):
     path = tmp_path / "data.csv"
     save_csv(make_mixed_table(m=60, seed=1), path)
     started = []
     monkeypatch.setattr(experiment, "run", started.append)
     with pytest.raises(SystemExit) as exit_info:
-        main(["--data", str(path), "--split-cap", "-1", "--out", str(tmp_path / "out")])
+        main(["--data", str(path), "--tree-nodes", "4", "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
-    assert "split_cap" in capsys.readouterr().err
+    assert "tree_nodes" in capsys.readouterr().err
     assert not started and not (tmp_path / "out").exists()
+
+
+def test_every_temperature_of_a_fold_trains_on_the_same_noisy_labels(tmp_path, monkeypatch):
+    labels = []
+    real_boost = experiment.boost
+
+    def recording_boost(train, *args, **kwargs):
+        labels.append(train.labels)
+        return real_boost(train, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "boost", recording_boost)
+    t_values = (0.0, 0.5, 1.0, 1.5)
+    result, _ = run_grid(
+        tmp_path, make_mixed_table(m=200, seed=5), t_values=t_values, rounds=1, folds=2, noise=0.2
+    )
+    assert result.failed_cells == 0
+    per_fold = len(t_values)  # one job runs the cells fold by fold
+    for fold in range(2):
+        cells = result.cells[fold * per_fold : (fold + 1) * per_fold]
+        assert {cell.fold for cell in cells} == {fold}
+        assert len({cell.noise_flips for cell in cells}) == 1 and cells[0].noise_flips > 0
+        first = labels[fold * per_fold]
+        for other in labels[fold * per_fold + 1 : (fold + 1) * per_fold]:
+            assert np.array_equal(other, first)
+
+
+def test_traces_do_not_depend_on_jobs_and_rerun_from_the_manifest(tmp_path):
+    # 2 folds of 600 rows: the numeric training columns hold 300 distinct
+    # values, above MAX_BINS, so the binned candidates run, with label noise.
+    grid = dict(t_values=(0.0, 0.6, 1.0), rounds=2, folds=2, noise=0.1)
+    data = make_mixed_table(m=600, seed=8)
+    assert np.unique(data.columns[2].values).size // 2 > MAX_BINS
+    one = tmp_path / "jobs1"
+    one.mkdir()
+    result, digest = run_grid(one, data, **grid)
+    assert result.failed_cells == 0
+    assert sum(cell.noise_flips for cell in result.cells) > 0
+    two = tmp_path / "jobs2"
+    two.mkdir()
+    assert run_grid(two, data, jobs=2, **grid)[1] == digest
+    spec = spec_from_manifest(one / "out" / "manifest.json")
+    rerun = run(dataclasses.replace(spec, out_dir=str(tmp_path / "rerun")))
+    assert rerun.failed_cells == 0
+    trace = (tmp_path / "rerun" / "trace.csv").read_bytes()
+    assert trace == (one / "out" / "trace.csv").read_bytes()
+
+
+def test_manifest_from_before_the_binned_search_is_refused(tmp_path):
+    path = tmp_path / "manifest.json"
+    spec = dataclasses.asdict(RunSpec(data_path="data.csv"))
+    path.write_text(json.dumps({"spec": {**spec, "split_cap": 2000}}), encoding="utf-8")
+    with pytest.raises(ValueError, match="predates the binned split search"):
+        spec_from_manifest(path)

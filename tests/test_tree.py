@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, naive_tree, per_feature_thresholds
+from oracles import describe_tree, naive_tree
+from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
-from tempboost.dataio import CATEGORICAL, NUMERIC, Column, Dataset
+from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset
 from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, exp_t, log_t
 from tempboost.tree import (
@@ -17,7 +18,7 @@ from tempboost.tree import (
     LeafStats,
     NumericSplit,
     TreeWeakLearner,
-    _sample_thresholds,
+    _run_sums,
     induce_tree,
     leaf_prediction,
     split_gain,
@@ -187,7 +188,7 @@ class TestSplitGain:
 class TestInduceTree:
     def test_single_leaf_budget(self):
         data, w = weighted_mixed_dataset()
-        tree = induce_tree(data, w, 1, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 1, TemperConfig(0.5))
         assert tree.n_nodes == 1
         leaf = tree.leaves()[0]
         p = leaf.stats.p
@@ -221,7 +222,7 @@ class TestInduceTree:
         # further numeric split isolates a class and is inadmissible
         for a, b in (((0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (1.0, 1.0))):
             assert a[0] == b[0] and a[1] != b[1]
-        tree = induce_tree(data, w, 7, cfg, np.random.default_rng(0))
+        tree = induce_tree(data, w, 7, cfg)
         assert tree.n_nodes == 3
         predictions = tree.predict(data)
         errors = np.mean(np.where(predictions >= 0, 1, -1) != data.labels)
@@ -231,13 +232,13 @@ class TestInduceTree:
         data, w = weighted_mixed_dataset(m=20, seed=3)
         for t in (0.0, 0.5, 1.0):
             cfg = TemperConfig(t)
-            tree = induce_tree(data, w, 9, cfg, np.random.default_rng(0))
+            tree = induce_tree(data, w, 9, cfg)
             assert describe_tree(tree) == naive_tree(data, w, 9, t)
 
     @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
     def test_matches_naive_with_ties(self, t):
         data, w = tied_dataset()
-        tree = induce_tree(data, w, 15, TemperConfig(t), np.random.default_rng(0), split_cap=10**9)
+        tree = induce_tree(data, w, 15, TemperConfig(t))
         assert describe_tree(tree) == naive_tree(data, w, 15, t)
         used = split_features(tree.root)
         assert {0, 1, 3, 4} <= set(used)
@@ -255,16 +256,14 @@ class TestInduceTree:
         mirror = Column("x_cat", CATEGORICAL, np.where(x > 0, "b", "a"))
         w = np.full(x.size, 1.0 / x.size)
         for columns in ((numeric, mirror), (mirror, numeric)):
-            tree = induce_tree(
-                Dataset(columns, labels), w, 3, TemperConfig(t), np.random.default_rng(0)
-            )
+            tree = induce_tree(Dataset(columns, labels), w, 3, TemperConfig(t))
             assert tree.root.predicate.feature == 0
 
     def test_heaviest_leaf_grown_first(self):
         data, w = weighted_mixed_dataset(m=40, seed=6)
         cfg = TemperConfig(0.5)
-        tree3 = induce_tree(data, w, 3, cfg, np.random.default_rng(0))
-        tree5 = induce_tree(data, w, 5, cfg, np.random.default_rng(0))
+        tree3 = induce_tree(data, w, 3, cfg)
+        tree5 = induce_tree(data, w, 5, cfg)
         # the 5-node tree refines the heavier child of the 3-node tree
         left3, right3 = tree3.root.left, tree3.root.right
         heavier = left3 if left3.stats.r >= right3.stats.r else right3
@@ -284,7 +283,7 @@ class TestInduceTree:
             cfg = TemperConfig(t)
             risks = []
             for budget in (1, 3, 5, 7, 9):
-                tree = induce_tree(data, w, budget, cfg, np.random.default_rng(0))
+                tree = induce_tree(data, w, budget, cfg)
                 risks.append(
                     sum(
                         leaf.stats.r * bayes_risk(leaf.stats.p, cfg)
@@ -295,7 +294,7 @@ class TestInduceTree:
 
     def test_leaf_masses_partition_unit(self):
         data, w = weighted_mixed_dataset(m=50, seed=11)
-        tree = induce_tree(data, w, 9, TemperConfig(0.4), np.random.default_rng(1))
+        tree = induce_tree(data, w, 9, TemperConfig(0.4))
         total = sum(leaf.stats.r for leaf in tree.leaves())
         assert total == pytest.approx(1.0, abs=1e-12)
         for leaf in tree.leaves():
@@ -305,7 +304,7 @@ class TestInduceTree:
     def test_uniform_weights_reduce_to_counts(self):
         data, _ = weighted_mixed_dataset(m=30, seed=12)
         w = np.full(data.m, 1.0 / data.m)
-        tree = induce_tree(data, w, 5, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 5, TemperConfig(0.5))
         counts = sum(round(leaf.stats.r * data.m) for leaf in tree.leaves())
         assert counts == data.m
 
@@ -313,73 +312,105 @@ class TestInduceTree:
         data, w = weighted_mixed_dataset()
         bad = data.with_labels(np.ones(data.m, dtype=np.int64))
         with pytest.raises(ValueError):
-            induce_tree(bad, w, 3, TemperConfig(0.5), np.random.default_rng(0))
+            induce_tree(bad, w, 3, TemperConfig(0.5))
 
     def test_even_budget_rejected(self):
         data, w = weighted_mixed_dataset()
         with pytest.raises(ValueError):
-            induce_tree(data, w, 4, TemperConfig(0.5), np.random.default_rng(0))
+            induce_tree(data, w, 4, TemperConfig(0.5))
 
     def test_deterministic_under_seed(self):
         data, w = weighted_mixed_dataset(m=60, seed=13)
-        t1 = induce_tree(data, w, 9, TemperConfig(0.3), np.random.default_rng(7))
-        t2 = induce_tree(data, w, 9, TemperConfig(0.3), np.random.default_rng(7))
+        t1 = induce_tree(data, w, 9, TemperConfig(0.3))
+        t2 = induce_tree(data, w, 9, TemperConfig(0.3))
         assert describe_tree(t1) == describe_tree(t2)
 
-    def test_candidate_sampling_is_deterministic_and_capped(self):
+    def test_binned_candidates_are_capped_and_keep_ties_together(self, monkeypatch):
+        m = 2000
         rng = np.random.default_rng(14)
-        m = 300
-        x = rng.normal(size=m)
-        labels = np.where(x + 0.5 * rng.normal(size=m) > 0, 1, -1).astype(np.int64)
-        data = Dataset((Column("x", NUMERIC, x),), labels)
+        columns = {
+            "rounded": rng.normal(size=m).round(2),  # ~500 distinct, many ties
+            "distinct": rng.normal(size=m),
+            "few": np.arange(m) % MAX_BINS * 1.0,  # exactly MAX_BINS values
+            "one_more": np.arange(m) % (MAX_BINS + 1) * 1.0,
+            "coarse": rng.integers(0, 9, size=m).astype(float),
+        }
+        score = columns["rounded"] + columns["distinct"] + rng.normal(size=m)
+        labels = np.where(score > 0, 1, -1).astype(np.int64)
+        data = Dataset(tuple(Column(k, NUMERIC, v) for k, v in columns.items()), labels)
+        features, order, bins = data.numeric_block
+        assert features == list(range(5))
+        for f, x in enumerate(columns.values()):
+            v = x[order[f]]
+            assert np.array_equal(v, np.sort(x))
+            cut = bins[f, :-1] != bins[f, 1:]
+            assert np.all(bins[f, :-1] <= bins[f, 1:])
+            assert cut.sum() <= MAX_BINS - 1
+            assert np.all(v[:-1][cut] < v[1:][cut])  # equal values share a bin
+        distinct_counts = [np.unique(x).size for x in columns.values()]
+        exhaustive = [n <= MAX_BINS for n in distinct_counts]
+        assert exhaustive == [False, False, True, False, True]
+        for f in np.flatnonzero(exhaustive):
+            assert (bins[f, :-1] != bins[f, 1:]).sum() == distinct_counts[f] - 1
+        assert np.ptp(np.bincount(bins[1])) <= 1  # equal counts without ties
+
+        sizes = []
+        real_risk = tree_module.bayes_risk
+
+        def recording_risk(p, cfg):
+            sizes.append(np.size(p))
+            return real_risk(p, cfg)
+
+        monkeypatch.setattr(tree_module, "bayes_risk", recording_risk)
         w = np.full(m, 1.0 / m)
-        cfg = TemperConfig(0.5)
-        low_cap_a = induce_tree(data, w, 5, cfg, np.random.default_rng(3), split_cap=50)
-        low_cap_b = induce_tree(data, w, 5, cfg, np.random.default_rng(3), split_cap=50)
-        assert describe_tree(low_cap_a) == describe_tree(low_cap_b)
-        full = induce_tree(data, w, 5, cfg, np.random.default_rng(3), split_cap=10**6)
-        assert root_gain(low_cap_a, data, w, cfg) <= root_gain(full, data, w, cfg)
-        # The sampled tree as grown before the presorted search; any change
-        # to the sampler's RNG calls or to the candidate order moves it.
-        assert describe_tree(low_cap_a) == (
-            "split", 0, 0.014316918739001361,
-            ("leaf", 0.1111111111, 0.48),
-            (
-                "split", 0, 0.7041890531631495,
-                ("leaf", 0.76, 0.25),
-                ("leaf", 0.962962963, 0.27),
-            ),
+        root = induce_tree(data, w, 3, TemperConfig(0.5)).root
+        scored = max(sizes) // 2  # both sides of every candidate in one call
+        assert 3 * (MAX_BINS - 1) < scored <= len(features) * (MAX_BINS - 1)
+        f, threshold = root.predicate.feature, root.predicate.threshold
+        x = data.columns[f].values
+        below, above = x[x < threshold].max(), x[x >= threshold].min()
+        assert threshold == 0.5 * (below + above)
+        at = np.searchsorted(np.sort(x), [below, above])
+        assert bins[f, at[0]] != bins[f, at[1]]
+
+    def test_run_sums_match_a_loop_over_runs(self):
+        rng = np.random.default_rng(5487)
+        for case in range(60):
+            n_rows, width = rng.integers(1, 6), rng.integers(1, 40)
+            run_start = rng.random((n_rows, width)) < rng.uniform(0.05, 1.0)
+            run_start[:, 0] = True
+            mass = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.8)
+            (got,) = _run_sums(run_start, mass)
+            for f in range(n_rows):
+                edges = np.append(np.flatnonzero(run_start[f]), width)
+                want = [mass[f, a:b].sum() for a, b in zip(edges[:-1], edges[1:])]
+                np.testing.assert_allclose(got[f, : len(want)], want, rtol=1e-14, atol=0)
+                assert not got[f, len(want) :].any()  # padding stays exactly zero
+        single = np.ones((3, 7), dtype=bool)
+        mass = rng.random((3, 7))
+        assert np.array_equal(_run_sums(single, mass)[0], mass)  # one entry per run
+
+    @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
+    def test_matches_binned_naive_reference_above_max_bins(self, t):
+        m = 1024  # uniform weights are dyadic, so tied gains stay exact
+        rng = np.random.default_rng(2306)
+        rounded = rng.normal(size=m).round(2)
+        counts = rng.integers(0, 400, size=m).astype(float)
+        coarse = rng.integers(0, 6, size=m).astype(float)
+        score = rounded + 0.004 * counts - 0.4 * coarse + 0.7 * rng.normal(size=m)
+        labels = np.where(score > 0, 1, -1).astype(np.int64)
+        columns = (
+            Column("rounded", NUMERIC, rounded),
+            Column("counts", NUMERIC, counts),
+            Column("rounded_copy", NUMERIC, rounded),
+            Column("coarse", NUMERIC, coarse),
         )
-
-    def test_batched_sampler_keeps_the_per_feature_stream(self):
-        """Same mask and same generator state as one draw per feature.
-
-        Rows hold no threshold, exactly one (a draw with no bits to
-        consume) or a random number of them; caps run from 1 to well
-        above the threshold count.
-        """
-        shapes = np.random.default_rng(2306)
-        kinds = np.zeros(3, dtype=int)
-        for case in range(240):
-            n_rows, width = shapes.integers(1, 9), shapes.integers(1, 60)
-            kind = shapes.integers(0, 3, size=n_rows)
-            kind[shapes.integers(n_rows)] = 2  # at least one row to sample from
-            boundary = shapes.random((n_rows, width)) < shapes.random((n_rows, 1))
-            boundary[kind == 0] = False
-            boundary[kind == 1] = False
-            boundary[kind == 1, shapes.integers(width)] = True
-            boundary[kind == 2, shapes.integers(width)] = True
-            kinds += np.bincount(kind, minlength=3) > 0
-            per_row = boundary.sum(axis=1)
-            total = int(per_row.sum())
-            cap = int(shapes.choice([1, 2, max(1, total // 3), total, 4 * total]))
-            got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
-            got = _sample_thresholds(boundary, per_row, cap, got_rng)
-            want = per_feature_thresholds(boundary, per_row, cap, want_rng)
-            assert np.array_equal(got, want), case
-            assert not (got & ~boundary).any()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
-        assert kinds.min() > 100
+        data = Dataset(columns, labels)
+        assert [np.unique(c.values).size > MAX_BINS for c in columns] == [True, True, True, False]
+        w = np.full(m, 1.0 / m)
+        tree = induce_tree(data, w, 15, TemperConfig(t))
+        assert describe_tree(tree) == naive_tree(data, w, 15, t, max_bins=MAX_BINS)
+        assert 2 not in split_features(tree.root)  # equal gains break to the lower feature
 
 
 def graded_column(levels, m, seed, mixed):
@@ -430,7 +461,7 @@ class TestCategoricalSplits:
         cfg = TemperConfig(t)
         for levels in range(2, 11):
             data, w = graded_column(levels, 40, seed=levels, mixed=True)
-            tree = induce_tree(data, w, 3, cfg, np.random.default_rng(0))
+            tree = induce_tree(data, w, 3, cfg)
             assert root_gain(tree, data, w, cfg) == pytest.approx(
                 enumerated_gain(data, w, t), rel=0, abs=1e-12
             )
@@ -444,7 +475,7 @@ class TestCategoricalSplits:
         for seed in range(24):
             levels = 3 + seed % 8
             data, w = graded_column(levels, 30, seed=100 + seed, mixed=False)
-            tree = induce_tree(data, w, 3, cfg, np.random.default_rng(0))
+            tree = induce_tree(data, w, 3, cfg)
             prefix = best_prefix_gain(data, w, cfg)
             enumerated = enumerated_gain(data, w, t)
             if prefix == -math.inf:
@@ -459,7 +490,7 @@ class TestCategoricalSplits:
     @pytest.mark.parametrize("levels", (70, 200))
     def test_high_cardinality_grows_a_full_tree(self, levels):
         data, w = graded_column(levels, 600 - 2 * levels, seed=levels, mixed=False)
-        tree = induce_tree(data, w, 15, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 15, TemperConfig(0.5))
         assert tree.n_nodes == 15
         rowwise = [tree.predict_row(data.row(i)) for i in range(data.m)]
         assert np.array_equal(tree.predict(data), rowwise)
@@ -468,7 +499,7 @@ class TestCategoricalSplits:
         data, w = graded_column(6, 60, seed=3, mixed=True)
         weightless = data.columns[0].values == "v2"
         w = np.where(weightless, 0.0, w) / w[~weightless].sum()
-        tree = induce_tree(data, w, 7, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 7, TemperConfig(0.5))
         assert tree.n_nodes == 7
         stack = [tree.root]
         while stack:
@@ -482,12 +513,12 @@ class TestCategoricalSplits:
         data = Dataset(full.columns[:2], full.labels)
         assert all(c.kind == CATEGORICAL for c in data.columns)
         w = np.full(data.m, 1.0 / data.m)
-        tree = induce_tree(data, w, 7, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 7, TemperConfig(0.5))
         assert tree.n_nodes > 1
 
     def test_predict_handles_unseen_and_missing_levels(self):
         data, w = weighted_mixed_dataset(m=60, seed=8)
-        tree = induce_tree(data, w, 9, TemperConfig(0.5), np.random.default_rng(0))
+        tree = induce_tree(data, w, 9, TemperConfig(0.5))
         assert 1 in split_features(tree.root)
         grade = data.columns[1].values
         # a level never seen in training, and a fold where "b" is missing
@@ -506,7 +537,7 @@ class TestBoosterIntegration:
         data, _ = weighted_mixed_dataset(m=50, seed=15)
         cfg = TemperConfig(0.5)
         weights = uniform_init(data.m, cfg)
-        learner = TreeWeakLearner(max_nodes=7, rng=np.random.default_rng(2))
+        learner = TreeWeakLearner(max_nodes=7)
         tree = learner(weights, data)
         margins = data.labels * tree.predict(data)
         r_max, q_dagger = confidence_bounds(weights, margins)
@@ -520,7 +551,7 @@ class TestBoosterIntegration:
         data, _ = weighted_mixed_dataset(m=50, seed=16)
         ens, _ = boost(
             data,
-            TreeWeakLearner(max_nodes=5, rng=np.random.default_rng(3)),
+            TreeWeakLearner(max_nodes=5),
             1,
             TemperConfig(0.5),
         )
