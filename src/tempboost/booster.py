@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DegenerateHypothesisError, EdgeSaturatedError
+from .errors import BoundViolatedError, DegenerateHypothesisError, EdgeSaturatedError
+from .errors import SingleClassError, ZeroWeightError
 from .talgebra import TemperConfig, clamped_sum, exp_t, log_t, power_mean
 from .weights import TemWeights, co_density, tempered_update, uniform_init
 
@@ -121,8 +122,7 @@ def predict(ensemble: Ensemble, x, clamped: bool = False):
 
 def zero_one_error(scores: np.ndarray, labels: np.ndarray) -> float:
     """Empirical 0/1 risk of sign(scores) against +/-1 labels, sign(0)=+1."""
-    predicted = np.where(np.asarray(scores) >= 0, 1, -1)
-    return float(np.mean(predicted != np.asarray(labels)))
+    return float(np.mean((np.asarray(scores) >= 0) != (np.asarray(labels) > 0)))
 
 
 def confidence_bounds(weights: TemWeights, u):
@@ -143,7 +143,7 @@ def confidence_bounds(weights: TemWeights, u):
     if dagger.size == 0:
         return r_max, 0.0
     if t >= 1.0 - 1e-9:
-        raise ValueError("switched-off weights are undefined for t >= 1")
+        raise ZeroWeightError("switched-off weights are undefined for t >= 1")
     top = float(np.max(np.abs(u[dagger])))
     return r_max, (top / r_max) ** (1.0 / (1.0 - t))
 
@@ -183,7 +183,7 @@ def leveraging(rho: float, r_max: float, cfg: TemperConfig, z_product: float, m:
     mean = power_mean(1.0 - rho, 1.0 + rho, 1.0 - t)
     mu = -log_t((1.0 - rho) / mean, cfg) / r_max
     if t < 1.0 and not abs(mu) < 1.0 / (r_max * (1.0 - t)):
-        raise RuntimeError("leveraging bound violated; numerical failure")
+        raise BoundViolatedError("leveraging bound violated; numerical failure")
     alpha = m ** (1.0 - cfg.t_star) * z_product ** (1.0 - t) * mu
     return mu, alpha
 
@@ -243,7 +243,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         raise ValueError("boosting requires t in [0, 2)")
     labels = data.labels.astype(float)
     if not (np.any(labels > 0) and np.any(labels < 0)):
-        raise ValueError("training data must contain both classes")
+        raise SingleClassError("training data must contain both classes")
 
     weights = uniform_init(data.m, cfg)
     z_product = 1.0
@@ -302,4 +302,4 @@ def _check_guarantee(trace, cfg: TemperConfig):
     bound = risk_bound(trace, cfg) + 1e-9
     for model, err in (("", trace[-1].train_err), ("clamped ", trace[-1].train_err_clamped)):
         if err > bound:
-            raise RuntimeError(f"{model}risk guarantee violated: {err} > {bound}")
+            raise BoundViolatedError(f"{model}risk guarantee violated: {err} > {bound}")

@@ -36,7 +36,7 @@ _DEFAULT_U_STEP = 1e-4
 
 def _prepare_unit(z, name: str):
     flat, scalar, shape = _prepare(z)
-    if np.any(flat < 0) or np.any(flat > 1) or np.any(np.isnan(flat)):
+    if flat.size and not (flat.min() >= 0 and flat.max() <= 1):  # a nan fails both
         raise ValueError(f"{name} must lie in [0, 1]")
     return flat, scalar, shape
 
@@ -90,17 +90,23 @@ def bayes_risk(v, cfg: TemperConfig):
 
     Gini at t=0, Matusita at t=1, twice the min-class mass at t=-inf;
     zero at v in {0, 1} for every t.  Concave in v, which is what makes
-    top-down tree-splitting gains nonnegative.
+    top-down tree-splitting gains nonnegative.  Computed in place in a
+    few temporaries; ``v`` is never written to.
     """
     arr, scalar, shape = _prepare_unit(v, "posterior")
     t = cfg.t
+    complement = np.subtract(1.0, arr)
     if t == -math.inf:
-        out = 2.0 * np.minimum(arr, 1.0 - arr)
+        out = np.minimum(arr, complement, out=complement)
+        out *= 2.0
         return _finish(out, scalar, shape)
-    numerator = 2.0 * arr * (1.0 - arr)
-    mean = power_mean(arr, 1.0 - arr, 1.0 - t)
+    numerator = np.multiply(2.0, arr)
+    numerator *= complement
+    mean = power_mean(arr, complement, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(numerator == 0.0, 0.0, numerator / mean)
+        out = np.divide(numerator, mean, out=mean)
+    # a zero numerator gives 0 over a positive mean and nan over a zero one
+    np.fmax(out, 0.0, out=out)
     return _finish(out, scalar, shape)
 
 

@@ -36,3 +36,15 @@ class EdgeSaturatedError(TempBoostError):
 
 class DegenerateHypothesisError(TempBoostError):
     """Weak hypothesis has zero margin on every supported example."""
+
+
+class SingleClassError(TempBoostError, ValueError):
+    """Training rows hold one class, or a class's weights all switched off."""
+
+
+class ZeroWeightError(TempBoostError, ValueError):
+    """A zero weight at t >= 1, where switched-off examples cannot exist."""
+
+
+class BoundViolatedError(TempBoostError, RuntimeError):
+    """A guaranteed bound (on mu, or on the training risk) failed numerically."""

@@ -183,14 +183,11 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
 
     try:
         boost(train, learner, spec.rounds, cfg, on_round=on_round)
-    except TempBoostError as exc:
+    except TempBoostError as exc:  # anything else is a programming error: it propagates
         status.status = "failed"
         status.error = f"{type(exc).__name__}: {exc}"
         if hasattr(exc, "count"):
             status.infinite_weights = exc.count
-    except (ValueError, RuntimeError) as exc:
-        status.status = "failed"
-        status.error = f"{type(exc).__name__}: {exc}"
     return rows, status
 
 

@@ -87,23 +87,3 @@ def make_mixed_table(m: int = 300, seed=0) -> Dataset:
     )
     return Dataset(columns, labels, "class")
 
-
-def make_rings(m: int = 250, seed=0) -> Dataset:
-    """Two noisy concentric rings in the plane; not linearly separable."""
-    rng = np.random.default_rng(seed)
-    half = m // 2
-    radii = np.concatenate([
-        rng.normal(1.0, 0.12, size=half),
-        rng.normal(2.0, 0.12, size=m - half),
-    ])
-    angle = rng.uniform(0, 2 * np.pi, size=m)
-    labels = np.concatenate([
-        np.full(half, -1, dtype=np.int64),
-        np.full(m - half, 1, dtype=np.int64),
-    ])
-    order = rng.permutation(m)
-    columns = (
-        Column("x", NUMERIC, (radii * np.cos(angle))[order]),
-        Column("y", NUMERIC, (radii * np.sin(angle))[order]),
-    )
-    return Dataset(columns, labels[order], "class")

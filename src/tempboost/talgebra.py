@@ -180,6 +180,12 @@ def t_minus(a, b, cfg: TemperConfig):
     return _finish(out, scalar, shape_a if not scalar_a else shape_b)
 
 
+def _over(ufunc, x, *args):
+    """``ufunc(x, *args)``, written over ``x`` when it is an array; a numpy
+    scalar cannot be written to, so it gets a new one."""
+    return ufunc(x, *args, out=x if isinstance(x, np.ndarray) else None)
+
+
 def power_mean(a, b, q: float):
     """Two-point power mean ((a^q + b^q)/2)^(1/q) for a, b >= 0.
 
@@ -190,7 +196,8 @@ def power_mean(a, b, q: float):
     Factoring out the operand that keeps the ratio's q-th power at most 1
     keeps extreme exponents from overflowing.  For |q| < 1e-2 the form
     ((1 + r^q)/2)^(1/q) cancels (relative error about eps/|q|), so it is
-    evaluated as exp(log1p(expm1(q ln r)/2)/q) instead.
+    evaluated as exp(log1p(expm1(q ln r)/2)/q) instead.  Arrays are
+    computed in place in the min/max temporaries, never in ``a`` or ``b``.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scalar = a.ndim == 0 and b.ndim == 0
@@ -205,16 +212,33 @@ def power_mean(a, b, q: float):
         out = np.maximum(a, b)
     elif abs(q) < CLASSIC_TOLERANCE:
         # the q -> 0 limit, where the forms below divide by q
-        out = np.sqrt(a * b)
+        out = _over(np.sqrt, a * b)
     else:
         hi = np.maximum(a, b)
         base, other = (hi, lo) if q > 0 else (lo, hi)
+        empty = ~(base > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             if abs(q) < _SMALL_EXPONENT:
-                out = hi * np.exp(np.log1p(np.expm1(q * np.log(lo / hi)) / 2.0) / q)
+                out = _over(np.log, _over(np.divide, lo, hi))
+                out *= q
+                out = _over(np.expm1, out)
+                out /= 2.0
+                out = _over(np.log1p, out)
+                out /= q
+                out = _over(np.exp, out)
+                out *= hi
             else:
-                out = base * ((1.0 + (other / base) ** q) / 2.0) ** (1.0 / q)
-        out = np.where(base > 0, out, 0.0)
+                out = _over(np.divide, other, base)
+                out **= q
+                out += 1.0
+                out /= 2.0
+                out **= 1.0 / q
+                out *= base
+        if scalar:
+            return 0.0 if empty else float(out)
+        # where base is 0 the forms above give 0 already, or nan for 0/0
+        if np.isnan(out).any():
+            out[empty] = 0.0
     return float(out) if scalar else out
 
 

@@ -6,36 +6,37 @@ leaf (largest co-density mass) with the split that maximizes
     r_parent L_t(p_parent) - r_left L_t(p_left) - r_right L_t(p_right),
 
 L_t the tempered Bayes risk; concavity of L_t makes the gain nonnegative.
-Numeric split candidates are midpoints between consecutive values of the
-leaf that lie in different bins of their column (see below).  A
-categorical feature with k levels in the leaf has the k-1 prefixes of its
-levels sorted by posterior as candidates: for two classes and a concave
-impurity such as L_t, the best subset is one of them (Breiman et al.,
-CART 1984, section 9.4).  Splits creating a pure leaf are inadmissible,
-which keeps every leaf posterior strictly inside (0, 1) and every leaf
-prediction
+Splits creating a pure leaf are inadmissible, which keeps every leaf
+posterior strictly inside (0, 1) and every leaf prediction
 
     H = (q1^(1-t) / (1-t)) (p^(1-t) - (1-p)^(1-t)) / (p^(1-t) + (1-p)^(1-t))
 
 finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  Leaf
 masses come from the booster's co-density weights, so at uniform weights
-they reduce to example counts over m.  The admissibility rule limits the
-prefix scan: it is exact when every level in the leaf holds both classes,
-but a single-class level can make the best admissible subset a non-prefix
-one, which the scan misses.
+they reduce to example counts over m.
 
-Numeric candidates come from a presorted block, the column block of
-XGBoost (Chen & Guestrin, KDD 2016): ``Dataset.numeric_block`` sorts each
-numeric column once per Dataset and stores a bin code next to each sorted
-entry, and every tree grown on that Dataset reuses it.  The candidates
-are the cuts between bins, the fixed global proposal of XGBoost's
-approximate split finding (section 3.2 there): every midpoint of a column
-with at most ``dataio.MAX_BINS`` distinct values, else at most
-``MAX_BINS - 1`` cuts between equal-count bins, never between equal
-values, and no random draw.  A leaf filters the block by its rows, which
-stay ascending, and sums the class masses of each run of equal codes
-before the prefix sums; a cut's threshold is the midpoint of the leaf
-values on either side.  All candidates are scored in one vectorised pass.
+Numeric candidates are the cuts between bins of the presorted column
+block of XGBoost (Chen & Guestrin, KDD 2016): ``Dataset.numeric_block``
+sorts each numeric column once per Dataset and codes every entry with its
+bin, every midpoint for a column with at most ``dataio.MAX_BINS``
+distinct values, else equal-count bins that never split equal values
+(the global proposal of XGBoost's approximate split finding, section
+3.2).  A leaf keeps its rows of the block, in order, and sums the class
+masses of each run of equal codes; a threshold is the midpoint of the
+leaf values on either side of its cut.  A categorical feature with k
+levels in the leaf has the k-1 prefixes of its levels ranked by posterior
+as candidates: for two classes and a concave impurity such as L_t, the
+best subset is one of them (Breiman et al., CART 1984, section 9.4).  The
+admissibility rule makes that scan exact only when every level in the
+leaf holds both classes; a single-class level can make the best
+admissible subset a non-prefix one, which the scan misses.
+
+Each leaf scores all candidates and itself in one block: row j holds
+column j's masses on both sides of its cuts, from prefix and suffix sums,
+and one ``bayes_risk`` call scores every cell, unless no cut is
+admissible.  Inadmissible cuts are masked to gain -inf rather than
+filtered out, and each gain subtracts the false side's term first (below
+the threshold; outside the prefix).
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ import numpy as np
 
 from .cpe_loss import bayes_risk
 from .dataio import Dataset
+from .errors import SingleClassError
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
+
+_LEAST_MASS = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -173,61 +177,23 @@ def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     return q1 ** (1.0 - t) / (1.0 - t) * (a - b) / (a + b)
 
 
-def split_gain(parent: LeafStats, left: LeafStats, right: LeafStats, cfg: TemperConfig) -> float:
-    """Drop in expected tempered Bayes risk; -inf marks a rejected split.
+def _ranked_levels(codes, rows, wpos, wneg):
+    """Level masses of the categorical features ``codes`` at a leaf.
 
-    A split is rejected (not an error) when a child is empty or pure.
+    Returns the ranking and the ranked masses, ``[class, feature, rank]``:
+    each feature's levels by posterior, then levels without mass and the
+    padding, so that no admissible prefix holds one.
     """
-    for child in (left, right):
-        if child.r <= 0 or child.m_pos <= 0 or child.m_neg <= 0:
-            return -math.inf
-    parent_term = parent.r * bayes_risk(parent.p, cfg)
-    left_term = left.r * bayes_risk(left.p, cfg)
-    right_term = right.r * bayes_risk(right.p, cfg)
-    return parent_term - left_term - right_term
-
-
-def _cuts(pos, neg):
-    """Class masses on both sides of each cut between neighbours in a row.
-
-    Returns ``(left_pos, left_neg, right_pos, right_neg)`` and the mask of
-    admissible cuts, those leaving both classes on both sides.  Suffixes are
-    summed directly, not as total - prefix: sums of nonnegative terms stay
-    nonnegative, so a zero mass means a genuinely empty side.
-    """
-    sides = (
-        np.cumsum(pos, axis=1)[:, :-1],
-        np.cumsum(neg, axis=1)[:, :-1],
-        np.cumsum(pos[:, ::-1], axis=1)[:, ::-1][:, 1:],
-        np.cumsum(neg[:, ::-1], axis=1)[:, ::-1][:, 1:],
-    )
-    return sides, np.logical_and.reduce([side > 0 for side in sides])
-
-
-def _level_prefixes(codes, rows, wpos, wneg):
-    """Prefix candidates of the categorical features ``codes`` at a leaf.
-
-    Row r holds the leaf's level masses of the r-th feature, ranked by
-    posterior; levels without mass, and the padding, rank last, so no
-    admissible prefix holds one.  Returns the ranking, the ``_cuts`` masses
-    and the (row, cut) positions of the admissible prefixes.
-    """
-    width = max(levels.size for levels, _ in codes.values())
-    level_pos = np.zeros((len(codes), width))
-    level_neg = np.zeros((len(codes), width))
-    leaf_pos, leaf_neg = wpos[rows], wneg[rows]
+    masses = np.zeros((2, len(codes), max(levels.size for levels, _ in codes.values())))
+    leaf_weights = wpos[rows], wneg[rows]
     for r, (levels, row_codes) in enumerate(codes.values()):
         leaf_codes = row_codes[rows]
-        level_pos[r, : levels.size] = np.bincount(leaf_codes, leaf_pos, levels.size)
-        level_neg[r, : levels.size] = np.bincount(leaf_codes, leaf_neg, levels.size)
-    mass = level_pos + level_neg
-    posterior = np.divide(level_pos, mass, out=np.full_like(mass, 2.0), where=mass > 0)
+        for c, w in enumerate(leaf_weights):
+            masses[c, r, : levels.size] = np.bincount(leaf_codes, w, levels.size)
+    mass = masses[0] + masses[1]
+    posterior = np.divide(masses[0], mass, out=np.full_like(mass, 2.0), where=mass > 0)
     ranked = np.argsort(posterior, axis=1, kind="stable")
-    prefixes, admissible = _cuts(
-        np.take_along_axis(level_pos, ranked, axis=1),
-        np.take_along_axis(level_neg, ranked, axis=1),
-    )
-    return ranked, prefixes, np.nonzero(admissible)
+    return ranked, np.take_along_axis(masses, ranked[np.newaxis], axis=2)
 
 
 def _run_sums(run_start, *masses):
@@ -253,9 +219,11 @@ def _run_sums(run_start, *masses):
 def _best_split(data, rows, wpos, wneg, cfg, parent):
     """Best admissible split predicate of one leaf, or None.
 
-    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  All
-    candidates of all features are scored in one pass; ties in gain go to
-    the lowest feature, then the lowest threshold or the shortest prefix.
+    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  Row j
+    of the block holds column j's masses in cut order, zero-padded: runs of
+    equal bin codes, or levels ranked by posterior.  The row-major argmax
+    over the masked gains breaks ties to the lowest feature, then the
+    lowest threshold or the shortest prefix.
     """
     features, order, bins = data.numeric_block
     if rows.size < data.m:  # below the root: keep the leaf's rows, in order
@@ -270,32 +238,48 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     pos, neg = wpos[order], wneg[order]
     if not run_start.all():  # else the sums are the block itself; skipping is faster
         pos, neg = _run_sums(run_start, pos, neg)
-    numeric, admissible = _cuts(pos, neg)
-    block_row, cut = np.nonzero(admissible)
-    # (false_pos, false_neg, true_pos, true_neg) per candidate, where true
-    # means x >= threshold, or a level in the prefix
-    sides = [side[block_row, cut] for side in numeric]
     codes = data.category_codes
-    if codes:
-        ranked, prefixes, (c, n) = _level_prefixes(codes, rows, wpos, wneg)
-        sides = [
-            np.concatenate([a, b[c, n]]) for a, b in zip(sides, prefixes[2:] + prefixes[:2])
-        ]
-        block_row = np.concatenate([block_row, len(features) + c])
-        cut = np.concatenate([cut, n + 1])
-    if not block_row.size:
+    categorical = list(codes)
+    if categorical:  # else the numeric rows are the columns, in order
+        ranked, levels = _ranked_levels(codes, rows, wpos, wneg)
+        merged = np.zeros((2, data.d, max(levels.shape[2], pos.shape[1] if features else 0)))
+        if features:
+            merged[:, features, : pos.shape[1]] = pos, neg
+        merged[:, categorical, : levels.shape[2]] = levels
+        pos, neg = merged
+    n_rows, width = pos.shape
+    cuts = n_rows * (width - 1)
+    if not cuts:
         return None
-    side_pos = np.concatenate([sides[0], sides[2]])
-    side_mass = side_pos + np.concatenate([sides[1], sides[3]])
-    terms = side_mass * bayes_risk(side_pos / side_mass, cfg)
-    gains = parent.r * bayes_risk(parent.p, cfg) - terms[: cut.size] - terms[cut.size :]
-    feature = np.array(features + list(codes), dtype=int)[block_row]
-    best = np.flatnonzero(gains == gains.max())
-    i = best[np.argmin(feature[best])]  # the first of the lowest tied feature
-    j, row, at = int(feature[i]), int(block_row[i]), int(cut[i])
-    if row >= len(features):
-        prefix = np.sort(ranked[row - len(features), :at])
+    # block[c]: class c's mass on the false side of every cut, row-major over
+    # (feature, cut), then on the true side, then the parent's
+    block = np.empty((2, 2 * cuts + 1))
+    block[:, -1] = parent
+    sides = block[:, :-1].reshape(2, 2, n_rows, width - 1)
+    for by_side, mass in zip(sides, (pos, neg)):
+        np.cumsum(mass[:, :-1], axis=1, out=by_side[0])
+        # the suffixes summed from the far end, not as total - prefix: sums
+        # of nonnegative terms stay nonnegative, so zero means an empty side
+        np.cumsum(mass[:, :0:-1], axis=1, out=by_side[1, :, ::-1])
+    if categorical:  # a prefix of levels is the true side
+        sides[:, :, categorical] = sides[:, ::-1][:, :, categorical]
+    admissible = sides.min(axis=(0, 1)).ravel() > 0
+    if not admissible.any():
+        return None
+    mass = block[0] + block[1]
+    # raising an empty side's zero mass to the least positive double leaves
+    # every other mass as it is and makes that side's posterior 0, not 0/0
+    denominator = np.maximum(mass, _LEAST_MASS)
+    terms = bayes_risk(np.divide(block[0], denominator, out=denominator), cfg)
+    terms *= mass
+    gains = terms[-1] - terms[:cuts]
+    gains -= terms[cuts:-1]
+    best = int(np.where(admissible, gains, -np.inf).argmax())
+    j, at = divmod(best, width - 1)  # block row j is column j
+    if j in codes:
+        prefix = np.sort(ranked[categorical.index(j), : at + 1])
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
+    row = features.index(j)
     x = data.columns[j].values
     right = np.flatnonzero(run_start[row])[at + 1]  # the first entry right of the cut
     return NumericSplit(j, float(0.5 * (x[order[row, right - 1]] + x[order[row, right]])))
@@ -305,19 +289,13 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     """Grow a tree of at most ``max_nodes`` nodes (must be odd).
 
     ``weights`` is the booster's co-density over the training rows.  The
-    heaviest live leaf is expanded first; a leaf none of whose splits is
-    admissible is retired.  Candidates are the midpoints between a leaf's
-    neighbouring numeric values that lie in different bins of
-    ``data.numeric_block`` (every pair of distinct values, for a column
-    with at most ``MAX_BINS`` of them) and the prefixes of each categorical
-    feature's levels ranked by leaf posterior (exact unless a level in the
-    leaf holds one class only; see the module notes).  Ties among
-    equal-gain splits break to the lowest feature index, then the lowest
-    threshold or the shortest prefix; ties among equally heavy leaves
-    break to the oldest.  A categorical split sends the prefix (stored
-    sorted) to the true branch and every other level, seen in the leaf or
-    not, to the false one.  Growth stops at the node budget or when no
-    live leaf remains.  The tree depends only on the arguments.
+    heaviest live leaf is expanded first, ties to the oldest; a leaf none of
+    whose candidates (see the module notes) is admissible is retired.  Ties
+    among equal-gain splits break to the lowest feature index, then the
+    lowest threshold or the shortest prefix.  A categorical split sends the
+    prefix (stored sorted) to the true branch and every other level, seen
+    in the leaf or not, to the false one.  Growth stops at the node budget
+    or when no live leaf remains.  The tree depends only on the arguments.
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")
@@ -329,7 +307,7 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     wpos = np.where(data.labels > 0, weights, 0.0)
     wneg = np.where(data.labels < 0, weights, 0.0)
     if wpos.sum() <= 0 or wneg.sum() <= 0:
-        raise ValueError("training rows must carry weighted mass of both classes")
+        raise SingleClassError("training rows must carry weighted mass of both classes")
 
     q1 = data.m ** (-cfg.t_star)
 

@@ -20,6 +20,7 @@ from .errors import (
     CollinearError,
     NoMixedSignsError,
     WeightOverflowError,
+    ZeroWeightError,
 )
 from .talgebra import CLASSIC_TOLERANCE, TemperConfig
 
@@ -171,7 +172,7 @@ def tempered_update(weights: TemWeights, u, mu: float):
     if not math.isfinite(mu):
         raise ValueError("update coefficient must be finite")
     if cfg.t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_indices().size:
-        raise ValueError("zero weights cannot revive for t >= 1")
+        raise ZeroWeightError("zero weights cannot revive for t >= 1")
     w, z = _unnormalized(weights.q, u, mu, cfg)
     return TemWeights(w / z, cfg), float(z)
 
@@ -209,7 +210,7 @@ def solve_projection(weights: TemWeights, u):
     q = weights.q
     u = _margins(u, weights.m)
     if t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_indices().size:
-        raise ValueError("zero weights cannot revive for t >= 1")
+        raise ZeroWeightError("zero weights cannot revive for t >= 1")
 
     support = q > 0
     us = u[support]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tempboost.cpe_loss import bayes_risk
 from tempboost.weights import co_density
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,45 @@ def grid_min_normalizer(q: np.ndarray, u: np.ndarray, t: float, radius: float, n
 
 
 # ---------------------------------------------------------------------------
+# array power mean and Bayes risk, as plain expressions
+
+
+def reference_power_mean(a, b, q: float) -> np.ndarray:
+    """Two-point power mean of arrays, one out-of-place expression per case.
+
+    The array arithmetic of ``talgebra.power_mean`` written as fresh
+    temporaries, so an in-place rewrite can be compared with it bit for bit.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lo = np.minimum(a, b)
+    if q == -math.inf:
+        return lo
+    if q == math.inf:
+        return np.maximum(a, b)
+    if abs(q) < 1e-9:
+        return np.sqrt(a * b)
+    hi = np.maximum(a, b)
+    base, other = (hi, lo) if q > 0 else (lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(q) < 1e-2:
+            out = hi * np.exp(np.log1p(np.expm1(q * np.log(lo / hi)) / 2.0) / q)
+        else:
+            out = base * ((1.0 + (other / base) ** q) / 2.0) ** (1.0 / q)
+    return np.where(base > 0, out, 0.0)
+
+
+def reference_bayes_risk(v, t: float) -> np.ndarray:
+    """2v(1-v)/M_(1-t)(v, 1-v) over an array, as plain expressions."""
+    v = np.asarray(v, dtype=float)
+    if t == -math.inf:
+        return 2.0 * np.minimum(v, 1.0 - v)
+    numerator = 2.0 * v * (1.0 - v)
+    mean = reference_power_mean(v, 1.0 - v, 1.0 - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(numerator == 0.0, 0.0, numerator / mean)
+
+
+# ---------------------------------------------------------------------------
 # naive top-down tree (no vectorization, no presorting)
 
 
@@ -263,6 +303,22 @@ def _naive_bayes_risk(p: float, t: float) -> float:
     else:
         mean = ((p**q + (1.0 - p) ** q) / 2.0) ** (1.0 / q)
     return 2.0 * p * (1.0 - p) / mean
+
+
+def split_gain(parent, left, right, cfg) -> float:
+    """Drop in expected tempered Bayes risk of one split, from ``LeafStats``.
+
+    The scalar form of the gain ``tree._best_split`` scores over a block:
+    parent term minus the left (false) term minus the right (true) term;
+    -inf marks a rejected split, one with an empty or pure child.
+    """
+    for child in (left, right):
+        if child.r <= 0 or child.m_pos <= 0 or child.m_neg <= 0:
+            return -math.inf
+    parent_term = parent.r * bayes_risk(parent.p, cfg)
+    left_term = left.r * bayes_risk(left.p, cfg)
+    right_term = right.r * bayes_risk(right.p, cfg)
+    return parent_term - left_term - right_term
 
 
 def value_bins(values, max_bins):

@@ -21,7 +21,13 @@ from tempboost.booster import (
     zero_one_error,
 )
 from tempboost.dataio import NUMERIC, Column, Dataset
-from tempboost.errors import DegenerateHypothesisError, EdgeSaturatedError
+from tempboost.errors import (
+    BoundViolatedError,
+    DegenerateHypothesisError,
+    EdgeSaturatedError,
+    SingleClassError,
+    ZeroWeightError,
+)
 from tempboost.synthetic import make_margin_blobs, make_mixed_table
 from tempboost.talgebra import TemperConfig, clamped_sum, exp_t
 from tempboost.tree import TreeWeakLearner
@@ -77,6 +83,12 @@ class TestConfidenceBounds:
         w = uniform_init(3, TemperConfig(0.5))
         with pytest.raises(DegenerateHypothesisError):
             confidence_bounds(w, np.zeros(3))
+
+    def test_switched_off_weight_at_t_one_is_a_typed_failure(self):
+        w = TemWeights(np.array([0.0, 1.0]), TemperConfig(1.0))
+        with pytest.raises(ZeroWeightError) as raised:
+            confidence_bounds(w, np.array([0.5, -0.5]))
+        assert isinstance(raised.value, ValueError)
 
 
 class TestEdge:
@@ -145,6 +157,12 @@ class TestLeveraging:
             leveraging(1.0, 1.0, TemperConfig(0.5), 1.0, 10)
         with pytest.raises(EdgeSaturatedError):
             leveraging(-1.0, 1.0, TemperConfig(1.0), 1.0, 10)
+
+    def test_violated_bound_is_a_typed_failure(self, monkeypatch):
+        monkeypatch.setattr(booster, "log_t", lambda z, cfg: -1e6)  # |mu| far too large
+        with pytest.raises(BoundViolatedError) as raised:
+            leveraging(0.5, 1.0, TemperConfig(0.5), 1.0, 10)
+        assert isinstance(raised.value, RuntimeError)
 
     def test_bounded_below_saturation(self):
         for t in (0.0, 0.5, 0.9):
@@ -293,8 +311,9 @@ class TestBoostLoop:
         with pytest.raises(ValueError):
             boost(data, TreeWeakLearner(), 3, TemperConfig(-0.5))
         one_class = data.with_labels(np.ones(data.m, dtype=np.int64))
-        with pytest.raises(ValueError):
+        with pytest.raises(SingleClassError) as raised:
             boost(one_class, TreeWeakLearner(), 3, TemperConfig(0.5))
+        assert isinstance(raised.value, ValueError)
 
 
 class TestRunningTrainingScores:
@@ -329,8 +348,9 @@ class TestRunningTrainingScores:
         if t > 1.0:
             boost(data, learner, 2, TemperConfig(t))
         else:
-            with pytest.raises(RuntimeError, match="risk guarantee violated"):
+            with pytest.raises(RuntimeError, match="risk guarantee violated") as raised:
                 boost(data, learner, 2, TemperConfig(t))
+            assert isinstance(raised.value, BoundViolatedError)
 
     @staticmethod
     def _check_prefixes(data, learner, cfg, rounds):
@@ -425,6 +445,13 @@ class TestPrediction:
         ens = self._two_member_ensemble([0.0], 0.5)
         _, label = predict(ens, (0.0,))
         assert label == 1
+
+    def test_zero_one_error_counts_sign_mismatches_with_zero_positive(self):
+        scores = np.array([0.0, -0.0, 1e-300, -1e-300, 2.0, -3.0, np.nan])
+        for labels in (np.array([1, 1, -1, 1, 1, -1, -1]), np.array([-1, -1, 1, -1, -1, 1, 1])):
+            signs = np.where(scores >= 0, 1, -1)
+            assert zero_one_error(scores, labels) == np.mean(signs != labels)
+            assert zero_one_error(scores, labels.astype(float)) == np.mean(signs != labels)
 
     def test_vectorized_matches_rowwise(self):
         data = make_mixed_table(m=50, seed=1)

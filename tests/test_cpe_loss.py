@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_bayes_risk
 from tempboost.cpe_loss import (
     bayes_risk,
     bayes_risk_coverage,
@@ -158,6 +159,22 @@ class TestBayesRisk:
         for v in (0.1, 0.3, 0.5, 0.8):
             values = [bayes_risk(v, TemperConfig(t)) for t in grid]
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("t", (-math.inf, 0.0, 0.6, 0.995, 1.0, 1.1, 1.9))
+@pytest.mark.parametrize("size", (1, 2, 17, 1000, 20_000))
+def test_array_risk_is_bitwise_the_plain_expression(t, size):
+    rng = np.random.default_rng(size)
+    v = rng.random(size)
+    v[rng.random(size) < 0.2] = 0.0  # the empty and pure sides a split block holds
+    v[rng.random(size) < 0.1] = 1.0
+    v[rng.random(size) < 0.05] = 1e-300
+    kept = v.copy()
+    got = bayes_risk(v, TemperConfig(t))
+    assert np.array_equal(got, reference_bayes_risk(kept, t))
+    assert not np.signbit(got).any()
+    assert np.array_equal(v, kept)  # the input is never written to
+    assert bayes_risk(float(v[0]), TemperConfig(t)) == got[0]
 
 
 class TestProperness:

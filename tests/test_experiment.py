@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from tempboost import experiment, tree
+from tempboost import booster, experiment, tree
 from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
+from tempboost.errors import BoundViolatedError
 from tempboost.experiment import RunSpec, main, run, spec_from_manifest
 from tempboost.synthetic import make_mixed_table, make_wideband
 from tempboost.tree import DecisionTree
@@ -158,3 +159,30 @@ def test_manifest_from_before_the_binned_search_is_refused(tmp_path):
     path.write_text(json.dumps({"spec": {**spec, "split_cap": 2000}}), encoding="utf-8")
     with pytest.raises(ValueError, match="predates the binned split search"):
         spec_from_manifest(path)
+
+
+def test_a_programming_error_propagates_out_of_the_run(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("injected programming error")
+
+    monkeypatch.setattr(tree, "_best_split", broken)
+    with pytest.raises(ValueError, match="injected programming error"):
+        run_grid(tmp_path, make_mixed_table(m=60, seed=1), t_values=(0.5, 1.0), rounds=1, folds=2)
+
+
+def test_a_typed_failure_fails_only_its_cells(tmp_path, monkeypatch):
+    real = booster.leveraging
+
+    def violated_at_half(rho, r_max, cfg, z_product, m):
+        if cfg.t == 0.5:
+            raise BoundViolatedError("leveraging bound violated; numerical failure")
+        return real(rho, r_max, cfg, z_product, m)
+
+    monkeypatch.setattr(booster, "leveraging", violated_at_half)
+    result, _ = run_grid(
+        tmp_path, make_mixed_table(m=60, seed=1), t_values=(0.5, 1.0), rounds=2, folds=2
+    )
+    failed = [cell for cell in result.cells if cell.status == "failed"]
+    assert [cell.t for cell in failed] == [0.5, 0.5]
+    assert all(cell.error.startswith("BoundViolatedError: leveraging") for cell in failed)
+    assert {row.t for row in result.rows} == {1.0}

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_power_mean
+
 from tempboost.talgebra import (
     CLASSIC_TOLERANCE,
     TemperConfig,
@@ -224,6 +226,20 @@ class TestPowerMean:
     def test_rejects_negative_operands(self):
         with pytest.raises(ValueError):
             power_mean(-0.1, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t", (-math.inf, 0.0, 0.6, 0.995, 1.0, 1.1, 1.9))
+    @pytest.mark.parametrize("size", (1, 2, 17, 1000, 20_000))
+    def test_arrays_are_bitwise_the_plain_expression(self, t, size):
+        q = 1.0 - t
+        rng = np.random.default_rng(size)
+        a, b = 3.0 * rng.random(size), rng.random(size)
+        a[rng.random(size) < 0.1] = 0.0
+        b[rng.random(size) < 0.1] = 0.0  # some pairs are both 0
+        kept = a.copy(), b.copy()
+        got = power_mean(a, b, q)
+        assert np.array_equal(got, reference_power_mean(*kept, q))
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+        assert np.array_equal(power_mean(a, 0.5, q), reference_power_mean(kept[0], 0.5, q))
 
 
 class TestClampedSum:

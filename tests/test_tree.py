@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, naive_tree
+from oracles import describe_tree, naive_tree, split_gain
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset
+from tempboost.errors import SingleClassError
 from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, exp_t, log_t
 from tempboost.tree import (
@@ -21,7 +22,6 @@ from tempboost.tree import (
     _run_sums,
     induce_tree,
     leaf_prediction,
-    split_gain,
 )
 from tempboost.weights import uniform_init
 
@@ -313,6 +313,10 @@ class TestInduceTree:
         bad = data.with_labels(np.ones(data.m, dtype=np.int64))
         with pytest.raises(ValueError):
             induce_tree(bad, w, 3, TemperConfig(0.5))
+        # every positive weight switched off (t < 1): a typed failure
+        off = np.where(data.labels > 0, 0.0, w)
+        with pytest.raises(SingleClassError):
+            induce_tree(data, off / off.sum(), 3, TemperConfig(0.5))
 
     def test_even_budget_rejected(self):
         data, w = weighted_mixed_dataset()
@@ -411,6 +415,102 @@ class TestInduceTree:
         tree = induce_tree(data, w, 15, TemperConfig(t))
         assert describe_tree(tree) == naive_tree(data, w, 15, t, max_bins=MAX_BINS)
         assert 2 not in split_features(tree.root)  # equal gains break to the lower feature
+
+
+def random_mixed_table(seed):
+    """A mixed table for the naive comparison, with the block's edge cases.
+
+    Column 4 copies column 1, so their thresholds tie; the grade levels
+    are uneven, so some are empty in a leaf; every third table adds a
+    column with more than MAX_BINS distinct values.  Odd seeds use uniform
+    weights over a power-of-two row count, which keeps every mass exact,
+    and make column 0 a categorical mirror of the binary numeric column 3,
+    so that their cuts tie bitwise.  (Without exact masses they do not: a
+    level's mass and a run's mass are summed in different orders.)
+    """
+    rng = np.random.default_rng(seed)
+    uniform, wide = seed % 2 == 1, seed % 3 == 0
+    m = 2 * MAX_BINS if wide else int(rng.choice([32, 64, 128] if uniform else [40, 75, 110]))
+    rounded = rng.normal(size=m).round(1)
+    binary = rng.integers(0, 2, size=m)
+    grade = rng.choice(["p", "q", "r", "s", "t"], size=m, p=[0.4, 0.3, 0.15, 0.1, 0.05])
+    score = rounded - 1.2 * binary + 0.9 * (grade == "q") - 0.6 * (grade == "t")
+    score = score + rng.normal(size=m)
+    first = np.where(binary > 0, "a_one", "b_zero") if uniform else rng.choice(["u", "v"], m)
+    columns = [
+        Column("mirror", CATEGORICAL, first),
+        Column("rounded", NUMERIC, rounded),
+        Column("grade", CATEGORICAL, grade),
+        Column("binary", NUMERIC, binary.astype(float)),
+        Column("rounded_copy", NUMERIC, rounded),
+    ]
+    if wide:
+        fine = rng.normal(size=m)
+        columns.append(Column("fine", NUMERIC, fine))
+        score = score + 0.8 * fine
+    labels = np.where(score > 0, 1, -1).astype(np.int64)
+    w = np.full(m, 1.0 / m) if uniform else rng.uniform(0.2, 2.0, size=m)
+    return Dataset(tuple(columns), labels), w / w.sum()
+
+
+def oriented_like_naive(tree, data):
+    """``describe_tree``, each categorical split keyed by the side that holds
+    the leaf's first level, as ``naive_tree`` keys it, children to match."""
+
+    def walk(node, rows):
+        if isinstance(node, LeafNode):
+            return ("leaf", round(node.stats.p, 10), round(node.stats.r, 10))
+        predicate = node.predicate
+        test = predicate.evaluate(data, rows)
+        left, right = walk(node.left, rows[~test]), walk(node.right, rows[test])
+        if isinstance(predicate, NumericSplit):
+            return ("split", predicate.feature, predicate.threshold, left, right)
+        present = sorted(set(data.columns[predicate.feature].values[rows].tolist()))
+        if present[0] in predicate.subset:
+            return ("split", predicate.feature, predicate.subset, left, right)
+        rest = tuple(v for v in present if v not in predicate.subset)
+        return ("split", predicate.feature, rest, right, left)
+
+    return walk(tree.root, np.arange(data.m))
+
+
+class TestScoringBlock:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_naive_on_random_mixed_tables(self, seed):
+        data, w = random_mixed_table(seed)
+        t = (0.0, 0.5, 1.0, 1.5)[seed % 4]
+        tree = induce_tree(data, w, 9, TemperConfig(t))
+        assert oriented_like_naive(tree, data) == naive_tree(data, w, 9, t, max_bins=MAX_BINS)
+        assert 4 not in split_features(tree.root)  # ties break to the lower feature
+
+    def test_one_bayes_risk_call_per_split(self, monkeypatch):
+        # every searched leaf with an admissible cut splits, so one call per
+        # split is one call per such leaf; the others are retired unscored
+        searched, scored = [], []
+        real_split, real_risk = tree_module._best_split, tree_module.bayes_risk
+
+        def counting_split(data, rows, *args):
+            searched.append(rows.size)
+            return real_split(data, rows, *args)
+
+        def counting_risk(v, cfg):
+            scored.append(np.size(v))
+            return real_risk(v, cfg)
+
+        monkeypatch.setattr(tree_module, "_best_split", counting_split)
+        monkeypatch.setattr(tree_module, "bayes_risk", counting_risk)
+        # x is constant on each side of its cut: the children have no cut at all
+        x = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        labels = np.array([1, 1, 1, -1, 1, -1, -1, -1], dtype=np.int64)
+        tiny = Dataset((Column("x", NUMERIC, x),), labels), np.full(8, 1 / 8)
+        splits = 0
+        for data, w in (tiny, *map(random_mixed_table, range(6))):
+            before = len(scored)
+            tree = induce_tree(data, w, 31, TemperConfig(0.5))
+            splits += (tree.n_nodes - 1) // 2
+            assert len(scored) - before == (tree.n_nodes - 1) // 2
+        assert len(searched) > splits  # some leaves were retired
+        assert all(size % 2 == 1 for size in scored)  # both sides of every cut, and the parent
 
 
 def graded_column(levels, m, seed, mixed):

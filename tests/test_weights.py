@@ -15,6 +15,7 @@ from tempboost.errors import (
     CollinearError,
     NoMixedSignsError,
     WeightOverflowError,
+    ZeroWeightError,
 )
 from tempboost.talgebra import TemperConfig
 from tempboost.weights import (
@@ -209,8 +210,9 @@ class TestTemperedUpdate:
 
     def test_zero_weight_rejected_at_classic(self):
         w = TemWeights(np.array([0.0, 1.0]), TemperConfig(1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroWeightError) as raised:
             tempered_update(w, np.array([1.0, -1.0]), 0.1)
+        assert isinstance(raised.value, ValueError)
 
     def test_overflow_above_one(self):
         cfg = TemperConfig(1.5)
