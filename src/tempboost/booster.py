@@ -21,8 +21,8 @@ scores built from the one prediction per tree the round makes anyway, and
 ``boost`` checks the guarantee on exit from the last of them.
 
 A weak hypothesis is any object with ``predict(data) -> ndarray`` over a
-Dataset and ``predict_row(row) -> float`` for a single observation; a weak
-learner is a callable ``learner(weights, data) -> hypothesis``.
+Dataset; a weak learner is a callable ``learner(weights, data) ->
+hypothesis``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import BoundViolatedError, DegenerateHypothesisError, EdgeSaturatedError
 from .errors import SingleClassError, ZeroWeightError
-from .talgebra import TemperConfig, clamped_sum, exp_t, log_t, power_mean
+from .talgebra import TemperConfig, exp_t, log_t, power_mean
 from .weights import TemWeights, co_density, tempered_update, uniform_init
 
 RHO_CAP = 1e-12
@@ -102,22 +102,6 @@ def _fold_delta(cfg: TemperConfig, clamped: bool) -> float:
     if clamped and math.isinf(cfg.clamp_delta):
         raise ValueError("clamped prediction requires t < 1")
     return cfg.clamp_delta if clamped else math.inf
-
-
-def predict(ensemble: Ensemble, x, clamped: bool = False):
-    """Score and +/-1 label for one observation (a row of raw values).
-
-    The row-wise reference for ``Ensemble.decision_scores``: the per-member
-    contributions are folded in training order, through the doubly clamped
-    sum at delta = 1/(1-t) when clamped; ties in the sign go to +1.
-    """
-    if not ensemble.members:
-        raise ValueError("empty ensemble")
-    contributions = [
-        member.alpha * member.hypothesis.predict_row(x) for member in ensemble.members
-    ]
-    score = clamped_sum(contributions, _fold_delta(ensemble.cfg, clamped))
-    return score, (1 if score >= 0 else -1)
 
 
 def zero_one_error(scores: np.ndarray, labels: np.ndarray) -> float:

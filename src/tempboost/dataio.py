@@ -79,7 +79,7 @@ class Dataset:
     def with_labels(self, labels) -> "Dataset":
         """Same columns, new labels; the column tables built so far are kept."""
         relabelled = Dataset(self.columns, labels, self.label_name)
-        kept = ("numeric_block", "category_codes")  # neither reads labels
+        kept = ("column_block", "category_codes")  # neither reads labels
         relabelled.__dict__.update({k: v for k, v in self.__dict__.items() if k in kept})
         return relabelled
 
@@ -87,29 +87,35 @@ class Dataset:
         return tuple(column.values[i] for column in self.columns)
 
     @cached_property
-    def numeric_block(self) -> tuple:
-        """``(features, orders, bins)`` of the numeric columns.
+    def column_block(self) -> tuple:
+        """``(orders, bins)``, row j for column j.
 
-        ``features`` lists the numeric column indices; row f of ``orders``
-        is a stable argsort of column ``features[f]`` and row f of ``bins``
-        the bin code of each entry in that order: the value's rank among
-        at most ``MAX_BINS`` distinct values, else ``first * MAX_BINS // m``
-        for ``first`` the value's first sorted position, so that equal
-        values share a bin and bins hold nearly equal counts.  Built on
-        first use and reused by every tree grown on this Dataset; ``take``
-        returns a Dataset with its own block, ``with_labels`` shares it.
+        Row j of ``orders`` is a stable argsort of column j, and row j of
+        ``bins`` the bin code of each entry in that order.  A numeric
+        value's code is its rank among at most ``MAX_BINS`` distinct
+        values, else ``first * MAX_BINS // m`` for ``first`` its first
+        sorted position, so that equal values share a bin and bins hold
+        nearly equal counts.  A categorical column is sorted by its
+        ``category_codes`` codes, which are its bins, however many levels
+        it has: every level keeps a bin of its own.  Built on first use
+        and reused by every tree grown on this Dataset; ``take`` returns a
+        Dataset with its own block, ``with_labels`` shares it.
         """
-        features = [j for j, c in enumerate(self.columns) if c.kind == NUMERIC]
-        values = np.array([self.columns[j].values for j in features], dtype=float)
-        values = values.reshape(len(features), self.m)
+        codes = self.category_codes
+        values = np.array(
+            [codes[j][1] if j in codes else c.values for j, c in enumerate(self.columns)],
+            dtype=float,
+        ).reshape(self.d, self.m)
         orders = np.argsort(values, axis=1, kind="stable")
         ordered = np.take_along_axis(values, orders, axis=1)
         new = np.ones(ordered.shape, dtype=bool)
         new[:, 1:] = ordered[:, :-1] < ordered[:, 1:]
         rank = np.cumsum(new, axis=1) - 1
         first = np.maximum.accumulate(np.where(new, np.arange(self.m), 0), axis=1)
-        bins = np.where(rank[:, -1:] < MAX_BINS, rank, first * MAX_BINS // self.m)
-        return features, orders, bins.astype(np.min_scalar_type(MAX_BINS - 1))
+        categorical = np.array([c.kind == CATEGORICAL for c in self.columns], dtype=bool)
+        exact = categorical | (rank[:, -1] < MAX_BINS)
+        bins = np.where(exact[:, np.newaxis], rank, first * MAX_BINS // self.m)
+        return orders, bins.astype(np.min_scalar_type(bins.max(initial=0)))
 
     @cached_property
     def category_codes(self) -> dict:
@@ -118,19 +124,13 @@ class Dataset:
         ``levels`` holds the column's distinct values, sorted, and
         ``codes[i]`` is row i's position in it, so that
         ``levels[codes]`` is the column.  Built on first use, like
-        ``numeric_block``; a Dataset from ``take`` has its own table.
+        ``column_block``; a Dataset from ``take`` has its own table.
         """
         return {
             j: np.unique(c.values, return_inverse=True)
             for j, c in enumerate(self.columns)
             if c.kind == CATEGORICAL
         }
-
-    def feature_matrix(self) -> np.ndarray:
-        """Dense float matrix; only defined when all columns are numeric."""
-        if any(c.kind != NUMERIC for c in self.columns):
-            raise ValueError("feature_matrix requires all-numeric columns")
-        return np.column_stack([c.values for c in self.columns])
 
 
 def _parse_numeric(cells):

@@ -39,7 +39,8 @@ class DegenerateHypothesisError(TempBoostError):
 
 
 class SingleClassError(TempBoostError, ValueError):
-    """Training rows hold one class, or a class's weights all switched off."""
+    """Training rows hold one class, a class's weights all switched off, or
+    a leaf's posterior rounds to 0 or 1 after a split of uneven weights."""
 
 
 class ZeroWeightError(TempBoostError, ValueError):

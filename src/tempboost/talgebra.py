@@ -26,8 +26,6 @@ CLASSIC_TOLERANCE = 1e-9
 
 _SMALL_EXPONENT = 1e-2  # power_mean switches to expm1/log1p below this |q|
 
-_CLAMP_MODES = ("upper", "lower", "double")
-
 
 @dataclass(frozen=True)
 class TemperConfig:
@@ -217,7 +215,8 @@ def power_mean(a, b, q: float):
         hi = np.maximum(a, b)
         base, other = (hi, lo) if q > 0 else (lo, hi)
         empty = ~(base > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # at q < 0 a subnormal lo overflows other / base to inf, and inf**q = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if abs(q) < _SMALL_EXPONENT:
                 out = _over(np.log, _over(np.divide, lo, hi))
                 out *= q
@@ -240,27 +239,3 @@ def power_mean(a, b, q: float):
         if np.isnan(out).any():
             out[empty] = 0.0
     return float(out) if scalar else out
-
-
-def clamped_sum(values, delta: float, mode: str = "double") -> float:
-    """Order-sensitive running sum clamped after every addend.
-
-    A strict left fold over ``values`` starting from 0: ``upper`` applies
-    min(. , delta) after each addition, ``lower`` applies max(. , -delta),
-    and ``double`` applies min then max.  The clamp runs inside the fold,
-    so the operation is non-commutative, e.g. (-1, 3) at delta=2 sums to 2
-    while (3, -1) sums to 1.  A delta of +inf recovers the plain sum.
-    """
-    if mode not in _CLAMP_MODES:
-        raise ValueError(f"mode must be one of {_CLAMP_MODES}, got {mode!r}")
-    delta = float(delta)
-    if math.isnan(delta) or delta < 0:
-        raise ValueError("delta must be nonnegative")
-    s = 0.0
-    for v in values:
-        s += float(v)
-        if mode != "lower":
-            s = min(s, delta)
-        if mode != "upper":
-            s = max(s, -delta)
-    return s

@@ -15,21 +15,24 @@ finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  Leaf
 masses come from the booster's co-density weights, so at uniform weights
 they reduce to example counts over m.
 
-Numeric candidates are the cuts between bins of the presorted column
-block of XGBoost (Chen & Guestrin, KDD 2016): ``Dataset.numeric_block``
-sorts each numeric column once per Dataset and codes every entry with its
-bin, every midpoint for a column with at most ``dataio.MAX_BINS``
-distinct values, else equal-count bins that never split equal values
-(the global proposal of XGBoost's approximate split finding, section
-3.2).  A leaf keeps its rows of the block, in order, and sums the class
-masses of each run of equal codes; a threshold is the midpoint of the
-leaf values on either side of its cut.  A categorical feature with k
-levels in the leaf has the k-1 prefixes of its levels ranked by posterior
-as candidates: for two classes and a concave impurity such as L_t, the
-best subset is one of them (Breiman et al., CART 1984, section 9.4).  The
-admissibility rule makes that scan exact only when every level in the
-leaf holds both classes; a single-class level can make the best
-admissible subset a non-prefix one, which the scan misses.
+Candidates come from the presorted column block of XGBoost (Chen &
+Guestrin, KDD 2016): ``Dataset.column_block`` sorts every column once per
+Dataset and codes each entry with its bin.  A numeric column gets every
+midpoint when it has at most ``dataio.MAX_BINS`` distinct values, else
+equal-count bins that never split equal values (the global proposal of
+XGBoost's approximate split finding, section 3.2); a categorical column
+is sorted by its level codes, one bin per level.  A leaf keeps its rows
+of the block, in order, and one call sums the class masses of each run of
+equal codes in every column, so a numeric and a categorical column with
+the same runs get bitwise equal run masses.  A numeric threshold is the
+midpoint of the leaf values on either side of a cut between runs.  A
+categorical column's runs are its levels in the leaf; ranked by
+posterior, their k-1 prefixes are its candidates: for two classes and a
+concave impurity such as L_t, the best subset is one of them (Breiman et
+al., CART 1984, section 9.4).  The admissibility rule makes that scan
+exact only when every level in the leaf holds both classes; a
+single-class level can make the best admissible subset a non-prefix one,
+which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
 column j's masses on both sides of its cuts, from prefix and suffix sums,
@@ -66,9 +69,6 @@ class NumericSplit:
     def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
         return data.columns[self.feature].values[rows] >= self.threshold
 
-    def evaluate_row(self, row) -> bool:
-        return float(row[self.feature]) >= self.threshold
-
 
 @dataclass(frozen=True)
 class CategoricalSplit:
@@ -80,9 +80,6 @@ class CategoricalSplit:
     def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
         levels, codes = data.category_codes[self.feature]
         return np.isin(levels, self.subset)[codes[rows]]
-
-    def evaluate_row(self, row) -> bool:
-        return str(row[self.feature]) in self.subset
 
 
 SplitPredicate = Union[NumericSplit, CategoricalSplit]
@@ -143,12 +140,6 @@ class DecisionTree:
                 stack.append((node.right, rows.compress(test)))
         return out
 
-    def predict_row(self, row) -> float:
-        node = self.root
-        while isinstance(node, SplitNode):
-            node = node.right if node.predicate.evaluate_row(row) else node.left
-        return node.prediction
-
     def leaves(self) -> list:
         found = []
         stack = [self.root]
@@ -165,35 +156,18 @@ def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     """Real prediction the boosting projection assigns to a leaf.
 
     ``q1`` is the initial uniform weight 1/m^(1/(2-t)); at t=1 the weight
-    drops out and the prediction is the half log-odds.
+    drops out and the prediction is the half log-odds.  A posterior that
+    rounds to 0 or 1, as it can after a split of a leaf with very uneven
+    weights, raises ``SingleClassError``.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("leaf posterior must lie strictly inside (0, 1)")
+        raise SingleClassError("leaf posterior must lie strictly inside (0, 1)")
     if cfg.is_classic():
         return 0.5 * math.log(p / (1.0 - p))
     t = cfg.t
     a = p ** (1.0 - t)
     b = (1.0 - p) ** (1.0 - t)
     return q1 ** (1.0 - t) / (1.0 - t) * (a - b) / (a + b)
-
-
-def _ranked_levels(codes, rows, wpos, wneg):
-    """Level masses of the categorical features ``codes`` at a leaf.
-
-    Returns the ranking and the ranked masses, ``[class, feature, rank]``:
-    each feature's levels by posterior, then levels without mass and the
-    padding, so that no admissible prefix holds one.
-    """
-    masses = np.zeros((2, len(codes), max(levels.size for levels, _ in codes.values())))
-    leaf_weights = wpos[rows], wneg[rows]
-    for r, (levels, row_codes) in enumerate(codes.values()):
-        leaf_codes = row_codes[rows]
-        for c, w in enumerate(leaf_weights):
-            masses[c, r, : levels.size] = np.bincount(leaf_codes, w, levels.size)
-    mass = masses[0] + masses[1]
-    posterior = np.divide(masses[0], mass, out=np.full_like(mass, 2.0), where=mass > 0)
-    ranked = np.argsort(posterior, axis=1, kind="stable")
-    return ranked, np.take_along_axis(masses, ranked[np.newaxis], axis=2)
 
 
 def _run_sums(run_start, *masses):
@@ -220,19 +194,20 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     """Best admissible split predicate of one leaf, or None.
 
     ``wpos``/``wneg`` are the class-split weights of all of ``data``.  Row j
-    of the block holds column j's masses in cut order, zero-padded: runs of
-    equal bin codes, or levels ranked by posterior.  The row-major argmax
+    of the block holds column j's run masses in cut order, zero-padded:
+    runs of equal bin codes in code order, those of a categorical column
+    (its levels in the leaf) reordered by posterior.  The row-major argmax
     over the masked gains breaks ties to the lowest feature, then the
     lowest threshold or the shortest prefix.
     """
-    features, order, bins = data.numeric_block
+    order, bins = data.column_block
     if rows.size < data.m:  # below the root: keep the leaf's rows, in order
         in_leaf = np.zeros(data.m, dtype=bool)
         in_leaf[rows] = True
         # compress, not a boolean index: several times faster on scattered masks
         keep = in_leaf[order].ravel()
-        order = order.compress(keep).reshape(len(features), rows.size)
-        bins = bins.compress(keep).reshape(len(features), rows.size)
+        order = order.compress(keep).reshape(data.d, rows.size)
+        bins = bins.compress(keep).reshape(data.d, rows.size)
     run_start = np.ones(bins.shape, dtype=bool)
     np.not_equal(bins[:, 1:], bins[:, :-1], out=run_start[:, 1:])
     pos, neg = wpos[order], wneg[order]
@@ -240,13 +215,15 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
         pos, neg = _run_sums(run_start, pos, neg)
     codes = data.category_codes
     categorical = list(codes)
-    if categorical:  # else the numeric rows are the columns, in order
-        ranked, levels = _ranked_levels(codes, rows, wpos, wneg)
-        merged = np.zeros((2, data.d, max(levels.shape[2], pos.shape[1] if features else 0)))
-        if features:
-            merged[:, features, : pos.shape[1]] = pos, neg
-        merged[:, categorical, : levels.shape[2]] = levels
-        pos, neg = merged
+    if categorical:  # rank the levels by posterior, runs without mass and padding last
+        levels = run_start[categorical].sum(axis=1).max()
+        level_pos, level_neg = pos[categorical, :levels], neg[categorical, :levels]
+        mass = level_pos + level_neg
+        posterior = np.divide(level_pos, mass, out=np.full_like(mass, 2.0), where=mass > 0)
+        ranked = np.argsort(posterior, axis=1, kind="stable")
+        by_rank = np.arange(len(categorical))[:, np.newaxis], ranked
+        pos[categorical, :levels] = level_pos[by_rank]
+        neg[categorical, :levels] = level_neg[by_rank]
     n_rows, width = pos.shape
     cuts = n_rows * (width - 1)
     if not cuts:
@@ -276,13 +253,13 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     gains -= terms[cuts:-1]
     best = int(np.where(admissible, gains, -np.inf).argmax())
     j, at = divmod(best, width - 1)  # block row j is column j
-    if j in codes:
-        prefix = np.sort(ranked[categorical.index(j), : at + 1])
+    starts = np.flatnonzero(run_start[j])
+    if j in codes:  # a run's level code is the bin at its start
+        prefix = np.sort(bins[j, starts[ranked[categorical.index(j), : at + 1]]])
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
-    row = features.index(j)
     x = data.columns[j].values
-    right = np.flatnonzero(run_start[row])[at + 1]  # the first entry right of the cut
-    return NumericSplit(j, float(0.5 * (x[order[row, right - 1]] + x[order[row, right]])))
+    right = starts[at + 1]  # the first entry right of the cut
+    return NumericSplit(j, float(0.5 * (x[order[j, right - 1]] + x[order[j, right]])))
 
 
 def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> DecisionTree:

@@ -1,10 +1,12 @@
 """Independent reference implementations the tests check against.
 
 Everything here is written from the definitions, separately from the
-library code paths: a textbook AdaBoost loop, an exhaustive decision-stump
-fitter, a brute-force search over the constrained co-simplex, a naive
-top-down tree builder, and an edge-enforcing weak learner realizing the
-weak-learning premise of the convergence analysis.
+library code paths: row-wise prediction (a tree walked row by row, an
+ensemble folded through the clamped sum), a textbook AdaBoost loop, an
+exhaustive decision-stump fitter, a brute-force search over the
+constrained co-simplex, a naive top-down tree builder, and an
+edge-enforcing weak learner realizing the weak-learning premise of the
+convergence analysis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,80 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempboost.cpe_loss import bayes_risk
+from tempboost.dataio import NUMERIC
+from tempboost.tree import CategoricalSplit, DecisionTree, SplitNode
 from tempboost.weights import co_density
+
+# ---------------------------------------------------------------------------
+# row-wise references for the vectorised prediction paths
+
+
+def feature_matrix(data) -> np.ndarray:
+    """Dense float matrix; only defined when all columns are numeric."""
+    if any(c.kind != NUMERIC for c in data.columns):
+        raise ValueError("feature_matrix requires all-numeric columns")
+    return np.column_stack([c.values for c in data.columns])
+
+
+def evaluate_row(predicate, row) -> bool:
+    """A tree's split predicate on one row of raw values."""
+    if isinstance(predicate, CategoricalSplit):
+        return str(row[predicate.feature]) in predicate.subset
+    return float(row[predicate.feature]) >= predicate.threshold
+
+
+def predict_row(hypothesis, row) -> float:
+    """One row's prediction: a DecisionTree walks its root-to-leaf path."""
+    if not isinstance(hypothesis, DecisionTree):
+        return hypothesis.predict_row(row)
+    node = hypothesis.root
+    while isinstance(node, SplitNode):
+        node = node.right if evaluate_row(node.predicate, row) else node.left
+    return node.prediction
+
+
+def clamped_sum(values, delta: float, mode: str = "double") -> float:
+    """Order-sensitive running sum clamped after every addend.
+
+    A strict left fold over ``values`` starting from 0: ``upper`` applies
+    min(. , delta) after each addition, ``lower`` applies max(. , -delta),
+    and ``double`` applies min then max.  The clamp runs inside the fold,
+    so the operation is non-commutative, e.g. (-1, 3) at delta=2 sums to 2
+    while (3, -1) sums to 1.  A delta of +inf recovers the plain sum.
+    """
+    if mode not in ("upper", "lower", "double"):
+        raise ValueError(f"unknown clamp mode {mode!r}")
+    delta = float(delta)
+    if math.isnan(delta) or delta < 0:
+        raise ValueError("delta must be nonnegative")
+    s = 0.0
+    for v in values:
+        s += float(v)
+        if mode != "lower":
+            s = min(s, delta)
+        if mode != "upper":
+            s = max(s, -delta)
+    return s
+
+
+def predict(ensemble, x, clamped: bool = False):
+    """Score and +/-1 label for one observation (a row of raw values).
+
+    The row-wise reference for ``Ensemble.decision_scores``: the per-member
+    contributions are folded in training order, through the doubly clamped
+    sum at delta = 1/(1-t) when clamped; ties in the sign go to +1.
+    """
+    if not ensemble.members:
+        raise ValueError("empty ensemble")
+    delta = ensemble.cfg.clamp_delta if clamped else math.inf
+    if math.isinf(delta) and clamped:
+        raise ValueError("clamped prediction requires t < 1")
+    contributions = [
+        member.alpha * predict_row(member.hypothesis, x) for member in ensemble.members
+    ]
+    score = clamped_sum(contributions, delta)
+    return score, (1 if score >= 0 else -1)
+
 
 # ---------------------------------------------------------------------------
 # decision stumps + textbook AdaBoost
@@ -33,7 +108,7 @@ class Stump:
         return self.polarity * raw
 
     def predict(self, data) -> np.ndarray:
-        return self.predict_matrix(data.feature_matrix())
+        return self.predict_matrix(feature_matrix(data))
 
     def predict_row(self, row) -> float:
         raw = 1.0 if float(row[self.feature]) >= self.threshold else -1.0
@@ -76,7 +151,7 @@ class StumpLearner:
 
     def __call__(self, weights, data):
         p = co_density(weights)
-        return fit_stump(data.feature_matrix(), data.labels.astype(float), p)
+        return fit_stump(feature_matrix(data), data.labels.astype(float), p)
 
 
 def textbook_adaboost(X: np.ndarray, y: np.ndarray, rounds: int):

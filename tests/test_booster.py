@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import EnforcedEdgeLearner, StumpLearner, textbook_adaboost
+from oracles import (
+    EnforcedEdgeLearner,
+    StumpLearner,
+    clamped_sum,
+    predict,
+    textbook_adaboost,
+)
 from tempboost import booster
 from tempboost.booster import (
     Ensemble,
@@ -15,7 +21,6 @@ from tempboost.booster import (
     edge,
     kt_bound,
     leveraging,
-    predict,
     risk_bound,
     tempered_exp_loss,
     zero_one_error,
@@ -29,7 +34,7 @@ from tempboost.errors import (
     ZeroWeightError,
 )
 from tempboost.synthetic import make_margin_blobs, make_mixed_table
-from tempboost.talgebra import TemperConfig, clamped_sum, exp_t
+from tempboost.talgebra import TemperConfig, exp_t
 from tempboost.tree import TreeWeakLearner
 from tempboost.weights import TemWeights, uniform_init
 
@@ -42,9 +47,6 @@ class ConstantHypothesis:
 
     def predict(self, data):
         return self.values
-
-    def predict_row(self, row):
-        raise NotImplementedError
 
 
 def numeric_dataset(X, y):

@@ -160,6 +160,13 @@ class TestBayesRisk:
             values = [bayes_risk(v, TemperConfig(t)) for t in grid]
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_posterior_above_one_neither_warns_nor_overflows(self):
+        # at t > 1 the power mean's ratio 1/v overflows to inf, and inf**(1-t) = 0
+        for v, t in ((np.array([5e-324, 0.5]), 1.1), (1e-310, 1.5)):
+            risk = bayes_risk(v, TemperConfig(t))
+            assert np.all(np.isfinite(risk)) and np.all(risk >= 0)
+
 
 @pytest.mark.parametrize("t", (-math.inf, 0.0, 0.6, 0.995, 1.0, 1.1, 1.9))
 @pytest.mark.parametrize("size", (1, 2, 17, 1000, 20_000))

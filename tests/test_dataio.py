@@ -33,13 +33,13 @@ def test_category_codes_rebuild_each_categorical_column():
 
 def test_with_labels_keeps_the_column_tables():
     data = make_mixed_table(m=80, seed=3)
-    block, codes = data.numeric_block, data.category_codes
+    block, codes = data.column_block, data.category_codes
     flipped = data.with_labels(-data.labels)
-    assert flipped.numeric_block is block and flipped.category_codes is codes
+    assert flipped.column_block is block and flipped.category_codes is codes
     assert np.array_equal(flipped.labels, -data.labels)
     fresh = make_mixed_table(m=80, seed=3).with_labels(data.labels)
-    assert "numeric_block" not in fresh.__dict__  # nothing built, nothing shared
-    assert np.array_equal(fresh.numeric_block[2], block[2])
+    assert "column_block" not in fresh.__dict__  # nothing built, nothing shared
+    assert np.array_equal(fresh.column_block[1], block[1])
 
 
 def test_take_builds_its_own_category_codes():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_power_mean
+from oracles import clamped_sum, reference_power_mean
 
 from tempboost.talgebra import (
     CLASSIC_TOLERANCE,
     TemperConfig,
-    clamped_sum,
     exp_t,
     log_t,
     power_mean,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, naive_tree, split_gain
+from oracles import describe_tree, naive_tree, predict_row, split_gain
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
@@ -192,7 +192,7 @@ class TestInduceTree:
         assert tree.n_nodes == 1
         leaf = tree.leaves()[0]
         p = leaf.stats.p
-        assert tree.predict_row(data.row(0)) == pytest.approx(
+        assert predict_row(tree, data.row(0)) == pytest.approx(
             leaf_prediction(p, data.m ** (-TemperConfig(0.5).t_star), TemperConfig(0.5))
         )
 
@@ -243,7 +243,7 @@ class TestInduceTree:
         used = split_features(tree.root)
         assert {0, 1, 3, 4} <= set(used)
         assert not {2, 5, 6, 7} & set(used)  # equal gains break to the lower feature
-        rowwise = [tree.predict_row(data.row(i)) for i in range(data.m)]
+        rowwise = [predict_row(tree, data.row(i)) for i in range(data.m)]
         assert np.array_equal(tree.predict(data), rowwise)
 
     @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
@@ -251,13 +251,16 @@ class TestInduceTree:
         x = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
         labels = np.array([1, 1, 1, -1, 1, -1, -1, -1], dtype=np.int64)
         numeric = Column("x", NUMERIC, x)
-        # the subset {"a"} is the x < 0.5 side, so both gains are computed
-        # from the same masses in the same order
+        # level "a" is the x < 0.5 side: both columns sum the same two runs
+        # of the presorted block, and "b" ranks first, so the prefix is the
+        # threshold's true side and both gains subtract the same terms in
+        # the same order: they tie bitwise
         mirror = Column("x_cat", CATEGORICAL, np.where(x > 0, "b", "a"))
-        w = np.full(x.size, 1.0 / x.size)
-        for columns in ((numeric, mirror), (mirror, numeric)):
-            tree = induce_tree(Dataset(columns, labels), w, 3, TemperConfig(t))
-            assert tree.root.predicate.feature == 0
+        uneven = [np.random.default_rng(seed).uniform(0.2, 2.0, x.size) for seed in range(10)]
+        for w in (np.ones(x.size), *uneven):
+            for columns in ((numeric, mirror), (mirror, numeric)):
+                tree = induce_tree(Dataset(columns, labels), w / w.sum(), 3, TemperConfig(t))
+                assert tree.root.predicate.feature == 0
 
     def test_heaviest_leaf_grown_first(self):
         data, w = weighted_mixed_dataset(m=40, seed=6)
@@ -317,6 +320,14 @@ class TestInduceTree:
         off = np.where(data.labels > 0, 0.0, w)
         with pytest.raises(SingleClassError):
             induce_tree(data, off / off.sum(), 3, TemperConfig(0.5))
+        # an admissible cut whose left posterior 0.5 / (0.5 + 1e-18) rounds to 1
+        x = np.array([0.0, 0.0, 1.0, 1.0])
+        labels = np.array([1, -1, 1, -1], dtype=np.int64)
+        w = np.array([0.5, 1e-18, 0.25, 0.25])
+        data = Dataset((Column("x", NUMERIC, x),), labels)
+        for t in (0.0, 0.5, 1.0):
+            with pytest.raises(SingleClassError):
+                induce_tree(data, w / w.sum(), 3, TemperConfig(t))
 
     def test_even_budget_rejected(self):
         data, w = weighted_mixed_dataset()
@@ -342,8 +353,8 @@ class TestInduceTree:
         score = columns["rounded"] + columns["distinct"] + rng.normal(size=m)
         labels = np.where(score > 0, 1, -1).astype(np.int64)
         data = Dataset(tuple(Column(k, NUMERIC, v) for k, v in columns.items()), labels)
-        features, order, bins = data.numeric_block
-        assert features == list(range(5))
+        order, bins = data.column_block
+        assert order.shape == bins.shape == (5, m)
         for f, x in enumerate(columns.values()):
             v = x[order[f]]
             assert np.array_equal(v, np.sort(x))
@@ -369,7 +380,7 @@ class TestInduceTree:
         w = np.full(m, 1.0 / m)
         root = induce_tree(data, w, 3, TemperConfig(0.5)).root
         scored = max(sizes) // 2  # both sides of every candidate in one call
-        assert 3 * (MAX_BINS - 1) < scored <= len(features) * (MAX_BINS - 1)
+        assert 3 * (MAX_BINS - 1) < scored <= len(order) * (MAX_BINS - 1)
         f, threshold = root.predicate.feature, root.predicate.threshold
         x = data.columns[f].values
         below, above = x[x < threshold].max(), x[x >= threshold].min()
@@ -425,8 +436,7 @@ def random_mixed_table(seed):
     column with more than MAX_BINS distinct values.  Odd seeds use uniform
     weights over a power-of-two row count, which keeps every mass exact,
     and make column 0 a categorical mirror of the binary numeric column 3,
-    so that their cuts tie bitwise.  (Without exact masses they do not: a
-    level's mass and a run's mass are summed in different orders.)
+    so that their cuts tie bitwise.
     """
     rng = np.random.default_rng(seed)
     uniform, wide = seed % 2 == 1, seed % 3 == 0
@@ -587,13 +597,20 @@ class TestCategoricalSplits:
             short += gain < enumerated - 1e-12
         assert short > 0  # the limit is real on these draws
 
-    @pytest.mark.parametrize("levels", (70, 200))
+    @pytest.mark.parametrize("levels", (70, 200, 300))
     def test_high_cardinality_grows_a_full_tree(self, levels):
         data, w = graded_column(levels, 600 - 2 * levels, seed=levels, mixed=False)
-        tree = induce_tree(data, w, 15, TemperConfig(0.5))
+        cfg = TemperConfig(0.5)
+        tree = induce_tree(data, w, 15, cfg)
         assert tree.n_nodes == 15
-        rowwise = [tree.predict_row(data.row(i)) for i in range(data.m)]
+        rowwise = [predict_row(tree, data.row(i)) for i in range(data.m)]
         assert np.array_equal(tree.predict(data), rowwise)
+        # every level keeps a bin of its own, even above MAX_BINS levels
+        data, w = graded_column(levels, 200, seed=levels, mixed=True)
+        tree = induce_tree(data, w, 3, cfg)
+        assert root_gain(tree, data, w, cfg) == pytest.approx(
+            best_prefix_gain(data, w, cfg), rel=0, abs=1e-12
+        )
 
     def test_levels_without_mass_take_the_false_branch(self):
         data, w = graded_column(6, 60, seed=3, mixed=True)
@@ -626,7 +643,7 @@ class TestCategoricalSplits:
         unseen = Dataset((data.columns[0], renamed), data.labels)
         keep = np.flatnonzero(grade != "b")
         for other in (unseen, data.take(keep)):
-            rowwise = [tree.predict_row(other.row(i)) for i in range(other.m)]
+            rowwise = [predict_row(tree, other.row(i)) for i in range(other.m)]
             assert np.array_equal(tree.predict(other), rowwise)
         # "z" rows were "a" rows: an unseen level takes the false branch
         assert np.array_equal(CategoricalSplit(1, ("a", "b")).evaluate(unseen), grade == "b")
@@ -658,4 +675,4 @@ class TestBoosterIntegration:
         tree = ens.members[0].hypothesis
         leaf_values = {id(leaf): leaf.prediction for leaf in tree.leaves()}
         for i in range(data.m):
-            assert tree.predict_row(data.row(i)) in leaf_values.values()
+            assert predict_row(tree, data.row(i)) in leaf_values.values()
