@@ -157,26 +157,30 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     if len(header) < 2:
         raise ValueError("need at least one feature column plus the label")
     data_rows = rows[1:]
+    if label_column == "last":
+        label_idx = len(header) - 1
+    else:
+        label_idx = header.index(label_column) if label_column in header else None
     # missing cells are sought column-wise before the first ragged row: the first bad row wins
     lengths = np.fromiter(map(len, data_rows), dtype=int, count=len(data_rows))
     ragged = np.flatnonzero(lengths != len(header))
     whole = int(ragged[0]) if ragged.size else len(data_rows)
-    raw = [list(map(str.strip, column)) for column in zip(*data_rows[:whole])]
-    missing = [column.index("") for column in raw if "" in column]
+    # float() ignores surrounding whitespace and rejects a blank cell, so a
+    # feature column that parses has no missing cell and needs no stripping
+    raw = list(zip(*data_rows[:whole]))
+    parsed = [None if j == label_idx else _parse_numeric(cells) for j, cells in enumerate(raw)]
+    stripped = {
+        j: list(map(str.strip, cells)) for j, cells in enumerate(raw) if parsed[j] is None
+    }
+    missing = [cells.index("") for cells in stripped.values() if "" in cells]
     if missing:
         raise ValueError(f"missing cell in row {min(missing) + 2}")
     if ragged.size:
         raise ValueError(f"row {whole + 2} has {lengths[whole]} cells, expected {len(header)}")
+    if label_idx is None:
+        raise ValueError(f"no column named {label_column!r}")
 
-    if label_column == "last":
-        label_idx = len(header) - 1
-    else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"no column named {label_column!r}") from None
-
-    label_values = raw[label_idx]
+    label_values = stripped[label_idx]
     distinct = sorted(set(label_values))
     if len(distinct) == 1:
         raise ValueError("labels contain a single class")
@@ -189,11 +193,10 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     for j, name in enumerate(header):
         if j == label_idx:
             continue
-        cells = raw[j]
-        numeric = _parse_numeric(cells)
-        if numeric is not None:
-            columns.append(Column(name, NUMERIC, numeric))
+        if parsed[j] is not None:
+            columns.append(Column(name, NUMERIC, parsed[j]))
         else:
+            cells = stripped[j]
             if len(set(cells)) < 2:
                 raise ValueError(f"categorical column {name!r} is constant")
             columns.append(Column(name, CATEGORICAL, np.array(cells, dtype=str)))

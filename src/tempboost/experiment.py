@@ -6,6 +6,9 @@ plain and the clamped model on the untouched test fold after every round.
 It emits a flat ``trace.csv``, a per-temperature ``summary.csv`` with
 paired t-test verdicts against t=1, tidy per-panel plot data, and a
 ``manifest.json`` recording enough to rerun the whole thing bit for bit.
+The t-test's p-value is the closed-form Student-t tail for integer
+degrees of freedom (Abramowitz & Stegun 26.7.3 and 26.7.4), so the
+harness needs numpy alone.
 
 Each fold's training and test Datasets are taken once and shared by its
 cells, so every temperature trains on the same rows and, with label noise,
@@ -19,15 +22,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import __version__
 from .booster import boost, zero_one_error
@@ -207,14 +211,42 @@ def _folds(data: Dataset, spec: RunSpec):
         yield fold, noisy, data.take(test_idx), flips
 
 
+# glibc <malloc.h>: M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at 64 MiB
+_MALLOC_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process; elsewhere a no-op."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:  # a C library without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_THRESHOLDS:
+        mallopt(param, value)
+
+
 def run(spec: RunSpec) -> RunResult:
-    """Execute the whole grid and write results under ``spec.out_dir``."""
+    """Execute the whole grid and write results under ``spec.out_dir``.
+
+    Allocator policy: on Linux the run first pins glibc's mmap and trim
+    thresholds (``_MALLOC_THRESHOLDS``) in this process and its workers,
+    for the rest of the process.  glibc starts both at 128 KiB and raises
+    them only after freeing a large mapped block, so the split search's
+    per-leaf temporaries of about 130 KB would otherwise be unmapped, or
+    trimmed from the heap, after each split and faulted in again at the
+    next.  Up to 64 MiB of freed heap may stay resident instead.
+    """
+    _pin_malloc_thresholds()
     data = load_csv(spec.data_path, spec.label_column)
     payloads = ((*fold, t, spec) for fold in _folds(data, spec) for t in spec.t_values)
     if spec.jobs == 1:  # lazily: one fold's Datasets alive at a time
         outcomes = [_run_cell(*payload) for payload in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(spec.jobs, initializer=_pin_malloc_thresholds) as pool:
             outcomes = list(pool.map(_run_cell, *zip(*payloads)))
 
     rows: list = []
@@ -249,11 +281,41 @@ def _write_trace(path: Path, rows) -> None:
             writer.writerow([_format_value(getattr(row, name)) for name in TRACE_FIELDS])
 
 
+def _two_sided_p(statistic: float, df: int) -> float:
+    """P(|T| >= |statistic|) for Student's t with ``df`` >= 1 integer degrees of freedom.
+
+    The closed form of Abramowitz & Stegun 26.7.3 (odd ``df``) and 26.7.4
+    (even ``df``) for A(t|df) = P(|T| < t), with theta = atan(|t|/sqrt(df)):
+    odd,  A = 2/pi (theta + sin(theta) sum_{k<(df-1)/2} c_k cos^(2k+1)(theta)),
+          c_0 = 1, c_k = c_{k-1} 2k/(2k+1), and A = 2 theta/pi at df = 1;
+    even, A = sin(theta) sum_{k<df/2} c_k cos^(2k)(theta),
+          c_0 = 1, c_k = c_{k-1} (2k-1)/(2k).
+    """
+    theta = math.atan(abs(statistic) / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    term = series = 1.0
+    if df % 2:
+        for k in range(1, (df - 1) // 2):
+            term *= cos2 * (2 * k) / (2 * k + 1)
+            series += term
+        if df > 1:
+            theta += math.sin(theta) * math.cos(theta) * series
+        return 1.0 - 2.0 / math.pi * theta
+    for k in range(1, df // 2):
+        term *= cos2 * (2 * k - 1) / (2 * k)
+        series += term
+    return 1.0 - math.sin(theta) * series
+
+
 def paired_ttest(errors_a, errors_b, alpha: float = 0.1) -> str:
     """Two-sided paired Student t-test verdict on per-fold errors.
 
     "better" means the first sequence has significantly lower error at the
     given p-value threshold, "worse" the opposite, "equivalent" otherwise.
+    The p-value is ``_two_sided_p`` at folds - 1 degrees of freedom, the
+    Abramowitz & Stegun 26.7.3/26.7.4 closed form.  With no spread in the
+    differences there is no test: equal sequences are "equivalent", and
+    otherwise the sign of the mean difference decides.
     """
     a = np.asarray(errors_a, dtype=float)
     b = np.asarray(errors_b, dtype=float)
@@ -267,8 +329,7 @@ def paired_ttest(errors_a, errors_b, alpha: float = 0.1) -> str:
             return "equivalent"
         return "better" if mean < 0 else "worse"
     statistic = mean / (sd / math.sqrt(diff.size))
-    p_value = 2.0 * float(scipy_stats.t.sf(abs(statistic), df=diff.size - 1))
-    if p_value >= alpha:
+    if _two_sided_p(statistic, diff.size - 1) >= alpha:
         return "equivalent"
     return "better" if mean < 0 else "worse"
 
@@ -371,6 +432,11 @@ def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:
         "library_version": __version__,
         "spec": asdict(spec),
         "dataset": {"path": spec.data_path, "m": data.m, "d": data.d},
+        "environment": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
         "cells": [asdict(cell) for cell in cells],
     }
     with open(path, "w", encoding="utf-8") as handle:

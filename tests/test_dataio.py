@@ -102,12 +102,38 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
         ({2: ["1", "b", "c"]}, "row 4 has 3 cells, expected 2"),
         ({6: ["1"]}, "row 8 has 1 cells, expected 2"),
         ({3: ["", "a", "b"], 5: ["2", ""]}, "row 5 has 3 cells, expected 2"),
+        ({4: ["  ", "a"]}, "missing cell in row 6"),
+        ({3: ["1", " "], 5: [" ", "b"]}, "missing cell in row 5"),
     ],
 )
 def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, message):
     rows = [bad.get(i, [str(i), "ab"[i % 2]]) for i in range(8)]  # row i is line i + 2
     with pytest.raises(ValueError, match=f"^{message}$"):
         load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+
+
+def test_padded_cells_load_as_their_stripped_values(tmp_path):
+    # A numeric column is parsed unstripped (float ignores the padding); the
+    # categorical and label columns are stripped.
+    rows = [[" 1.5", " red ", " a"], ["2 ", "blue", "b  "], ["\t-3\t", " red", "a"]]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    x, c = data.columns
+    assert (x.kind, c.kind) == (NUMERIC, CATEGORICAL)
+    assert x.values.tolist() == [1.5, 2.0, -3.0]
+    assert c.values.tolist() == ["red", "blue", "red"]
+    assert data.labels.tolist() == [-1, 1, -1]
+
+
+def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
+    rows = [[" b", "1.5"], ["a ", "2"], ["b", "3"]]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="y")
+    assert data.label_name == "y" and data.labels.tolist() == [1, -1, 1]
+    assert [c.name for c in data.columns] == ["x"]
+    with pytest.raises(ValueError, match="^no column named 'z'$"):
+        load_csv(tmp_path / "x.csv", label_column="z")
+    rows[1][1] = " "
+    with pytest.raises(ValueError, match="^missing cell in row 3$"):
+        load_csv(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
 
 
 def test_constant_categorical_column_is_rejected(tmp_path):

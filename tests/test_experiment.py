@@ -1,8 +1,16 @@
 """The cross-validated grid end to end, pinned by its trace hash."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +18,7 @@ import pytest
 from tempboost import booster, experiment, tree
 from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
 from tempboost.errors import BoundViolatedError
-from tempboost.experiment import RunSpec, main, run, spec_from_manifest
+from tempboost.experiment import RunSpec, _two_sided_p, main, paired_ttest, run, spec_from_manifest
 from tempboost.synthetic import make_mixed_table, make_wideband
 from tempboost.tree import DecisionTree
 
@@ -186,3 +194,101 @@ def test_a_typed_failure_fails_only_its_cells(tmp_path, monkeypatch):
     assert [cell.t for cell in failed] == [0.5, 0.5]
     assert all(cell.error.startswith("BoundViolatedError: leveraging") for cell in failed)
     assert {row.t for row in result.rows} == {1.0}
+
+
+def test_manifest_records_the_environment_and_rebuilds_the_spec(tmp_path):
+    result, _ = run_grid(tmp_path, make_wideband(seed=11), t_values=(1.0,), rounds=1, folds=2)
+    path = result.out_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    assert spec_from_manifest(path) == RunSpec(
+        data_path=str(tmp_path / "data.csv"),
+        t_values=(1.0,),
+        rounds=1,
+        folds=2,
+        seed=3,
+        out_dir=str(tmp_path / "out"),
+    )
+
+
+def test_importing_the_harness_loads_no_scipy():
+    code = "import sys, tempboost.experiment; print([m for m in sys.modules if 'scipy' in m])"
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_each_run_pins_the_malloc_thresholds(tmp_path, monkeypatch, has_mallopt):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = types.SimpleNamespace(mallopt=mallopt) if has_mallopt else types.SimpleNamespace()
+    monkeypatch.setattr(experiment.sys, "platform", "linux")
+    monkeypatch.setattr(experiment.ctypes, "CDLL", lambda name: libc)
+    result, _ = run_grid(tmp_path, make_wideband(seed=11), t_values=(1.0,), rounds=1, folds=2)
+    assert result.failed_cells == 0
+    if has_mallopt:  # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+    else:
+        assert calls == []
+
+
+class TestPairedTTest:
+    def test_a_consistent_gap_is_significant_either_way(self):
+        low = [0.10, 0.12, 0.11, 0.10, 0.13]
+        high = [0.30, 0.31, 0.29, 0.30, 0.33]
+        assert paired_ttest(low, high) == "better"
+        assert paired_ttest(high, low) == "worse"
+
+    def test_a_gap_within_the_spread_is_equivalent(self):
+        assert paired_ttest([0.1, 0.4, 0.2, 0.3], [0.3, 0.2, 0.1, 0.35]) == "equivalent"
+
+    def test_the_p_value_threshold_decides(self):
+        a, b = [0.1, 0.2, 0.3], [0.2, 0.25, 0.5]  # t = -2.65 at 2 degrees of freedom: p = 0.118
+        assert paired_ttest(a, b, alpha=0.1) == "equivalent"
+        assert paired_ttest(a, b, alpha=0.2) == "better"
+
+    def test_without_spread_the_sign_of_the_gap_decides(self):
+        # dyadic errors, so every difference is exactly 0.25
+        a, b = [0.5, 0.25, 0.75], [0.25, 0.0, 0.5]
+        assert paired_ttest(a, a) == "equivalent"
+        assert paired_ttest(b, a) == "better"
+        assert paired_ttest(a, b) == "worse"
+
+    @pytest.mark.parametrize(
+        "a, b", [([0.1, 0.2], [0.1, 0.2, 0.3]), ([0.1], [0.2]), ([[0.1, 0.2]], [[0.2, 0.1]])]
+    )
+    def test_needs_equal_length_fold_vectors_of_at_least_two(self, a, b):
+        with pytest.raises(ValueError, match="equal-length per-fold"):
+            paired_ttest(a, b)
+
+    def test_tail_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        # below about 1e-5 scipy's own tail loses digits; see the next test
+        ts = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 150)))
+        for df in range(1, 61):
+            want = 2.0 * stats.t.sf(ts, df)
+            got = np.array([_two_sided_p(sign * t, df) for t in ts for sign in (1, -1)])
+            np.testing.assert_allclose(got, np.repeat(want, 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 59])
+    def test_tail_near_zero_follows_the_density(self, df):
+        # 1 - p = 2 t f(0) + O(t^3), f(0) = Gamma((df+1)/2) / (sqrt(df pi) Gamma(df/2))
+        t = 1e-9
+        log_ratio = math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+        density = math.exp(log_ratio) / math.sqrt(df * math.pi)
+        assert 1.0 - _two_sided_p(t, df) == pytest.approx(2 * t * density, rel=1e-6)
