@@ -88,20 +88,41 @@ class Ensemble:
         """Scores of every row of ``data``; clamped uses the running fold."""
         if not self.members:
             raise ValueError("empty ensemble")
-        delta = _fold_delta(self.cfg, clamped)
-        scores = np.zeros(data.m)
+        if clamped and math.isinf(self.cfg.clamp_delta):
+            raise ValueError("clamped prediction requires t < 1")
+        fold = ScoreFold(data.m, self.cfg)
         for member in self.members:
-            # with delta = inf the clip returns the plain sum bit for bit
-            scores = np.clip(
-                scores + member.alpha * member.hypothesis.predict(data), -delta, delta
-            )
-        return scores
+            fold.add(member.alpha * member.hypothesis.predict(data))
+        return fold.clamped if clamped else fold.scores
 
 
-def _fold_delta(cfg: TemperConfig, clamped: bool) -> float:
-    if clamped and math.isinf(cfg.clamp_delta):
-        raise ValueError("clamped prediction requires t < 1")
-    return cfg.clamp_delta if clamped else math.inf
+class ScoreFold:
+    """Running scores of an ensemble's members, folded in training order.
+
+    ``scores`` is the plain sum of the contributions alpha_j h_j.  For
+    t < 1, ``clamped`` is the progressively clamped model: its running sum
+    is clipped to [-delta, delta], delta = 1/(1-t), after every addition,
+    so member order matters.  For t >= 1 there is no clamped model and
+    ``clamped`` is None.
+    """
+
+    def __init__(self, m: int, cfg: TemperConfig):
+        self.delta = cfg.clamp_delta
+        self.scores = np.zeros(m)
+        self.clamped = np.zeros(m) if self.delta < math.inf else None
+
+    def add(self, contribution: np.ndarray) -> None:
+        self.scores += contribution
+        if self.clamped is not None:
+            self.clamped += contribution
+            np.clip(self.clamped, -self.delta, self.delta, out=self.clamped)
+
+    def errors(self, labels: np.ndarray):
+        """0/1 errors of the plain and the clamped model; the latter nan for t >= 1."""
+        plain = zero_one_error(self.scores, labels)
+        if self.clamped is None:
+            return plain, math.nan
+        return plain, zero_one_error(self.clamped, labels)
 
 
 def zero_one_error(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -233,9 +254,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     z_product = 1.0
     members = []
     trace = []
-    delta = cfg.clamp_delta
-    scores = np.zeros(data.m)
-    clamped_scores = np.zeros(data.m)
+    fold = ScoreFold(data.m, cfg)
     for _ in range(rounds):
         hypothesis = weak_learner(weights, data)
         h = np.asarray(hypothesis.predict(data), dtype=float)
@@ -250,12 +269,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         weights, z = tempered_update(weights, u, mu)
         z_product *= z
         p = co_density(weights)
-        contribution = alpha * h
-        scores = scores + contribution
-        train_err_clamped = math.nan
-        if delta < math.inf:
-            clamped_scores = np.clip(clamped_scores + contribution, -delta, delta)
-            train_err_clamped = zero_one_error(clamped_scores, labels)
+        fold.add(alpha * h)
+        train_err, train_err_clamped = fold.errors(labels)
         member = EnsembleMember(hypothesis, mu, alpha, z)
         record = IterationRecord(
             rho=rho,
@@ -267,7 +282,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
             z=z,
             min_codensity=float(p.min()),
             max_codensity=float(p.max()),
-            train_err=zero_one_error(scores, labels),
+            train_err=train_err,
             train_err_clamped=train_err_clamped,
         )
         members.append(member)

@@ -166,14 +166,6 @@ def check_strict_properness(cfg: TemperConfig, v_grid=None, u_grid=None) -> Prop
     return PropernessReport(cfg.t, strict, tuple(violations))
 
 
-def _bayes_risk_at(u: float, t: float) -> float:
-    if t == -math.inf:
-        return 2.0 * min(u, 1.0 - u)
-    if t == 2.0:
-        return 1.0  # harmonic-mean limit: the risk flattens to a constant
-    return 2.0 * u * (1.0 - u) / power_mean(u, 1.0 - u, 1.0 - t)
-
-
 def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
     """Temperature t for which the Bayes risk at posterior u equals z.
 
@@ -193,14 +185,14 @@ def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
         return 2.0
 
     lo = -16.0
-    while _bayes_risk_at(u, lo) > z:
+    while bayes_risk(u, TemperConfig(lo)) > z:
         lo *= 2.0
         if lo < -1e18:
             return -math.inf
     hi = 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = _bayes_risk_at(u, mid)
+        value = bayes_risk(u, TemperConfig(mid))
         if abs(value - z) <= tol:
             return mid
         if value < z:

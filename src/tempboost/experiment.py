@@ -28,36 +28,18 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .booster import boost, zero_one_error
+from .booster import ScoreFold, boost
+from .booster import zero_one_error  # noqa: F401  perfbench wraps experiment.zero_one_error
 from .dataio import Dataset, inject_label_noise, load_csv, stratified_folds
 from .errors import TempBoostError
 from .talgebra import TemperConfig
 from .tree import TreeWeakLearner
-
-DEFAULT_T_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1)
-
-TRACE_FIELDS = (
-    "fold",
-    "t",
-    "j",
-    "train_err",
-    "test_err_unclamped",
-    "test_err_clamped",
-    "min_codensity",
-    "max_codensity",
-    "rho",
-    "mu",
-    "alpha",
-    "z",
-    "m_dagger",
-    "infinite_weights",
-)
 
 PLOT_PANELS = (
     "test_err_unclamped",
@@ -73,12 +55,11 @@ class RunSpec:
 
     data_path: str
     label_column: str = "last"
-    t_values: tuple = DEFAULT_T_VALUES
+    t_values: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1)
     rounds: int = 20
     tree_nodes: int = 15
     folds: int = 10
     noise: float = 0.0
-    clamped: str = "both"
     seed: int = 0
     jobs: int = 1
     out_dir: str = "results"
@@ -93,8 +74,6 @@ class RunSpec:
             raise ValueError("need at least two folds")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError("noise rate must lie in [0, 1)")
-        if self.clamped not in ("both", "on", "off"):
-            raise ValueError("clamped must be both|on|off")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         if self.tree_nodes < 1 or self.tree_nodes % 2 == 0:
@@ -117,6 +96,9 @@ class TraceRow:
     z: float
     m_dagger: int
     infinite_weights: int = 0  # overflow raises, so always 0; kept as a trace column
+
+
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass
@@ -145,35 +127,20 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
     status = CellStatus(fold=fold, t=t, noise_flips=noise_flips)
     rows: list = []
     cfg = TemperConfig(t)
-    learner = TreeWeakLearner(spec.tree_nodes)
-    delta = cfg.clamp_delta
-    track_clamped = spec.clamped != "off" and delta < math.inf
-
-    test_scores = np.zeros(test.m)
-    test_scores_clamped = np.zeros(test.m)
-    round_index = 0
+    test_fold = ScoreFold(test.m, cfg)
 
     def on_round(member, record, weights):
-        # the training scores are boost's: record.train_err
-        nonlocal round_index, test_scores, test_scores_clamped
-        round_index += 1
-        h_test = member.alpha * member.hypothesis.predict(test)
-        test_scores = test_scores + h_test
-        if track_clamped:
-            test_scores_clamped = np.clip(
-                test_scores_clamped + h_test, -delta, delta
-            )
-            clamped_err = zero_one_error(test_scores_clamped, test.labels)
-        else:
-            clamped_err = math.nan
+        # the training errors are boost's: record.train_err
+        test_fold.add(member.alpha * member.hypothesis.predict(test))
+        test_err, test_err_clamped = test_fold.errors(test.labels)
         rows.append(
             TraceRow(
                 fold=fold,
                 t=t,
-                j=round_index,
+                j=len(rows) + 1,
                 train_err=record.train_err,
-                test_err_unclamped=zero_one_error(test_scores, test.labels),
-                test_err_clamped=clamped_err,
+                test_err_unclamped=test_err,
+                test_err_clamped=test_err_clamped,
                 min_codensity=record.min_codensity,
                 max_codensity=record.max_codensity,
                 rho=record.rho,
@@ -186,7 +153,7 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
         return False
 
     try:
-        boost(train, learner, spec.rounds, cfg, on_round=on_round)
+        boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg, on_round=on_round)
     except TempBoostError as exc:  # anything else is a programming error: it propagates
         status.status = "failed"
         status.error = f"{type(exc).__name__}: {exc}"
@@ -258,7 +225,7 @@ def run(spec: RunSpec) -> RunResult:
 
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trace(out_dir / "trace.csv", rows)
+    _write_csv(out_dir / "trace.csv", TRACE_FIELDS, map(astuple, rows))
     _write_summary(out_dir / "summary.csv", rows, spec)
     emit_plots(rows, out_dir)
     _write_manifest(out_dir / "manifest.json", spec, data, cells)
@@ -273,12 +240,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_trace(path: Path, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(TRACE_FIELDS)
-        for row in rows:
-            writer.writerow([_format_value(getattr(row, name)) for name in TRACE_FIELDS])
+        writer.writerow(header)
+        writer.writerows([_format_value(value) for value in row] for row in rows)
 
 
 def _two_sided_p(statistic: float, df: int) -> float:
@@ -334,68 +300,45 @@ def paired_ttest(errors_a, errors_b, alpha: float = 0.1) -> str:
     return "better" if mean < 0 else "worse"
 
 
-def _final_errors(rows, t: float, attr: str) -> dict:
-    """fold -> error at the last round present for (fold, t)."""
-    per_fold: dict = {}
-    for row in rows:
-        if row.t == t:
-            current = per_fold.get(row.fold)
-            if current is None or row.j > current[0]:
-                per_fold[row.fold] = (row.j, getattr(row, attr))
-    return {fold: err for fold, (_, err) in per_fold.items()}
+SUMMARY_FIELDS = (
+    "t",
+    "folds",
+    "mean_test_err_unclamped",
+    "std_test_err_unclamped",
+    "mean_test_err_clamped",
+    "std_test_err_clamped",
+    "vs_reference_unclamped",
+    "vs_reference_clamped",
+)
+
+
+def _mean_std(values) -> list:
+    mean = float(np.mean(values)) if values else math.nan
+    return [mean, float(np.std(values, ddof=1)) if len(values) > 1 else math.nan]
 
 
 def _write_summary(path: Path, rows, spec: RunSpec) -> None:
-    reference = 1.0 if 1.0 in spec.t_values else None
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "t",
-                "folds",
-                "mean_test_err_unclamped",
-                "std_test_err_unclamped",
-                "mean_test_err_clamped",
-                "std_test_err_clamped",
-                "vs_reference_unclamped",
-                "vs_reference_clamped",
-            ]
-        )
-        ref_unclamped = (
-            _final_errors(rows, reference, "test_err_unclamped") if reference is not None else {}
-        )
-        for t in spec.t_values:
-            unclamped = _final_errors(rows, t, "test_err_unclamped")
-            clamped = _final_errors(rows, t, "test_err_clamped")
-            clamped_vals = [e for e in clamped.values() if not math.isnan(e)]
-            verdict_u = verdict_c = ""
-            if reference is not None and t != reference and len(unclamped) >= 2:
-                shared = sorted(set(unclamped) & set(ref_unclamped))
-                if len(shared) >= 2:
-                    verdict_u = paired_ttest(
-                        [unclamped[f] for f in shared],
-                        [ref_unclamped[f] for f in shared],
-                    )
-                    if clamped_vals and len(clamped) == len(unclamped):
-                        verdict_c = paired_ttest(
-                            [clamped[f] for f in shared],
-                            [ref_unclamped[f] for f in shared],
-                        )
-            values = list(unclamped.values())
-            writer.writerow(
-                [
-                    _format_value(t),
-                    len(values),
-                    _format_value(float(np.mean(values)) if values else math.nan),
-                    _format_value(float(np.std(values, ddof=1)) if len(values) > 1 else math.nan),
-                    _format_value(float(np.mean(clamped_vals)) if clamped_vals else math.nan),
-                    _format_value(
-                        float(np.std(clamped_vals, ddof=1)) if len(clamped_vals) > 1 else math.nan
-                    ),
-                    verdict_u,
-                    verdict_c,
-                ]
-            )
+    """Per temperature: the mean and spread of the final test errors over
+    folds, and paired t-test verdicts of both models against t=1's plain one."""
+    final: dict = {}  # t -> fold -> the cell's last row, since rows are sorted by (fold, t, j)
+    for row in rows:
+        final.setdefault(row.t, {})[row.fold] = row
+    reference = final.get(1.0, {})
+    lines = []
+    for t in spec.t_values:
+        cells = final.get(t, {})
+        plain = [row.test_err_unclamped for row in cells.values()]
+        clamped = [row.test_err_clamped for row in cells.values()]
+        clamped = [e for e in clamped if not math.isnan(e)]  # none at t >= 1
+        verdicts = ["", ""]
+        shared = sorted(set(cells) & set(reference)) if t != 1.0 else []
+        if len(shared) >= 2:
+            ref_errs = [reference[f].test_err_unclamped for f in shared]
+            verdicts[0] = paired_ttest([cells[f].test_err_unclamped for f in shared], ref_errs)
+            if clamped:
+                verdicts[1] = paired_ttest([cells[f].test_err_clamped for f in shared], ref_errs)
+        lines.append([t, len(plain), *_mean_std(plain), *_mean_std(clamped), *verdicts])
+    _write_csv(path, SUMMARY_FIELDS, lines)
 
 
 def emit_plots(rows, out_dir) -> list:
@@ -416,13 +359,8 @@ def emit_plots(rows, out_dir) -> list:
                 continue
             groups.setdefault((row.t, row.j), []).append(value)
         path = out_dir / f"plot_{panel}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "j", "mean"])
-            for (t, j) in sorted(groups):
-                writer.writerow(
-                    [_format_value(t), j, _format_value(float(np.mean(groups[(t, j)])))]
-                )
+        means = ((t, j, float(np.mean(groups[(t, j)]))) for (t, j) in sorted(groups))
+        _write_csv(path, ("t", "j", "mean"), means)
         written.append(path)
     return written
 
@@ -451,46 +389,38 @@ def spec_from_manifest(path) -> RunSpec:
     raw = dict(manifest["spec"])
     if "split_cap" in raw:  # a sampled split search, removed since
         raise ValueError(f"{path} predates the binned split search; its trees cannot be rerun")
+    # "both" and "on" evaluated the clamped model exactly when t < 1, as every run does now
+    if raw.pop("clamped", "both") == "off":
+        raise ValueError(f"{path} has spec.clamped = 'off'; every run evaluates the clamped model")
     raw["t_values"] = tuple(raw["t_values"])
     return RunSpec(**raw)
 
 
+def _temperatures(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+
+
 def main(argv=None) -> int:
+    # an option left out keeps RunSpec's default; each dest is a RunSpec field
     parser = argparse.ArgumentParser(
         prog="tempboost-experiment",
         description="Cross-validated tempered-boosting benchmark over a temperature grid.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--data", required=True, help="CSV file with a header row")
-    parser.add_argument("--label-col", default="last", help="label column name, or 'last'")
+    parser.add_argument("--data", dest="data_path", required=True, help="CSV with a header row")
+    parser.add_argument("--label-col", dest="label_column", help="label column name, or 'last'")
     parser.add_argument(
-        "--t",
-        default=",".join(str(t) for t in DEFAULT_T_VALUES),
-        help="comma-separated temperatures in [0, 2)",
+        "--t", dest="t_values", type=_temperatures, help="comma-separated temperatures in [0, 2)"
     )
-    parser.add_argument("--iters", type=int, default=20, help="boosting rounds per cell")
-    parser.add_argument("--tree-nodes", type=int, default=15, help="nodes per weak tree (odd)")
-    parser.add_argument("--folds", type=int, default=10, help="stratified CV folds")
-    parser.add_argument("--noise", type=float, default=0.0, help="training label-flip rate")
-    parser.add_argument("--clamped", choices=("both", "on", "off"), default="both")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel cells")
-    parser.add_argument("--out", default="results", help="output directory")
-    args = parser.parse_args(argv)
-
+    parser.add_argument("--iters", dest="rounds", type=int, help="boosting rounds per cell")
+    parser.add_argument("--tree-nodes", type=int, help="nodes per weak tree (odd)")
+    parser.add_argument("--folds", type=int, help="stratified CV folds")
+    parser.add_argument("--noise", type=float, help="training label-flip rate")
+    parser.add_argument("--seed", type=int, help="master seed (u64)")
+    parser.add_argument("--jobs", type=int, help="parallel cells")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     try:
-        spec = RunSpec(
-            data_path=args.data,
-            label_column=args.label_col,
-            t_values=tuple(float(v) for v in args.t.split(",") if v.strip() != ""),
-            rounds=args.iters,
-            tree_nodes=args.tree_nodes,
-            folds=args.folds,
-            noise=args.noise,
-            clamped=args.clamped,
-            seed=args.seed,
-            jobs=args.jobs,
-            out_dir=args.out,
-        )
+        spec = RunSpec(**vars(parser.parse_args(argv)))
     except ValueError as exc:  # an invalid setting: exit 2 before any cell runs
         parser.error(str(exc))
     result = run(spec)

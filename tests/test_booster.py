@@ -16,6 +16,7 @@ from tempboost import booster
 from tempboost.booster import (
     Ensemble,
     EnsembleMember,
+    ScoreFold,
     boost,
     confidence_bounds,
     edge,
@@ -370,6 +371,29 @@ class TestRunningTrainingScores:
             else:
                 assert math.isnan(record.train_err_clamped)
         return trace
+
+
+class TestScoreFold:
+    def test_the_clamp_can_flip_the_sign_both_ways(self):
+        # delta = 2 at t=0.5: (-3, 2.5) folds to 0.5 clamped, -0.5 plain;
+        # (3, -2.5) to -0.5 and 0.5
+        fold = ScoreFold(2, TemperConfig(0.5))
+        labels = np.array([1, -1])
+        fold.add(np.array([-3.0, 3.0]))
+        assert fold.errors(labels) == (1.0, 1.0)
+        fold.add(np.array([2.5, -2.5]))
+        np.testing.assert_array_equal(fold.scores, [-0.5, 0.5])
+        np.testing.assert_array_equal(fold.clamped, [0.5, -0.5])
+        assert fold.errors(labels) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_no_clamped_model_from_t_one_up(self, t):
+        fold = ScoreFold(2, TemperConfig(t))
+        fold.add(np.array([-3.0, 3.0]))
+        fold.add(np.array([2.5, -2.5]))
+        assert fold.clamped is None
+        plain, clamped = fold.errors(np.array([1, -1]))
+        assert plain == 1.0 and math.isnan(clamped)
 
 
 class TestWeightUnravel:

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import predict
 from tempboost import booster, experiment, tree
+from tempboost.booster import Ensemble
 from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
 from tempboost.errors import BoundViolatedError
 from tempboost.experiment import RunSpec, _two_sided_p, main, paired_ttest, run, spec_from_manifest
@@ -27,6 +29,21 @@ from tempboost.tree import DecisionTree
 # pin and say why.
 SMOKE_TRACE_SHA256 = "932a3465a59948c2fb34f3322a3f861eb6da5c7e3f9204e6ae536d5e6ed58af0"
 CATEGORICAL_TRACE_SHA256 = "a5342dfec5e70043b061d20f5b04736bb5699c3d185288dd9ee0adfb820a68ce"
+# sha256 of the other outputs of the same grids: the summary and the plot data.
+SMOKE_OUTPUT_SHA256 = {
+    "summary.csv": "f17c43d09cbfbe76b27814a68b2093d593ce9c5b5cea6555bcb02040f0943743",
+    "plot_test_err_unclamped.csv": "c72af0bdeab297d6157a99a8e69e341a5168cad2607accf14133a91fe8f5fc69",
+    "plot_test_err_clamped.csv": "4e12a909191698a24b0d542e210756363b62e7c00d0357a5a3567d765c7f71b2",
+    "plot_min_codensity.csv": "ec9534716e60bd8f28341b35a12459e6400f0e770a0953f4c7185024cf253b34",
+    "plot_max_codensity.csv": "92ac95c5ee2a00a738db30c0f363aa1aaba4b25dd3c8d40a915175785603289a",
+}
+CATEGORICAL_OUTPUT_SHA256 = {
+    "summary.csv": "98047f1e5010940a48b38a5051decc0d1c88afc81c0849e1d87cde05ad856128",
+    "plot_test_err_unclamped.csv": "d05eda6dfadc8fb515e6ec24249085f71b84e6c385c7a02437609d34bb67e817",
+    "plot_test_err_clamped.csv": "bfa5919e8b568ca9cf66feab62b83147a21b20dd338d6a0533d2826f82cff733",
+    "plot_min_codensity.csv": "c797cdd242972ce8b83d4b14070ef305ebe183f9a87fdfbee9324a8e2da9b42c",
+    "plot_max_codensity.csv": "6ba5a68b99967b9346abff81daf53ff8b9b8ad59301af4ef35a6e7859bf32ca1",
+}
 
 
 def run_grid(tmp_path, data, **grid):
@@ -38,6 +55,10 @@ def run_grid(tmp_path, data, **grid):
     return result, hashlib.sha256(trace).hexdigest()
 
 
+def output_digests(out_dir, names) -> dict:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_smoke_grid_trace_is_pinned(tmp_path):
     # 139 training rows: every numeric column has fewer than MAX_BINS
     # distinct values, so every midpoint is a candidate.
@@ -47,6 +68,7 @@ def test_smoke_grid_trace_is_pinned(tmp_path):
     assert result.failed_cells == 0
     assert len(result.rows) == 3 * 2 * 2
     assert digest == SMOKE_TRACE_SHA256
+    assert output_digests(result.out_dir, SMOKE_OUTPUT_SHA256) == SMOKE_OUTPUT_SHA256
 
 
 def test_categorical_grid_trace_is_pinned(tmp_path):
@@ -59,6 +81,38 @@ def test_categorical_grid_trace_is_pinned(tmp_path):
     assert result.failed_cells == 0
     assert len(result.rows) == 3 * 2 * 3
     assert digest == CATEGORICAL_TRACE_SHA256
+    assert output_digests(result.out_dir, CATEGORICAL_OUTPUT_SHA256) == CATEGORICAL_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_per_round_test_errors_are_those_of_the_rowwise_prefix_ensembles(t, monkeypatch):
+    data = make_mixed_table(m=120, seed=4)
+    spec = RunSpec(data_path="data.csv", t_values=(t,), rounds=4, folds=2, seed=3)
+    fold, train, test, flips = next(experiment._folds(data, spec))
+    ensembles = []
+    real_boost = experiment.boost
+
+    def recording_boost(*args, **kwargs):
+        result = real_boost(*args, **kwargs)
+        ensembles.append(result[0])
+        return result
+
+    monkeypatch.setattr(experiment, "boost", recording_boost)
+    rows, status = experiment._run_cell(fold, train, test, flips, t, spec)
+    assert status.status == "ok" and [row.j for row in rows] == [1, 2, 3, 4]
+    (ensemble,) = ensembles
+
+    def rowwise_error(prefix, clamped):
+        labels = [predict(prefix, test.row(i), clamped)[1] for i in range(test.m)]
+        return float(np.mean(np.array(labels) != test.labels))
+
+    for row in rows:
+        prefix = Ensemble(ensemble.members[: row.j], ensemble.cfg)
+        assert row.test_err_unclamped == rowwise_error(prefix, clamped=False)
+        if t < 1.0:
+            assert row.test_err_clamped == rowwise_error(prefix, clamped=True)
+        else:
+            assert math.isnan(row.test_err_clamped)
 
 
 def test_high_cardinality_column_runs_every_cell(tmp_path):
@@ -159,6 +213,59 @@ def test_traces_do_not_depend_on_jobs_and_rerun_from_the_manifest(tmp_path):
     assert rerun.failed_cells == 0
     trace = (tmp_path / "rerun" / "trace.csv").read_bytes()
     assert trace == (one / "out" / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("clamped", ["both", "on", "off"])
+def test_manifest_from_before_the_clamped_option_was_removed(tmp_path, clamped):
+    # "both" and "on" ran what every run runs now; "off" skipped the clamped model
+    path = tmp_path / "manifest.json"
+    spec = RunSpec(data_path="data.csv", t_values=(0.5, 1.0), rounds=3)
+    raw = {**dataclasses.asdict(spec), "clamped": clamped}
+    path.write_text(json.dumps({"spec": raw}), encoding="utf-8")
+    if clamped == "off":
+        with pytest.raises(ValueError, match="spec.clamped"):
+            spec_from_manifest(path)
+    else:
+        assert spec_from_manifest(path) == spec
+
+
+def test_every_cli_flag_sets_its_run_spec_field(tmp_path):
+    path = tmp_path / "data.csv"
+    data = make_mixed_table(m=80, seed=1)
+    save_csv(data, path)
+    out = tmp_path / "out"
+    argv = ["--data", str(path), "--label-col", data.label_name, "--t", "0.5,1.5", "--iters", "2"]
+    argv += ["--tree-nodes", "3", "--folds", "2", "--noise", "0.1", "--seed", "7"]
+    argv += ["--jobs", "2", "--out", str(out)]
+    assert main(argv) == 0
+    expected = RunSpec(
+        data_path=str(path),
+        label_column=data.label_name,
+        t_values=(0.5, 1.5),
+        rounds=2,
+        tree_nodes=3,
+        folds=2,
+        noise=0.1,
+        seed=7,
+        jobs=2,
+        out_dir=str(out),
+    )
+    assert spec_from_manifest(out / "manifest.json") == expected
+    defaults = RunSpec(data_path=str(path))
+    for name in (f.name for f in dataclasses.fields(RunSpec) if f.name != "data_path"):
+        assert getattr(expected, name) != getattr(defaults, name), name
+
+
+def test_cli_defaults_are_the_run_spec_defaults(tmp_path, monkeypatch):
+    specs = []
+
+    def fake_run(spec):
+        specs.append(spec)
+        return experiment.RunResult(out_dir=tmp_path, rows=[])
+
+    monkeypatch.setattr(experiment, "run", fake_run)
+    assert main(["--data", "data.csv"]) == 0
+    assert specs == [RunSpec(data_path="data.csv")]
 
 
 def test_manifest_from_before_the_binned_search_is_refused(tmp_path):
