@@ -25,14 +25,16 @@ is sorted by its level codes, one bin per level.  A leaf keeps its rows
 of the block, in order, and one call sums the class masses of each run of
 equal codes in every column, so a numeric and a categorical column with
 the same runs get bitwise equal run masses.  A numeric threshold is the
-midpoint of the leaf values on either side of a cut between runs.  A
-categorical column's runs are its levels in the leaf; ranked by
-posterior, their k-1 prefixes are its candidates: for two classes and a
-concave impurity such as L_t, the best subset is one of them (Breiman et
-al., CART 1984, section 9.4).  The admissibility rule makes that scan
-exact only when every level in the leaf holds both classes; a
-single-class level can make the best admissible subset a non-prefix one,
-which the scan misses.
+midpoint of the leaf values a < b on either side of a cut between runs,
+taken as a/2 + b/2 so that it cannot overflow, or b itself when the
+midpoint rounds onto a: ``x >= threshold`` then routes exactly the rows
+the cut scored.  A categorical column's runs are its levels in the leaf;
+ranked by posterior, their k-1 prefixes are its candidates: for two
+classes and a concave impurity such as L_t, the best subset is one of
+them (Breiman et al., CART 1984, section 9.4).  The admissibility rule
+makes that scan exact only when every level in the leaf holds both
+classes; a single-class level can make the best admissible subset a
+non-prefix one, which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
 column j's masses on both sides of its cuts, from prefix and suffix sums,
@@ -61,7 +63,7 @@ _LEAST_MASS = np.finfo(float).smallest_subnormal
 
 @dataclass(frozen=True)
 class NumericSplit:
-    """Test x[feature] >= threshold; thresholds are observed-value midpoints."""
+    """Test x[feature] >= threshold, a threshold in (a, b] for the values a < b of its cut."""
 
     feature: int
     threshold: float
@@ -259,7 +261,11 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
     x = data.columns[j].values
     right = starts[at + 1]  # the first entry right of the cut
-    return NumericSplit(j, float(0.5 * (x[order[j, right - 1]] + x[order[j, right]])))
+    below, above = float(x[order[j, right - 1]]), float(x[order[j, right]])
+    threshold = below / 2 + above / 2  # cannot overflow, unlike (below + above) / 2
+    if not below < threshold <= above:  # rounded onto below: adjacent doubles
+        threshold = above
+    return NumericSplit(j, threshold)
 
 
 def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> DecisionTree:

@@ -329,6 +329,26 @@ class TestInduceTree:
             with pytest.raises(SingleClassError):
                 induce_tree(data, w / w.sum(), 3, TemperConfig(t))
 
+    @pytest.mark.parametrize(
+        "x, labels, w",
+        (
+            # the midpoint 0.5 * (0 + 5e-324) rounds onto 0
+            ([0, 0, 5e-324, 5e-324, 1, 1], [1, -1, 1, 1, -1, -1], [1, 1, 1, 1, 1, 1]),
+            # 1e308 + 1.7e308 overflows to inf
+            ([-1, -1, 1e308, 1e308, 1.7e308, 1.7e308], [1, -1] * 3, [.05, .05, .3, .1, .3, .2]),
+        ),
+    )
+    def test_every_split_routes_the_rows_it_scored(self, x, labels, w):
+        x, w = np.array(x, dtype=float), np.array(w, dtype=float) / sum(w)
+        data = Dataset((Column("x", NUMERIC, x),), np.array(labels, dtype=np.int64))
+        cfg = TemperConfig(0.5)
+        tree = induce_tree(data, w, 3, cfg)
+        cuts = [x >= above for above in np.unique(x)[1:]]
+        best = max(cuts, key=lambda right: partition_gain(data, w, right, cfg))
+        assert np.array_equal(tree.root.predicate.evaluate(data), best)
+        for leaf in tree.leaves():
+            assert leaf.stats.m_pos > 0 and leaf.stats.m_neg > 0
+
     def test_even_budget_rejected(self):
         data, w = weighted_mixed_dataset()
         with pytest.raises(ValueError):
