@@ -17,6 +17,10 @@ interpolates the classical tree-splitting criteria: Gini impurity
 fixed v the map t -> L_t(v) is nondecreasing, so any target value in
 [2 min(v, 1-v), 1] is reached by bisection over t.
 
+M_q is 1-homogeneous, so a mass r = P + N at posterior P / r risks
+r L_t(P / r) = 2PN / M_(1-t)(P, N).  ``bayes_risk`` computes that from
+the class masses P and N; L_t(v) is the case P = v, N = 1 - v.
+
 t = -inf is represented by the float -inf with explicit limit branches
 (the limits have closed forms; a merely large negative float would
 overflow the powers instead of attaining them).
@@ -85,24 +89,31 @@ def pointwise_risk(u, v, cfg: TemperConfig):
     return _finish(out, scalar, u_shape if not u_scalar else v_shape)
 
 
-def bayes_risk(v, cfg: TemperConfig):
-    """Minimum conditional risk 2v(1-v)/M_(1-t)(v, 1-v) at posterior v.
+def bayes_risk(pos, neg, cfg: TemperConfig):
+    """Bayes risk 2 pos neg / M_(1-t)(pos, neg) of the class masses pos and neg.
 
-    Gini at t=0, Matusita at t=1, twice the min-class mass at t=-inf;
-    zero at v in {0, 1} for every t.  Concave in v, which is what makes
-    top-down tree-splitting gains nonnegative.  Computed in place in a
-    few temporaries; ``v`` is never written to.
+    That is r L_t(pos / r) for r = pos + neg, and ``bayes_risk(v, 1 - v,
+    cfg)`` is L_t(v): Gini 4 pos neg / r at t=0, Matusita 2 sqrt(pos neg)
+    at t=1, twice the smaller mass at t=-inf; zero whenever either mass is
+    zero.  Concave, which is what makes top-down tree-splitting gains
+    nonnegative.  Accurate while the product 2 pos neg is a normal double;
+    a negative or nan mass raises ``ValueError``.  Floats or arrays,
+    broadcast together, computed in place in a few temporaries; neither
+    input is written to.
     """
-    arr, scalar, shape = _prepare_unit(v, "posterior")
+    pos, neg = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(neg, dtype=float))
+    scalar, shape = pos.ndim == 0, pos.shape
+    pos, neg = np.atleast_1d(pos, neg)
+    if pos.size and not (pos.min() >= 0 and neg.min() >= 0):  # a nan fails too
+        raise ValueError("class masses must be nonnegative")
     t = cfg.t
-    complement = np.subtract(1.0, arr)
     if t == -math.inf:
-        out = np.minimum(arr, complement, out=complement)
+        out = np.minimum(pos, neg)
         out *= 2.0
         return _finish(out, scalar, shape)
-    numerator = np.multiply(2.0, arr)
-    numerator *= complement
-    mean = power_mean(arr, complement, 1.0 - t)
+    numerator = np.multiply(2.0, pos)
+    numerator *= neg
+    mean = power_mean(pos, neg, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.divide(numerator, mean, out=mean)
     # a zero numerator gives 0 over a positive mean and nan over a zero one
@@ -185,14 +196,14 @@ def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
         return 2.0
 
     lo = -16.0
-    while bayes_risk(u, TemperConfig(lo)) > z:
+    while bayes_risk(u, 1.0 - u, TemperConfig(lo)) > z:
         lo *= 2.0
         if lo < -1e18:
             return -math.inf
     hi = 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = bayes_risk(u, TemperConfig(mid))
+        value = bayes_risk(u, 1.0 - u, TemperConfig(mid))
         if abs(value - z) <= tol:
             return mid
         if value < z:

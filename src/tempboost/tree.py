@@ -3,9 +3,10 @@
 A tree is grown from a single leaf by repeatedly expanding the heaviest
 leaf (largest co-density mass) with the split that maximizes
 
-    r_parent L_t(p_parent) - r_left L_t(p_left) - r_right L_t(p_right),
+    B(P, N) - (B(P_left, N_left) + B(P_right, N_right)),
 
-L_t the tempered Bayes risk; concavity of L_t makes the gain nonnegative.
+B(P, N) = 2PN / M_(1-t)(P, N) = r L_t(P / r) the tempered Bayes risk of a
+node's class masses P and N, r = P + N; concavity makes the gain >= 0.
 Splits creating a pure leaf are inadmissible, which keeps every leaf
 posterior strictly inside (0, 1) and every leaf prediction
 
@@ -37,11 +38,12 @@ classes; a single-class level can make the best admissible subset a
 non-prefix one, which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
-column j's masses on both sides of its cuts, from prefix and suffix sums,
-and one ``bayes_risk`` call scores every cell, unless no cut is
-admissible.  Inadmissible cuts are masked to gain -inf rather than
-filtered out, and each gain subtracts the false side's term first (below
-the threshold; outside the prefix).
+column j's class masses on both sides of its cuts, from prefix and suffix
+sums, and one ``bayes_risk`` call scores every cell from its masses,
+unless no cut is admissible.  Inadmissible cuts are masked to gain -inf
+rather than filtered out.  A gain subtracts the sum of its side terms,
+which IEEE addition makes independent of which side is which, so a cut
+and its mirror (as on a column's exact reverse) tie bitwise.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from .dataio import Dataset
 from .errors import SingleClassError
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
-
-_LEAST_MASS = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     cuts = n_rows * (width - 1)
     if not cuts:
         return None
-    # block[c]: class c's mass on the false side of every cut, row-major over
-    # (feature, cut), then on the true side, then the parent's
+    # block[c]: class c's mass on the prefix side of every cut, row-major over
+    # (feature, cut), then on the suffix side, then the parent's
     block = np.empty((2, 2 * cuts + 1))
     block[:, -1] = parent
     sides = block[:, :-1].reshape(2, 2, n_rows, width - 1)
@@ -240,19 +240,11 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
         # the suffixes summed from the far end, not as total - prefix: sums
         # of nonnegative terms stay nonnegative, so zero means an empty side
         np.cumsum(mass[:, :0:-1], axis=1, out=by_side[1, :, ::-1])
-    if categorical:  # a prefix of levels is the true side
-        sides[:, :, categorical] = sides[:, ::-1][:, :, categorical]
     admissible = sides.min(axis=(0, 1)).ravel() > 0
     if not admissible.any():
         return None
-    mass = block[0] + block[1]
-    # raising an empty side's zero mass to the least positive double leaves
-    # every other mass as it is and makes that side's posterior 0, not 0/0
-    denominator = np.maximum(mass, _LEAST_MASS)
-    terms = bayes_risk(np.divide(block[0], denominator, out=denominator), cfg)
-    terms *= mass
-    gains = terms[-1] - terms[:cuts]
-    gains -= terms[cuts:-1]
+    terms = bayes_risk(block[0], block[1], cfg)
+    gains = terms[-1] - (terms[:cuts] + terms[cuts:-1])  # the sum commutes: mirrors tie
     best = int(np.where(admissible, gains, -np.inf).argmax())
     j, at = divmod(best, width - 1)  # block row j is column j
     starts = np.flatnonzero(run_start[j])

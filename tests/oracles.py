@@ -390,9 +390,9 @@ def split_gain(parent, left, right, cfg) -> float:
     for child in (left, right):
         if child.r <= 0 or child.m_pos <= 0 or child.m_neg <= 0:
             return -math.inf
-    parent_term = parent.r * bayes_risk(parent.p, cfg)
-    left_term = left.r * bayes_risk(left.p, cfg)
-    right_term = right.r * bayes_risk(right.p, cfg)
+    parent_term = parent.r * bayes_risk(parent.p, 1.0 - parent.p, cfg)
+    left_term = left.r * bayes_risk(left.p, 1.0 - left.p, cfg)
+    right_term = right.r * bayes_risk(right.p, 1.0 - right.p, cfg)
     return parent_term - left_term - right_term
 
 

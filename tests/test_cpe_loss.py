@@ -30,7 +30,7 @@ class TestPartialLosses:
         cfg = TemperConfig(0.5)
         assert partial_loss_pos(0.5, cfg) == pytest.approx(1.0)
         assert partial_loss_neg(0.25, cfg) == pytest.approx(partial_loss_pos(0.75, cfg))
-        assert bayes_risk(0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
+        assert bayes_risk(0.4, 1 - 0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
 
     def test_t_zero_square_form(self):
         # (2 (1-u))^2
@@ -115,33 +115,33 @@ class TestBayesRisk:
     def test_zero_at_certainty(self):
         for t in T_SPAN + [-math.inf]:
             cfg = TemperConfig(t)
-            assert bayes_risk(0.0, cfg) == 0.0
-            assert bayes_risk(1.0, cfg) == 0.0
+            assert bayes_risk(0.0, 1.0, cfg) == 0.0
+            assert bayes_risk(1.0, 0.0, cfg) == 0.0
 
     def test_gini_at_t_zero(self):
         cfg = TemperConfig(0.0)
-        assert bayes_risk(0.5, cfg) == pytest.approx(1.0, abs=1e-15)
+        assert bayes_risk(0.5, 0.5, cfg) == pytest.approx(1.0, abs=1e-15)
         v = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(bayes_risk(v, cfg), 4 * v * (1 - v), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bayes_risk(v, 1 - v, cfg), 4 * v * (1 - v), rtol=0, atol=1e-12)
 
     def test_matusita_at_classic(self):
         cfg = TemperConfig(1.0)
-        assert bayes_risk(0.2, cfg) == pytest.approx(0.8, rel=1e-12)
+        assert bayes_risk(0.2, 1 - 0.2, cfg) == pytest.approx(0.8, rel=1e-12)
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
-            bayes_risk(v, cfg), 2 * np.sqrt(v * (1 - v)), rtol=0, atol=1e-12
+            bayes_risk(v, 1 - v, cfg), 2 * np.sqrt(v * (1 - v)), rtol=0, atol=1e-12
         )
 
     def test_min_class_mass_at_minus_infinity(self):
         v = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(bayes_risk(v, NEG_INF), 2 * np.minimum(v, 1 - v))
+        np.testing.assert_allclose(bayes_risk(v, 1 - v, NEG_INF), 2 * np.minimum(v, 1 - v))
 
     def test_equals_risk_at_truth(self):
         rng = np.random.default_rng(1)
         for t in T_SPAN:
             cfg = TemperConfig(t)
             for v in rng.uniform(0.01, 0.99, 15):
-                assert bayes_risk(v, cfg) == pytest.approx(
+                assert bayes_risk(v, 1 - v, cfg) == pytest.approx(
                     pointwise_risk(v, v, cfg), rel=1e-10
                 )
 
@@ -151,20 +151,57 @@ class TestBayesRisk:
             cfg = TemperConfig(t)
             for _ in range(50):
                 a, b = rng.uniform(0, 1, 2)
-                mid = bayes_risk((a + b) / 2, cfg)
-                assert mid >= (bayes_risk(a, cfg) + bayes_risk(b, cfg)) / 2 - 1e-12
+                mid = bayes_risk((a + b) / 2, 1 - (a + b) / 2, cfg)
+                assert mid >= (bayes_risk(a, 1 - a, cfg) + bayes_risk(b, 1 - b, cfg)) / 2 - 1e-12
 
     def test_monotone_in_temperature(self):
         grid = [-math.inf, -8.0, -2.0, 0.0, 0.7, 1.0, 1.5, 1.9]
         for v in (0.1, 0.3, 0.5, 0.8):
-            values = [bayes_risk(v, TemperConfig(t)) for t in grid]
+            values = [bayes_risk(v, 1 - v, TemperConfig(t)) for t in grid]
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+
+    def test_mass_form_is_the_posterior_form_times_the_mass(self):
+        # r L_t(P / r) at scales r = P + N where 2PN stays a normal double;
+        # 1 - p cancels as p nears 1, so that form is checked at bounded
+        # class ratios, and extreme ratios against the uncancelled (P/r, N/r)
+        rng = np.random.default_rng(2306)
+        pos, neg = rng.uniform(0.01, 1.0, (2, 500)) * 10.0 ** rng.integers(-150, 150, 500)
+        p = pos / (pos + neg)
+        far_pos, far_neg = rng.uniform(0.01, 1.0, (2, 500)) * 10.0 ** rng.integers(-75, 75, (2, 500))
+        far_mass = far_pos + far_neg
+        for t in T_SPAN + [-math.inf]:
+            cfg = TemperConfig(t)
+            np.testing.assert_allclose(
+                bayes_risk(pos, neg, cfg), (pos + neg) * bayes_risk(p, 1 - p, cfg), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                bayes_risk(far_pos, far_neg, cfg),
+                far_mass * bayes_risk(far_pos / far_mass, far_neg / far_mass, cfg),
+                rtol=1e-12,
+            )
+            assert bayes_risk(0.3, 0.1, cfg) == pytest.approx(
+                0.4 * bayes_risk(0.75, 0.25, cfg), rel=1e-12
+            )
+
+    def test_a_zero_mass_risks_nothing(self):
+        pos, neg = np.array([0.0, 0.0, 2.5, 1e-300]), np.array([0.0, 3.0, 0.0, 0.0])
+        for t in T_SPAN + [-math.inf]:
+            cfg = TemperConfig(t)
+            assert np.array_equal(bayes_risk(pos, neg, cfg), np.zeros(4))
+            assert bayes_risk(0.0, 0.7, cfg) == bayes_risk(0.7, 0.0, cfg) == 0.0
+
+    def test_negative_or_nan_masses_are_rejected(self):
+        bad = ((-0.1, 0.5), (0.5, -1e-300), (math.nan, 0.5), (0.5, [0.2, math.nan]))
+        for pos, neg in bad:
+            for t in (0.5, -math.inf):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    bayes_risk(pos, neg, TemperConfig(t))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_posterior_above_one_neither_warns_nor_overflows(self):
         # at t > 1 the power mean's ratio 1/v overflows to inf, and inf**(1-t) = 0
         for v, t in ((np.array([5e-324, 0.5]), 1.1), (1e-310, 1.5)):
-            risk = bayes_risk(v, TemperConfig(t))
+            risk = bayes_risk(v, 1 - v, TemperConfig(t))
             assert np.all(np.isfinite(risk)) and np.all(risk >= 0)
 
 
@@ -177,11 +214,11 @@ def test_array_risk_is_bitwise_the_plain_expression(t, size):
     v[rng.random(size) < 0.1] = 1.0
     v[rng.random(size) < 0.05] = 1e-300
     kept = v.copy()
-    got = bayes_risk(v, TemperConfig(t))
+    got = bayes_risk(v, 1 - v, TemperConfig(t))
     assert np.array_equal(got, reference_bayes_risk(kept, t))
     assert not np.signbit(got).any()
     assert np.array_equal(v, kept)  # the input is never written to
-    assert bayes_risk(float(v[0]), TemperConfig(t)) == got[0]
+    assert bayes_risk(float(v[0]), 1 - float(v[0]), TemperConfig(t)) == got[0]
 
 
 class TestProperness:
@@ -227,7 +264,7 @@ class TestCoverage:
             u = float(rng.uniform(0.05, 0.95))
             target = float(rng.uniform(2 * min(u, 1 - u) + 1e-6, 1.0 - 1e-6))
             t = bayes_risk_coverage(u, target)
-            assert bayes_risk(u, TemperConfig(t)) == pytest.approx(target, abs=1e-8)
+            assert bayes_risk(u, 1 - u, TemperConfig(t)) == pytest.approx(target, abs=1e-8)
 
     def test_rejects_unattainable_targets(self):
         with pytest.raises(ValueError):

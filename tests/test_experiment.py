@@ -27,15 +27,15 @@ from tempboost.tree import DecisionTree
 # sha256 of trace.csv for the grids below.  Every tree, weight update and
 # prediction feeds it, so a change that alters results has to change this
 # pin and say why.
-SMOKE_TRACE_SHA256 = "932a3465a59948c2fb34f3322a3f861eb6da5c7e3f9204e6ae536d5e6ed58af0"
+SMOKE_TRACE_SHA256 = "37ac6efe41d90f29a7aab90bb7b0936d6ae263ffea1a91811c523c1d11d356f7"
 CATEGORICAL_TRACE_SHA256 = "a5342dfec5e70043b061d20f5b04736bb5699c3d185288dd9ee0adfb820a68ce"
 # sha256 of the other outputs of the same grids: the summary and the plot data.
 SMOKE_OUTPUT_SHA256 = {
-    "summary.csv": "f17c43d09cbfbe76b27814a68b2093d593ce9c5b5cea6555bcb02040f0943743",
-    "plot_test_err_unclamped.csv": "c72af0bdeab297d6157a99a8e69e341a5168cad2607accf14133a91fe8f5fc69",
+    "summary.csv": "630018203e7f7bf2573c88e417c71f2ff5ddf4a7b9722abe9bd0f2c443dbc1fe",
+    "plot_test_err_unclamped.csv": "fbd50681deb6b0dd8541ff3988dd58615023c064e0236ecc5532ff6ea765cc39",
     "plot_test_err_clamped.csv": "4e12a909191698a24b0d542e210756363b62e7c00d0357a5a3567d765c7f71b2",
-    "plot_min_codensity.csv": "ec9534716e60bd8f28341b35a12459e6400f0e770a0953f4c7185024cf253b34",
-    "plot_max_codensity.csv": "92ac95c5ee2a00a738db30c0f363aa1aaba4b25dd3c8d40a915175785603289a",
+    "plot_min_codensity.csv": "d0f181f0fcb8d03941ce73f6c4f82bbc7ebff177817db9870ea87e6464fa9f54",
+    "plot_max_codensity.csv": "ddaf5773e973cc6b7d1e0619a017f8fdbe1b38a1f43f12e2a9e78e3364e33772",
 }
 CATEGORICAL_OUTPUT_SHA256 = {
     "summary.csv": "98047f1e5010940a48b38a5051decc0d1c88afc81c0849e1d87cde05ad856128",

@@ -252,15 +252,35 @@ class TestInduceTree:
         labels = np.array([1, 1, 1, -1, 1, -1, -1, -1], dtype=np.int64)
         numeric = Column("x", NUMERIC, x)
         # level "a" is the x < 0.5 side: both columns sum the same two runs
-        # of the presorted block, and "b" ranks first, so the prefix is the
-        # threshold's true side and both gains subtract the same terms in
-        # the same order: they tie bitwise
+        # of the presorted block, so whichever level ranks first, both gains
+        # add the same two side terms: they tie bitwise
         mirror = Column("x_cat", CATEGORICAL, np.where(x > 0, "b", "a"))
-        uneven = [np.random.default_rng(seed).uniform(0.2, 2.0, x.size) for seed in range(10)]
+        uneven = [np.random.default_rng(seed).uniform(0.2, 2.0, x.size) for seed in range(300)]
         for w in (np.ones(x.size), *uneven):
-            for columns in ((numeric, mirror), (mirror, numeric)):
-                tree = induce_tree(Dataset(columns, labels), w / w.sum(), 3, TemperConfig(t))
-                assert tree.root.predicate.feature == 0
+            for y in (labels, -labels):
+                for columns in ((numeric, mirror), (mirror, numeric)):
+                    tree = induce_tree(Dataset(columns, y), w / w.sum(), 3, TemperConfig(t))
+                    assert tree.root.predicate.feature == 0
+
+    @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
+    def test_a_column_and_its_reverse_tie_to_the_lower_feature(self, t):
+        # -x holds x's runs in reverse order: each cut of x is a cut of -x
+        # with prefix and suffix swapped, and each side summed in the same
+        # order, so the two gains tie bitwise
+        split = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 6, size=24).astype(float)
+            labels = np.where(rng.random(24) < 0.3 + 0.08 * x, 1, -1).astype(np.int64)
+            labels[:2] = 1, -1
+            w = rng.uniform(0.2, 2.0, size=24)
+            for columns in ((x, -x), (-x, x)):
+                named = tuple(Column(f"x{k}", NUMERIC, v) for k, v in enumerate(columns))
+                root = induce_tree(Dataset(named, labels), w / w.sum(), 3, TemperConfig(t)).root
+                if not isinstance(root, LeafNode):
+                    split += 1
+                    assert root.predicate.feature == 0
+        assert split > 500
 
     def test_heaviest_leaf_grown_first(self):
         data, w = weighted_mixed_dataset(m=40, seed=6)
@@ -287,12 +307,7 @@ class TestInduceTree:
             risks = []
             for budget in (1, 3, 5, 7, 9):
                 tree = induce_tree(data, w, budget, cfg)
-                risks.append(
-                    sum(
-                        leaf.stats.r * bayes_risk(leaf.stats.p, cfg)
-                        for leaf in tree.leaves()
-                    )
-                )
+                risks.append(sum(bayes_risk(*leaf.stats, cfg) for leaf in tree.leaves()))
             assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
     def test_leaf_masses_partition_unit(self):
@@ -392,9 +407,9 @@ class TestInduceTree:
         sizes = []
         real_risk = tree_module.bayes_risk
 
-        def recording_risk(p, cfg):
-            sizes.append(np.size(p))
-            return real_risk(p, cfg)
+        def recording_risk(pos, neg, cfg):
+            sizes.append(np.size(pos))
+            return real_risk(pos, neg, cfg)
 
         monkeypatch.setattr(tree_module, "bayes_risk", recording_risk)
         w = np.full(m, 1.0 / m)
@@ -523,9 +538,9 @@ class TestScoringBlock:
             searched.append(rows.size)
             return real_split(data, rows, *args)
 
-        def counting_risk(v, cfg):
-            scored.append(np.size(v))
-            return real_risk(v, cfg)
+        def counting_risk(pos, neg, cfg):
+            scored.append(np.size(pos))
+            return real_risk(pos, neg, cfg)
 
         monkeypatch.setattr(tree_module, "_best_split", counting_split)
         monkeypatch.setattr(tree_module, "bayes_risk", counting_risk)
