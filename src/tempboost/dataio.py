@@ -146,8 +146,8 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     """Load a CSV with feature-type inference and +/-1 label mapping.
 
     ``label_column`` is a header name or "last".  Raises ValueError on
-    missing cells, non-binary labels, constant categorical columns, or a
-    malformed file.
+    missing cells, non-binary labels, or a malformed file.  A constant
+    column, numeric or categorical, loads as a column without a cut.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -196,10 +196,7 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         if parsed[j] is not None:
             columns.append(Column(name, NUMERIC, parsed[j]))
         else:
-            cells = stripped[j]
-            if len(set(cells)) < 2:
-                raise ValueError(f"categorical column {name!r} is constant")
-            columns.append(Column(name, CATEGORICAL, np.array(cells, dtype=str)))
+            columns.append(Column(name, CATEGORICAL, np.array(stripped[j], dtype=str)))
     return Dataset(tuple(columns), labels, header[label_idx])
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from tempboost.dataio import CATEGORICAL, NUMERIC, load_csv, save_csv, stratified_folds
 from tempboost.synthetic import make_mixed_table
+from tempboost.talgebra import TemperConfig
+from tempboost.tree import induce_tree
 
 
 def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
@@ -136,7 +138,13 @@ def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
         load_csv(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
 
 
-def test_constant_categorical_column_is_rejected(tmp_path):
-    rows = [["red", str(i), "ab"[i % 2]] for i in range(4)]
-    with pytest.raises(ValueError, match="categorical column 'c' is constant"):
-        load_csv(write_csv(tmp_path / "x.csv", ["c", "x", "y"], rows))
+def test_constant_categorical_column_loads_as_a_column_without_a_cut(tmp_path):
+    # as a constant numeric column does; a fold's rows can make any column constant
+    rows = [["red", "2.0", str(i), "ab"[i % 2]] for i in range(4)]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["c", "k", "x", "y"], rows))
+    assert [(c.name, c.kind) for c in data.columns] == [
+        ("c", CATEGORICAL), ("k", NUMERIC), ("x", NUMERIC)
+    ]
+    assert data.category_codes[0][0].tolist() == ["red"]
+    tree = induce_tree(data, np.full(4, 0.25), 3, TemperConfig(0.5))
+    assert tree.root.predicate.feature == 2  # the only column with a cut

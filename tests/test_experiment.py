@@ -303,6 +303,24 @@ def test_a_typed_failure_fails_only_its_cells(tmp_path, monkeypatch):
     assert {row.t for row in result.rows} == {1.0}
 
 
+def test_a_run_whose_every_cell_fails_still_writes_every_output(tmp_path, capsys):
+    # one constant column: no tree splits, so every cell's first hypothesis is degenerate
+    path = tmp_path / "constant.csv"
+    path.write_text("x,y\n" + "".join(f"1.0,{(-1) ** i}\n" for i in range(20)))
+    out = tmp_path / "out"
+    argv = ["--data", str(path), "--folds", "2", "--t", "0.5,1.0", "--iters", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "4 cell(s) failed" in capsys.readouterr().err
+    assert (out / "trace.csv").read_text().splitlines() == [",".join(experiment.TRACE_FIELDS)]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in summary[1:]] == [["0.5", "0"], ["1.0", "0"]]
+    for panel in experiment.PLOT_PANELS:
+        assert (out / f"plot_{panel}.csv").read_text().splitlines() == ["t,j,mean"]
+    cells = json.loads((out / "manifest.json").read_text())["cells"]
+    assert len(cells) == 4 and all(cell["status"] == "failed" for cell in cells)
+    assert all(cell["error"].startswith("DegenerateHypothesisError") for cell in cells)
+
+
 def test_manifest_records_the_environment_and_rebuilds_the_spec(tmp_path):
     result, _ = run_grid(tmp_path, make_wideband(seed=11), t_values=(1.0,), rounds=1, folds=2)
     path = result.out_dir / "manifest.json"
