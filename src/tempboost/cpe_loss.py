@@ -92,14 +92,12 @@ def pointwise_risk(u, v, cfg: TemperConfig):
 def bayes_risk(pos, neg, cfg: TemperConfig):
     """Bayes risk 2 pos neg / M_(1-t)(pos, neg) of the class masses pos and neg.
 
-    That is r L_t(pos / r) for r = pos + neg, and ``bayes_risk(v, 1 - v,
-    cfg)`` is L_t(v): Gini 4 pos neg / r at t=0, Matusita 2 sqrt(pos neg)
-    at t=1, twice the smaller mass at t=-inf; zero whenever either mass is
-    zero.  Concave, which is what makes top-down tree-splitting gains
-    nonnegative.  Accurate while the product 2 pos neg is a normal double;
-    a negative or nan mass raises ``ValueError``.  Floats or arrays,
-    broadcast together, computed in place in a few temporaries; neither
-    input is written to.
+    r L_t(pos / r) for r = pos + neg (see the module notes): 4 pos neg / r
+    at t=0, 2 sqrt(pos neg) at t=1, 2 min(pos, neg) at t=-inf, and zero
+    whenever either mass is zero.  Concave, which makes tree-splitting
+    gains nonnegative.  Accurate while 2 pos neg is a normal double; a
+    negative or nan mass raises ``ValueError``.  Floats or arrays,
+    broadcast together; neither input is written to.
     """
     pos, neg = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(neg, dtype=float))
     scalar, shape = pos.ndim == 0, pos.shape

@@ -20,8 +20,11 @@ from tempboost.experiment import RunSpec, run
 EXTREMES = np.array([1e308, -1e308, 5e-324, 0.0, -0.0, 1.0])
 TEMPERATURES = (0.0, 0.3, 0.9, 1 - 1e-7, 1.0, 1 + 1e-7, 1.1, 1.5, 1.9)
 KINDS = ("normal", "few", "constant", "extreme", "categorical")
-TYPED = {cls.__name__ for cls in vars(errors).values()
-         if isinstance(cls, type) and issubclass(cls, errors.TempBoostError)}
+TYPED = {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.TempBoostError)
+}
 
 
 def random_column(kind, m, levels, rng, name):
