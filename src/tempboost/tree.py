@@ -44,13 +44,16 @@ unless no cut is admissible.  Inadmissible cuts are masked to gain -inf
 rather than filtered out.  A gain subtracts the sum of its side terms,
 which IEEE addition makes independent of which side is which, so a cut
 and its mirror (as on a column's exact reverse) tie bitwise.
+
+A tree has one node type, ``Node``, split in place; ``Node.route`` sends
+rows down a split both while the tree grows and when it predicts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,11 +87,8 @@ class CategoricalSplit:
         return np.isin(levels, self.subset)[codes[rows]]
 
 
-SplitPredicate = Union[NumericSplit, CategoricalSplit]
-
-
 class LeafStats(NamedTuple):
-    """Weighted class masses at a leaf (masses, not counts)."""
+    """Weighted class masses at a node (masses, not counts)."""
 
     m_pos: float
     m_neg: float
@@ -102,30 +102,29 @@ class LeafStats(NamedTuple):
         return self.m_pos / (self.m_pos + self.m_neg)
 
 
-class LeafNode:
-    __slots__ = ("stats", "prediction", "rows")
+class Node:
+    """A leaf while ``predicate`` is None.  A split, made in place, keeps the
+    leaf's stats and prediction and adds children, the false branch left."""
 
-    def __init__(self, stats: LeafStats, prediction: float, rows=None):
+    __slots__ = ("stats", "prediction", "predicate", "left", "right")
+
+    def __init__(self, stats: LeafStats, prediction: float):
         self.stats = stats
         self.prediction = prediction
-        self.rows = rows
+        self.predicate = None
+        self.left = self.right = None
 
-
-class SplitNode:
-    __slots__ = ("predicate", "left", "right")
-
-    def __init__(self, predicate: SplitPredicate, left, right):
-        self.predicate = predicate
-        self.left = left
-        self.right = right
+    def route(self, data: Dataset, rows: np.ndarray):
+        """``rows`` of ``data`` split by the predicate: (false rows, true rows)."""
+        test = self.predicate.evaluate(data, rows)
+        return rows.compress(~test), rows.compress(test)
 
 
 @dataclass
 class DecisionTree:
     """Binary tree; the false branch of each predicate goes left."""
 
-    root: object
-    cfg: TemperConfig
+    root: Node
     n_nodes: int
 
     def predict(self, data: Dataset) -> np.ndarray:
@@ -134,12 +133,12 @@ class DecisionTree:
         stack = [(self.root, np.arange(data.m))]
         while stack:
             node, rows = stack.pop()
-            if isinstance(node, LeafNode):
+            if node.predicate is None:
                 out[rows] = node.prediction
             else:
-                test = node.predicate.evaluate(data, rows)
-                stack.append((node.left, rows.compress(~test)))
-                stack.append((node.right, rows.compress(test)))
+                false_rows, true_rows = node.route(data, rows)
+                stack.append((node.left, false_rows))
+                stack.append((node.right, true_rows))
         return out
 
     def leaves(self) -> list:
@@ -147,7 +146,7 @@ class DecisionTree:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if isinstance(node, LeafNode):
+            if node.predicate is None:
                 found.append(node)
             else:
                 stack.extend((node.right, node.left))
@@ -269,8 +268,10 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     among equal-gain splits break to the lowest feature index, then the
     lowest threshold or the shortest prefix.  A categorical split sends the
     prefix (stored sorted) to the true branch and every other level, seen
-    in the leaf or not, to the false one.  Growth stops at the node budget
-    or when no live leaf remains.  The tree depends only on the arguments.
+    in the leaf or not, to the false one.  A split is made in place, and
+    ``Node.route`` divides the leaf's rows between its new children.  Growth
+    stops at the node budget or when no live leaf remains.  The tree
+    depends only on the arguments.
     """
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")
@@ -288,36 +289,27 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
 
     def make_leaf(rows):
         stats = LeafStats(float(wpos[rows].sum()), float(wneg[rows].sum()))
-        return LeafNode(stats, leaf_prediction(stats.p, q1, cfg), rows)
+        return Node(stats, leaf_prediction(stats.p, q1, cfg))
 
-    root = make_leaf(np.arange(data.m))
+    rows = np.arange(data.m)
+    root = make_leaf(rows)
     n_nodes = 1
-    live = [(root, None, None)]  # (leaf, parent, side)
+    live = [(root, rows)]  # (leaf, its training rows)
 
     while n_nodes + 2 <= max_nodes and live:
         heaviest = max(range(len(live)), key=lambda i: live[i][0].stats.r)
-        leaf, parent, side = live.pop(heaviest)
-        predicate = _best_split(data, leaf.rows, wpos, wneg, cfg, leaf.stats)
+        node, rows = live.pop(heaviest)
+        predicate = _best_split(data, rows, wpos, wneg, cfg, node.stats)
         if predicate is None:
             continue  # retired: no admissible split on this leaf
-        test = predicate.evaluate(data, leaf.rows)
-        left = make_leaf(leaf.rows.compress(~test))
-        right = make_leaf(leaf.rows.compress(test))
-        node = SplitNode(predicate, left, right)
-        if parent is None:
-            root = node
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
-        live.append((left, node, "left"))
-        live.append((right, node, "right"))
+        node.predicate = predicate
+        false_rows, true_rows = node.route(data, rows)
+        node.left, node.right = make_leaf(false_rows), make_leaf(true_rows)
+        live.append((node.left, false_rows))
+        live.append((node.right, true_rows))
         n_nodes += 2
 
-    tree = DecisionTree(root, cfg, n_nodes)
-    for leaf in tree.leaves():
-        leaf.rows = None  # drop build-time row indices
-    return tree
+    return DecisionTree(root, n_nodes)
 
 
 class TreeWeakLearner:

@@ -19,7 +19,7 @@ import numpy as np
 
 from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import NUMERIC
-from tempboost.tree import CategoricalSplit, DecisionTree, SplitNode
+from tempboost.tree import CategoricalSplit, DecisionTree
 from tempboost.weights import co_density
 
 # ---------------------------------------------------------------------------
@@ -40,14 +40,19 @@ def evaluate_row(predicate, row) -> bool:
     return float(row[predicate.feature]) >= predicate.threshold
 
 
+def leaf_of(tree, row):
+    """The leaf of a DecisionTree that one row's root-to-leaf path ends at."""
+    node = tree.root
+    while node.predicate is not None:
+        node = node.right if evaluate_row(node.predicate, row) else node.left
+    return node
+
+
 def predict_row(hypothesis, row) -> float:
     """One row's prediction: a DecisionTree walks its root-to-leaf path."""
     if not isinstance(hypothesis, DecisionTree):
         return hypothesis.predict_row(row)
-    node = hypothesis.root
-    while isinstance(node, SplitNode):
-        node = node.right if evaluate_row(node.predicate, row) else node.left
-    return node.prediction
+    return leaf_of(hypothesis, row).prediction
 
 
 def clamped_sum(values, delta: float, mode: str = "double") -> float:
@@ -528,10 +533,8 @@ def naive_tree(data, weights, max_nodes: int, t: float, max_bins=None):
 
 def describe_tree(tree):
     """Canonical nested description of a library DecisionTree."""
-    from tempboost.tree import LeafNode
-
     def walk(node):
-        if isinstance(node, LeafNode):
+        if node.predicate is None:
             return ("leaf", round(node.stats.p, 10), round(node.stats.r, 10))
         predicate = node.predicate
         key = getattr(predicate, "threshold", None)

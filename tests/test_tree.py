@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, naive_tree, predict_row, split_gain
+from oracles import describe_tree, leaf_of, naive_tree, predict_row, split_gain
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
@@ -15,7 +15,6 @@ from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, exp_t, log_t
 from tempboost.tree import (
     CategoricalSplit,
-    LeafNode,
     LeafStats,
     NumericSplit,
     TreeWeakLearner,
@@ -75,7 +74,7 @@ def tied_dataset(m=64, seed=21):
 
 
 def split_features(node):
-    if isinstance(node, LeafNode):
+    if node.predicate is None:
         return []
     return [node.predicate.feature] + split_features(node.left) + split_features(node.right)
 
@@ -277,7 +276,7 @@ class TestInduceTree:
             for columns in ((x, -x), (-x, x)):
                 named = tuple(Column(f"x{k}", NUMERIC, v) for k, v in enumerate(columns))
                 root = induce_tree(Dataset(named, labels), w / w.sum(), 3, TemperConfig(t)).root
-                if not isinstance(root, LeafNode):
+                if root.predicate is not None:
                     split += 1
                     assert root.predicate.feature == 0
         assert split > 500
@@ -290,15 +289,13 @@ class TestInduceTree:
         # the 5-node tree refines the heavier child of the 3-node tree
         left3, right3 = tree3.root.left, tree3.root.right
         heavier = left3 if left3.stats.r >= right3.stats.r else right3
-        from tempboost.tree import SplitNode
-
         child5 = (
             tree5.root.left
             if heavier is left3 or left3.stats.r >= right3.stats.r
             else tree5.root.right
         )
         refined = tree5.root.left if left3.stats.r >= right3.stats.r else tree5.root.right
-        assert isinstance(refined, SplitNode)
+        assert refined.predicate is not None
 
     def test_expected_risk_nonincreasing_with_budget(self):
         data, w = weighted_mixed_dataset(m=60, seed=9)
@@ -318,6 +315,20 @@ class TestInduceTree:
         for leaf in tree.leaves():
             assert 0.0 < leaf.stats.p < 1.0
             assert math.isfinite(leaf.prediction)
+        # growth against prediction: a leaf's masses are, bitwise, those of
+        # the training rows the row-wise walk sends to it
+        pos = np.where(data.labels > 0, w, 0.0)
+        neg = np.where(data.labels < 0, w, 0.0)
+        reached = {}
+        for i in range(data.m):
+            reached.setdefault(id(leaf_of(tree, data.row(i))), []).append(i)
+        assert set(reached) == {id(leaf) for leaf in tree.leaves()}
+        for leaf in tree.leaves():
+            rows = np.array(reached[id(leaf)])
+            assert leaf.stats == (float(pos[rows].sum()), float(neg[rows].sum()))
+        # a split keeps the masses it had as a leaf: the root holds the totals
+        assert tree.root.predicate is not None
+        assert tree.root.stats == (float(pos.sum()), float(neg.sum()))
 
     def test_uniform_weights_reduce_to_counts(self):
         data, _ = weighted_mixed_dataset(m=30, seed=12)
@@ -503,7 +514,7 @@ def oriented_like_naive(tree, data):
     the leaf's first level, as ``naive_tree`` keys it, children to match."""
 
     def walk(node, rows):
-        if isinstance(node, LeafNode):
+        if node.predicate is None:
             return ("leaf", round(node.stats.p, 10), round(node.stats.r, 10))
         predicate = node.predicate
         test = predicate.evaluate(data, rows)
@@ -656,7 +667,7 @@ class TestCategoricalSplits:
         stack = [tree.root]
         while stack:
             node = stack.pop()
-            if not isinstance(node, LeafNode):
+            if node.predicate is not None:
                 assert "v2" not in node.predicate.subset
                 stack.extend((node.left, node.right))
 
