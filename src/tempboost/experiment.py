@@ -95,7 +95,6 @@ class TraceRow:
     alpha: float
     z: float
     m_dagger: int
-    infinite_weights: int = 0  # overflow raises, so always 0; kept as a trace column
 
 
 TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
@@ -108,7 +107,6 @@ class CellStatus:
     status: str = "ok"
     error: str = ""
     noise_flips: int = 0
-    infinite_weights: int = 0
 
 
 @dataclass
@@ -157,8 +155,6 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
     except TempBoostError as exc:  # anything else is a programming error: it propagates
         status.status = "failed"
         status.error = f"{type(exc).__name__}: {exc}"
-        if hasattr(exc, "count"):
-            status.infinite_weights = exc.count
     return rows, status
 
 

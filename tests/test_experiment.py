@@ -27,8 +27,8 @@ from tempboost.tree import DecisionTree
 # sha256 of trace.csv for the grids below.  Every tree, weight update and
 # prediction feeds it, so a change that alters results has to change this
 # pin and say why.
-SMOKE_TRACE_SHA256 = "37ac6efe41d90f29a7aab90bb7b0936d6ae263ffea1a91811c523c1d11d356f7"
-CATEGORICAL_TRACE_SHA256 = "a5342dfec5e70043b061d20f5b04736bb5699c3d185288dd9ee0adfb820a68ce"
+SMOKE_TRACE_SHA256 = "540a316cf1236adb1680f0e38c7b7e8807d2d00d3c4855b1896aaabdea8e1056"
+CATEGORICAL_TRACE_SHA256 = "8e86c0fb45e4b966239531f311a4c9e3b2f1b874c30ccab9a96a8447cd8d9c30"
 # sha256 of the other outputs of the same grids: the summary and the plot data.
 SMOKE_OUTPUT_SHA256 = {
     "summary.csv": "630018203e7f7bf2573c88e417c71f2ff5ddf4a7b9722abe9bd0f2c443dbc1fe",
