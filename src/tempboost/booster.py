@@ -35,7 +35,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import BoundViolatedError, DegenerateHypothesisError, EdgeSaturatedError
 from .errors import SingleClassError, ZeroWeightError
-from .talgebra import TemperConfig, exp_t, log_t, power_mean
+from .talgebra import CLASSIC_TOLERANCE, TemperConfig, exp_t, log_t, power_mean
 from .weights import TemWeights, co_density, tempered_update, uniform_init
 
 RHO_CAP = 1e-12
@@ -67,9 +67,7 @@ class IterationRecord:
 @dataclass(frozen=True)
 class EnsembleMember:
     hypothesis: object
-    mu: float
     alpha: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def confidence_bounds(weights: TemWeights, u):
     dagger = weights.dagger_indices()
     if dagger.size == 0:
         return r_max, 0.0
-    if t >= 1.0 - 1e-9:
+    if t >= 1.0 - CLASSIC_TOLERANCE:
         raise ZeroWeightError("switched-off weights are undefined for t >= 1")
     top = float(np.max(np.abs(u[dagger])))
     return r_max, (top / r_max) ** (1.0 / (1.0 - t))
@@ -271,7 +269,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         p = co_density(weights)
         fold.add(alpha * h)
         train_err, train_err_clamped = fold.errors(labels)
-        member = EnsembleMember(hypothesis, mu, alpha, z)
+        member = EnsembleMember(hypothesis, alpha)
         record = IterationRecord(
             rho=rho,
             r_max=r_max,

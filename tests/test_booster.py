@@ -436,9 +436,7 @@ class TestPrediction:
             def predict_row(self, row):
                 return self.c
 
-        members = tuple(
-            EnsembleMember(RowHypothesis(c), 1.0, 1.0, 1.0) for c in contributions
-        )
+        members = tuple(EnsembleMember(RowHypothesis(c), 1.0) for c in contributions)
         return Ensemble(members, TemperConfig(t))
 
     def test_single_member_clamp_base_case(self):
