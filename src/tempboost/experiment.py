@@ -68,6 +68,8 @@ class RunSpec:
         object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
         if not self.t_values or any(not 0.0 <= t < 2.0 for t in self.t_values):
             raise ValueError("temperatures must lie in [0, 2)")
+        if len(set(self.t_values)) < len(self.t_values):  # -0.0 == 0.0 repeats too
+            raise ValueError(f"t_values repeats a temperature: {self.t_values}")
         if self.rounds < 1:
             raise ValueError("need at least one boosting round")
         if self.folds < 2:

@@ -152,8 +152,17 @@ def test_each_tree_predicts_train_and_test_once(tmp_path, monkeypatch):
     assert calls["predict"] == 2 * calls["trees"]
 
 
-@pytest.mark.parametrize("field, value", [("tree_nodes", 4), ("tree_nodes", 0), ("tree_nodes", -1)])
-def test_run_spec_rejects_bad_tree_settings(field, value):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tree_nodes", 4),
+        ("tree_nodes", 0),
+        ("tree_nodes", -1),
+        ("t_values", (0.5, 0.5)),
+        ("t_values", (0.0, -0.0)),
+    ],
+)
+def test_run_spec_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
         RunSpec(data_path="data.csv", **{field: value})
 
