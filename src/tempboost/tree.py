@@ -122,7 +122,7 @@ class Node:
 
 @dataclass
 class DecisionTree:
-    """Binary tree; the false branch of each predicate goes left."""
+    """Binary tree of ``Node``s; ``predict`` routes rows with ``Node.route``, as growth did."""
 
     root: Node
     n_nodes: int
