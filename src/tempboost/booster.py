@@ -141,7 +141,7 @@ def confidence_bounds(weights: TemWeights, u):
     support = q > 0
     if not np.any(np.abs(u[support]) > 0):
         raise DegenerateHypothesisError("all supported margins are zero")
-    r_max = float(np.max(np.abs(u[support]) / q[support] ** (1.0 - t)))
+    r_max = float(np.max(np.abs(u[support]) / weights.q_om[support]))
     dagger = weights.dagger_indices()
     if dagger.size == 0:
         return r_max, 0.0

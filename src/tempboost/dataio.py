@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,39 @@ CATEGORICAL = "categorical"
 
 # Split candidates per numeric column: the cuts between its equal-count bins
 MAX_BINS = 256
+
+
+class RunLayout(NamedTuple):
+    """Where the runs of equal bin codes lie in a block of bins, row by row.
+
+    ``run_start`` marks each run's first entry and ``first`` holds those
+    entries' flat indices; ``runs`` counts each row's runs.  Summed run by
+    run, a row's masses go to ``slot``, row * ``width`` plus the run's rank
+    in the row, in a block of ``len(runs)`` x ``width`` whose padding stays
+    zero.  ``first`` and ``slot`` are None when every entry is a run of its
+    own, as on small leaves of distinct values: the sums are then the block.
+    """
+
+    run_start: np.ndarray
+    runs: np.ndarray
+    first: np.ndarray | None
+    slot: np.ndarray | None
+    width: int
+
+
+def run_layout(bins: np.ndarray) -> RunLayout:
+    """The ``RunLayout`` of a 2-d block of bin codes."""
+    run_start = np.ones(bins.shape, dtype=bool)
+    np.not_equal(bins[:, 1:], bins[:, :-1], out=run_start[:, 1:])
+    n_rows, width = bins.shape
+    if run_start.all():  # skipping the index arithmetic is faster
+        return RunLayout(run_start, np.full(n_rows, width), None, None, width)
+    first = np.flatnonzero(run_start)
+    runs = run_start.sum(axis=1)
+    width = int(runs.max(initial=0))
+    offset = np.arange(runs.size) * width - (np.cumsum(runs) - runs)
+    slot = np.arange(first.size) + np.repeat(offset, runs)
+    return RunLayout(run_start, runs, first, slot, width)
 
 
 @dataclass(frozen=True)
@@ -41,7 +75,14 @@ class Column:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature columns plus -1/+1 labels."""
+    """Immutable feature columns plus -1/+1 labels.
+
+    The tables that tree growth reads are built on first use and cached:
+    ``category_codes``, ``column_block`` and its ``root_runs`` read only the
+    columns, ``positive`` only the labels.  ``take`` returns a Dataset that
+    builds all of them anew; ``with_labels`` keeps the column tables and
+    builds ``positive`` for its own labels.
+    """
 
     columns: tuple
     labels: np.ndarray
@@ -79,7 +120,7 @@ class Dataset:
     def with_labels(self, labels) -> "Dataset":
         """Same columns, new labels; the column tables built so far are kept."""
         relabelled = Dataset(self.columns, labels, self.label_name)
-        kept = ("column_block", "category_codes")  # neither reads labels
+        kept = ("column_block", "root_runs", "category_codes")  # none reads labels
         relabelled.__dict__.update({k: v for k, v in self.__dict__.items() if k in kept})
         return relabelled
 
@@ -116,6 +157,25 @@ class Dataset:
         exact = categorical | (rank[:, -1] < MAX_BINS)
         bins = np.where(exact[:, np.newaxis], rank, first * MAX_BINS // self.m)
         return orders, bins.astype(np.min_scalar_type(bins.max(initial=0)))
+
+    @cached_property
+    def root_runs(self) -> RunLayout:
+        """The ``run_layout`` of ``column_block``'s bins, which every root
+        split of a tree grown on this Dataset reads; shared like the block."""
+        return run_layout(self.column_block[1])
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """1.0 on the rows labelled +1 and 0.0 on the others, read-only.
+
+        Weights times this indicator are bitwise the weights of the +1 rows
+        with zeros elsewhere, and the weights minus that product those of
+        the -1 rows, for finite weights that are positive or +0.0.  Built
+        for each Dataset's own labels, never shared by ``with_labels``.
+        """
+        positive = (self.labels > 0).astype(float)
+        positive.setflags(write=False)
+        return positive
 
     @cached_property
     def category_codes(self) -> dict:
@@ -217,7 +277,8 @@ def stratified_folds(data: Dataset, k: int, seed) -> list:
     """k disjoint test folds with per-class counts within 1 of proportional.
 
     Deterministic for a given seed: each class's indices are shuffled once
-    and dealt into k nearly equal chunks.  Returns [(train, test), ...].
+    and dealt into k nearly equal chunks.  Returns [(train, test), ...],
+    each an ascending int array; train is every row that test lacks.
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
@@ -235,11 +296,11 @@ def stratified_folds(data: Dataset, k: int, seed) -> list:
             test_folds[f].extend(perm[start : start + size].tolist())
             start += size
     out = []
-    all_idx = np.arange(data.m)
     for f in range(k):
         test = np.sort(np.array(test_folds[f], dtype=int))
-        train = np.setdiff1d(all_idx, test, assume_unique=False)
-        out.append((train, test))
+        in_train = np.ones(data.m, dtype=bool)
+        in_train[test] = False
+        out.append((np.flatnonzero(in_train), test))
     return out
 
 

@@ -25,17 +25,20 @@ XGBoost's approximate split finding, section 3.2); a categorical column
 is sorted by its level codes, one bin per level.  A leaf keeps its rows
 of the block, in order, and one call sums the class masses of each run of
 equal codes in every column, so a numeric and a categorical column with
-the same runs get bitwise equal run masses.  A numeric threshold is the
-midpoint of the leaf values a < b on either side of a cut between runs,
-taken as a/2 + b/2 so that it cannot overflow, or b itself when the
-midpoint rounds onto a: ``x >= threshold`` then routes exactly the rows
-the cut scored.  A categorical column's runs are its levels in the leaf;
-ranked by posterior, their k-1 prefixes are its candidates: for two
-classes and a concave impurity such as L_t, the best subset is one of
-them (Breiman et al., CART 1984, section 9.4).  The admissibility rule
-makes that scan exact only when every level in the leaf holds both
-classes; a single-class level can make the best admissible subset a
-non-prefix one, which the scan misses.
+the same runs get bitwise equal run masses.  Where the runs lie
+(``dataio.run_layout``) depends only on the rows, not the weights: a leaf
+below the root computes it, and the root reads ``Dataset.root_runs``,
+built once per Dataset for every tree, and so every boosting round, grown
+on it.  A numeric threshold is the midpoint of the leaf values a < b on
+either side of a cut between runs, taken as a/2 + b/2 so that it cannot
+overflow, or b itself when the midpoint rounds onto a: ``x >= threshold``
+then routes exactly the rows the cut scored.  A categorical column's runs
+are its levels in the leaf; ranked by posterior, their k-1 prefixes are
+its candidates: for two classes and a concave impurity such as L_t, the
+best subset is one of them (Breiman et al., CART 1984, section 9.4).  The
+admissibility rule makes that scan exact only when every level in the
+leaf holds both classes; a single-class level can make the best
+admissible subset a non-prefix one, which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
 column j's class masses on both sides of its cuts, from prefix and suffix
@@ -58,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cpe_loss import bayes_risk
-from .dataio import Dataset
+from .dataio import Dataset, run_layout
 from .errors import SingleClassError
 from .talgebra import TemperConfig
 from .weights import TemWeights, co_density
@@ -171,23 +174,19 @@ def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     return q1 ** (1.0 - t) / (1.0 - t) * (a - b) / (a + b)
 
 
-def _run_sums(run_start, *masses):
-    """Each block of ``masses`` summed over the runs that ``run_start`` marks.
+def _run_sums(layout, *masses):
+    """Each block of ``masses`` summed over the runs of ``layout``.
 
     Row f holds the sums of row f's runs, in order, then zero padding, which
     leaves the cuts next to it an empty side, so none is admissible.
     """
-    first = np.flatnonzero(run_start)
-    runs = run_start.sum(axis=1)
-    width = runs.max(initial=0)
-    # a run's slot in the flattened block: row * width plus its rank in the row
-    offset = np.arange(runs.size) * width - (np.cumsum(runs) - runs)
-    slot = np.arange(first.size) + np.repeat(offset, runs)
+    if layout.slot is None:  # every entry is a run: the sums are the blocks
+        return masses
     sums = []
     for mass in masses:
-        block = np.zeros(runs.size * width)
-        block[slot] = np.add.reduceat(mass.ravel(), first)
-        sums.append(block.reshape(runs.size, width))
+        block = np.zeros(layout.runs.size * layout.width)
+        block[layout.slot] = np.add.reduceat(mass.ravel(), layout.first)
+        sums.append(block.reshape(layout.runs.size, layout.width))
     return sums
 
 
@@ -209,15 +208,14 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
         keep = in_leaf[order].ravel()
         order = order.compress(keep).reshape(data.d, rows.size)
         bins = bins.compress(keep).reshape(data.d, rows.size)
-    run_start = np.ones(bins.shape, dtype=bool)
-    np.not_equal(bins[:, 1:], bins[:, :-1], out=run_start[:, 1:])
-    pos, neg = wpos[order], wneg[order]
-    if not run_start.all():  # else the sums are the block itself; skipping is faster
-        pos, neg = _run_sums(run_start, pos, neg)
+        layout = run_layout(bins)
+    else:  # the root's layout is the same in every tree grown on data
+        layout = data.root_runs
+    pos, neg = _run_sums(layout, wpos[order], wneg[order])
     codes = data.category_codes
     categorical = list(codes)
     if categorical:  # rank the levels by posterior, runs without mass and padding last
-        levels = run_start[categorical].sum(axis=1).max()
+        levels = layout.runs[categorical].max()
         level_pos, level_neg = pos[categorical, :levels], neg[categorical, :levels]
         mass = level_pos + level_neg
         posterior = np.divide(level_pos, mass, out=np.full_like(mass, 2.0), where=mass > 0)
@@ -246,7 +244,7 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     gains = terms[-1] - (terms[:cuts] + terms[cuts:-1])  # the sum commutes: mirrors tie
     best = int(np.where(admissible, gains, -np.inf).argmax())
     j, at = divmod(best, width - 1)  # block row j is column j
-    starts = np.flatnonzero(run_start[j])
+    starts = np.flatnonzero(layout.run_start[j])
     if j in codes:  # a run's level code is the bin at its start
         prefix = np.sort(bins[j, starts[ranked[categorical.index(j), : at + 1]]])
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
@@ -276,23 +274,25 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     if max_nodes < 1 or max_nodes % 2 == 0:
         raise ValueError("max_nodes must be odd: a root plus child pairs")
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (data.m,) or np.any(weights < 0):
+    if weights.shape != (data.m,) or not np.all(weights >= 0):  # NaN fails too
         raise ValueError("need one nonnegative weight per example")
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("weights must sum to 1 (a co-density)")
-    wpos = np.where(data.labels > 0, weights, 0.0)
-    wneg = np.where(data.labels < 0, weights, 0.0)
-    if wpos.sum() <= 0 or wneg.sum() <= 0:
+    # bitwise np.where(labels > 0, weights, 0.0) and its mirror: the weights are finite
+    wpos = weights * data.positive
+    wneg = weights - wpos
+    pos_total, neg_total = wpos.sum(), wneg.sum()
+    if pos_total <= 0 or neg_total <= 0:
         raise SingleClassError("training rows must carry weighted mass of both classes")
 
     q1 = data.m ** (-cfg.t_star)
 
-    def make_leaf(rows):
-        stats = LeafStats(float(wpos[rows].sum()), float(wneg[rows].sum()))
+    def make_leaf(m_pos, m_neg):
+        stats = LeafStats(float(m_pos), float(m_neg))
         return Node(stats, leaf_prediction(stats.p, q1, cfg))
 
     rows = np.arange(data.m)
-    root = make_leaf(rows)
+    root = make_leaf(pos_total, neg_total)  # bitwise wpos[rows].sum(), wneg[rows].sum()
     n_nodes = 1
     live = [(root, rows)]  # (leaf, its training rows)
 
@@ -304,7 +304,9 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
             continue  # retired: no admissible split on this leaf
         node.predicate = predicate
         false_rows, true_rows = node.route(data, rows)
-        node.left, node.right = make_leaf(false_rows), make_leaf(true_rows)
+        node.left, node.right = (
+            make_leaf(wpos[side].sum(), wneg[side].sum()) for side in (false_rows, true_rows)
+        )
         live.append((node.left, false_rows))
         live.append((node.right, true_rows))
         n_nodes += 2

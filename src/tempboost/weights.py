@@ -37,6 +37,10 @@ class TemWeights:
     Weights can hit exact zero through the clamp in the deformed exponential
     when t < 1 (an example "too well classified" switches off) and may later
     revive; ``dagger_indices`` lists the switched-off examples.
+
+    ``q_om`` is q^(1-t), read-only, computed once here for the round's
+    ``booster.confidence_bounds`` and the ``tempered_update`` that follows
+    it; a zero weight gives +inf at t > 1.
     """
 
     q: np.ndarray
@@ -56,10 +60,13 @@ class TemWeights:
             raise ValueError(
                 f"not on the co-simplex: |sum q^(2-t) - 1| = {residual:.3e}"
             )
-        q.setflags(write=False)
-        p.setflags(write=False)
+        with np.errstate(divide="ignore"):  # 0^(1-t) = inf for t > 1
+            q_om = q ** (1.0 - self.cfg.t)
+        for array in (q, p, q_om):
+            array.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_co_density", p)
+        object.__setattr__(self, "q_om", q_om)
 
     @property
     def m(self) -> int:
@@ -127,17 +134,18 @@ def _margins(u, m: int) -> np.ndarray:
     return u
 
 
-def _unnormalized(q: np.ndarray, u: np.ndarray, mu: float, cfg: TemperConfig):
+def _unnormalized(weights: TemWeights, u: np.ndarray, mu: float):
     """The update w = exp_t(log_t q - mu u) before normalization, and Z_t.
 
     Z_t is the (2-t)-norm of w.  Raises WeightOverflowError when a weight
     overflows (t = 1) or lands on the divergent branch of exp_t (t > 1),
     and AllZeroError when every weight is clamped to zero (t < 1).
     """
+    cfg = weights.cfg
     t = cfg.t
     if cfg.is_classic():
         with np.errstate(over="ignore"):
-            w = q * np.exp(-mu * u)
+            w = weights.q * np.exp(-mu * u)
         infinite = ~np.isfinite(w)
         if np.any(infinite):
             raise WeightOverflowError(int(infinite.sum()))
@@ -145,12 +153,11 @@ def _unnormalized(q: np.ndarray, u: np.ndarray, mu: float, cfg: TemperConfig):
     else:
         om, co = 1.0 - t, 2.0 - t
         # exp_t(log_t q - mu u) fused: [q^(1-t) - (1-t) mu u]_+^(1/(1-t))
-        with np.errstate(divide="ignore"):
-            bracket = q**om - om * mu * u
+        bracket = weights.q_om - om * mu * u
         nonpositive = bracket <= 0  # clamped to 0 for t < 1, divergent for t > 1
         if t > 1 and np.any(nonpositive):
             raise WeightOverflowError(int(nonpositive.sum()))
-        bracket = np.where(nonpositive, 0.0, bracket)
+        np.copyto(bracket, 0.0, where=nonpositive)
         w, w_pow = bracket ** (1.0 / om), bracket ** (co / om)
     total = w_pow.sum()
     if total == 0.0:
@@ -173,22 +180,23 @@ def tempered_update(weights: TemWeights, u, mu: float):
         raise ValueError("update coefficient must be finite")
     if cfg.t >= 1.0 - CLASSIC_TOLERANCE and weights.dagger_indices().size:
         raise ZeroWeightError("zero weights cannot revive for t >= 1")
-    w, z = _unnormalized(weights.q, u, mu, cfg)
+    w, z = _unnormalized(weights, u, mu)
     return TemWeights(w / z, cfg), float(z)
 
 
-def _constraint_value(q: np.ndarray, u: np.ndarray, mu: float, cfg: TemperConfig):
+def _constraint_value(weights: TemWeights, u: np.ndarray, mu: float):
     """q~(mu) . u for the normalized update; None when a weight diverges
     (t > 1) or every weight is clamped to zero (t < 1)."""
-    if cfg.is_classic():
+    if weights.cfg.is_classic():
         # the log-sum-exp shift keeps large |mu| from overflowing
+        q = weights.q
         support = q > 0
         logs = np.log(q[support]) - mu * u[support]
         logs -= logs.max()
         w = np.exp(logs)
         return float(np.dot(w, u[support]) / w.sum())
     try:
-        w, z = _unnormalized(q, u, mu, cfg)
+        w, z = _unnormalized(weights, u, mu)
     except (AllZeroError, WeightOverflowError):
         return None
     return float(np.dot(w, u) / z)
@@ -227,7 +235,7 @@ def solve_projection(weights: TemWeights, u):
         )
 
     def g(mu: float) -> float:
-        value = _constraint_value(q, u, mu, cfg)
+        value = _constraint_value(weights, u, mu)
         if value is None:
             # Divergent branch (t > 1): mass concentrates on components
             # whose margin opposes mu, so the constraint takes mu's

@@ -35,10 +35,16 @@ def test_category_codes_rebuild_each_categorical_column():
 
 def test_with_labels_keeps_the_column_tables():
     data = make_mixed_table(m=80, seed=3)
-    block, codes = data.column_block, data.category_codes
+    block, codes, runs, positive = (
+        data.column_block, data.category_codes, data.root_runs, data.positive
+    )
     flipped = data.with_labels(-data.labels)
     assert flipped.column_block is block and flipped.category_codes is codes
+    assert flipped.root_runs is runs
     assert np.array_equal(flipped.labels, -data.labels)
+    # the class indicator follows the labels: noisy labels train on their own split
+    assert positive.tolist() == (data.labels > 0).tolist()
+    assert flipped.positive.tolist() == (1.0 - positive).tolist()
     fresh = make_mixed_table(m=80, seed=3).with_labels(data.labels)
     assert "column_block" not in fresh.__dict__  # nothing built, nothing shared
     assert np.array_equal(fresh.column_block[1], block[1])
@@ -66,6 +72,9 @@ def test_stratified_folds_partition_rows_in_proportion(k):
     assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(data.m))
     for train, test in folds:
         assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(data.m))
+        assert np.all(np.diff(train) > 0)  # tree growth relies on ascending rows
+        reference = np.setdiff1d(np.arange(data.m), test)
+        assert train.dtype == reference.dtype and np.array_equal(train, reference)
         for cls in (-1, 1):
             share = np.sum(data.labels == cls) / k
             assert abs(np.sum(data.labels[test] == cls) - share) < 1

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import describe_tree, leaf_of, naive_tree, predict_row, split_gain
+from tempboost import dataio
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.cpe_loss import bayes_risk
-from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset
+from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset, run_layout
 from tempboost.errors import SingleClassError
 from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, exp_t, log_t
@@ -287,15 +288,18 @@ class TestInduceTree:
         tree3 = induce_tree(data, w, 3, cfg)
         tree5 = induce_tree(data, w, 5, cfg)
         # the 5-node tree refines the heavier child of the 3-node tree
+        assert tree5.root.predicate == tree3.root.predicate
         left3, right3 = tree3.root.left, tree3.root.right
-        heavier = left3 if left3.stats.r >= right3.stats.r else right3
-        child5 = (
-            tree5.root.left
-            if heavier is left3 or left3.stats.r >= right3.stats.r
-            else tree5.root.right
+        heavier_is_left = left3.stats.r >= right3.stats.r  # a tie goes to the older, left
+        heavier, lighter = (left3, right3) if heavier_is_left else (right3, left3)
+        child5, other5 = (
+            (tree5.root.left, tree5.root.right)
+            if heavier_is_left
+            else (tree5.root.right, tree5.root.left)
         )
-        refined = tree5.root.left if left3.stats.r >= right3.stats.r else tree5.root.right
-        assert refined.predicate is not None
+        assert child5.stats == heavier.stats and other5.stats == lighter.stats
+        assert child5.predicate is not None
+        assert other5.predicate is None
 
     def test_expected_risk_nonincreasing_with_budget(self):
         data, w = weighted_mixed_dataset(m=60, seed=9)
@@ -380,6 +384,20 @@ class TestInduceTree:
         with pytest.raises(ValueError):
             induce_tree(data, w, 4, TemperConfig(0.5))
 
+    @pytest.mark.parametrize(
+        "bad",
+        (
+            lambda w: w[:-1],  # one weight short
+            lambda w: np.where(np.arange(w.size) == 0, -w, w),  # a negative weight
+            lambda w: np.where(np.arange(w.size) == 0, np.nan, w),  # NaN passes w < 0
+            lambda w: 2 * w,  # sums to 2
+        ),
+    )
+    def test_malformed_weights_rejected(self, bad):
+        data, w = weighted_mixed_dataset()
+        with pytest.raises(ValueError):
+            induce_tree(data, bad(w), 3, TemperConfig(0.5))
+
     def test_deterministic_under_seed(self):
         data, w = weighted_mixed_dataset(m=60, seed=13)
         t1 = induce_tree(data, w, 9, TemperConfig(0.3))
@@ -441,15 +459,32 @@ class TestInduceTree:
             run_start = rng.random((n_rows, width)) < rng.uniform(0.05, 1.0)
             run_start[:, 0] = True
             mass = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.8)
-            (got,) = _run_sums(run_start, mass)
+            layout = run_layout(np.cumsum(run_start, axis=1))  # codes change at run starts
+            assert np.array_equal(layout.run_start, run_start)
+            (got,) = _run_sums(layout, mass)
             for f in range(n_rows):
                 edges = np.append(np.flatnonzero(run_start[f]), width)
                 want = [mass[f, a:b].sum() for a, b in zip(edges[:-1], edges[1:])]
                 np.testing.assert_allclose(got[f, : len(want)], want, rtol=1e-14, atol=0)
                 assert not got[f, len(want) :].any()  # padding stays exactly zero
-        single = np.ones((3, 7), dtype=bool)
+        single = run_layout(np.arange(21).reshape(3, 7))
         mass = rng.random((3, 7))
         assert np.array_equal(_run_sums(single, mass)[0], mass)  # one entry per run
+
+    def test_root_run_layout_is_built_once_per_dataset(self, monkeypatch):
+        data = make_mixed_table(m=120, seed=4)
+        built = []
+
+        def counting_layout(bins):
+            built.append(bins.shape[1])
+            return run_layout(bins)
+
+        monkeypatch.setattr(dataio, "run_layout", counting_layout)
+        monkeypatch.setattr(tree_module, "run_layout", counting_layout)
+        _, trace = boost(data, TreeWeakLearner(7), 6, TemperConfig(0.5))
+        assert len(trace) == 6
+        assert built.count(data.m) == 1  # the root's, cached on data
+        assert len(built) > 1 and all(size < data.m for size in built[1:])  # leaves below it
 
     @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
     def test_matches_binned_naive_reference_above_max_bins(self, t):

@@ -76,6 +76,18 @@ class TestTemWeights:
         w = uniform_init(3, TemperConfig(0.5))
         with pytest.raises(ValueError):
             w.q[0] = 2.0
+        with pytest.raises(ValueError):
+            w.q_om[0] = 2.0
+
+    @pytest.mark.parametrize("t", (0.0, 0.3, 0.5, 1.0, 1.1, 1.5))
+    def test_q_om_is_the_power_computed_once(self, t):
+        rng = np.random.default_rng(2306)
+        for strictly_positive in (True, False):  # zero weights at t = 1.5: inf, no warning
+            w = random_weights(rng, 50, t, strictly_positive)
+            with np.errstate(divide="ignore"):
+                want = w.q ** (1.0 - t)
+            assert w.q_om.tobytes() == want.tobytes()
+        assert w.q_om[w.dagger_indices()].tolist() == [0.0 if t < 1 else 1.0 if t == 1 else np.inf]
 
 
 class TestCoDensity:
