@@ -35,7 +35,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import BoundViolatedError, DegenerateHypothesisError, EdgeSaturatedError
 from .errors import SingleClassError, ZeroWeightError
-from .talgebra import CLASSIC_TOLERANCE, TemperConfig, exp_t, log_t, power_mean
+from .talgebra import TemperConfig, log_t, power_mean
 from .weights import TemWeights, co_density, tempered_update, uniform_init
 
 RHO_CAP = 1e-12
@@ -136,16 +136,16 @@ def confidence_bounds(weights: TemWeights, u):
     homogeneous to a weight; it is 0 when no weight is switched off.
     """
     t = weights.cfg.t
-    q = weights.q
     u = np.asarray(u, dtype=float)
-    support = q > 0
-    if not np.any(np.abs(u[support]) > 0):
+    support = weights.q > 0
+    magnitude = np.abs(u[support])
+    if not np.any(magnitude > 0):
         raise DegenerateHypothesisError("all supported margins are zero")
-    r_max = float(np.max(np.abs(u[support]) / weights.q_om[support]))
-    dagger = weights.dagger_indices()
+    r_max = float(np.max(magnitude / weights.q_om[support]))
+    dagger = weights.dagger
     if dagger.size == 0:
         return r_max, 0.0
-    if t >= 1.0 - CLASSIC_TOLERANCE:
+    if math.isinf(weights.cfg.clamp_delta):
         raise ZeroWeightError("switched-off weights are undefined for t >= 1")
     top = float(np.max(np.abs(u[dagger])))
     return r_max, (top / r_max) ** (1.0 / (1.0 - t))
@@ -162,7 +162,7 @@ def edge(weights: TemWeights, u, r_max: float, q_dagger: float) -> float:
     t = weights.cfg.t
     u = np.asarray(u, dtype=float)
     q_eff = np.array(weights.q)
-    dagger = weights.dagger_indices()
+    dagger = weights.dagger
     q_eff[dagger] = q_dagger
     scale = (1.0 + dagger.size * q_dagger ** (2.0 - t)) * r_max
     return float(np.clip(np.dot(q_eff, u) / scale, -1.0, 1.0))
@@ -215,17 +215,6 @@ def risk_bound(trace, cfg: TemperConfig) -> float:
     return bound
 
 
-def tempered_exp_loss(margins, cfg: TemperConfig) -> float:
-    """Mean of exp_t(-margin)^(2-t); upper-bounds the 0/1 risk for t <= 2.
-
-    At t=1 this is the exponential loss the classic AdaBoost minimizes.
-    """
-    margins = np.asarray(margins, dtype=float)
-    with np.errstate(over="ignore"):
-        values = exp_t(-margins, cfg) ** (2.0 - cfg.t)
-    return float(np.mean(values))
-
-
 def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=None):
     """Run the tempered boosting loop for ``rounds`` iterations.
 
@@ -257,7 +246,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         hypothesis = weak_learner(weights, data)
         h = np.asarray(hypothesis.predict(data), dtype=float)
         u = labels * h
-        m_dagger = weights.dagger_indices().size
+        m_dagger = weights.dagger.size
         r_max, q_dagger = confidence_bounds(weights, u)
         rho = edge(weights, u, r_max, q_dagger)
         try:

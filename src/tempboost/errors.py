@@ -5,16 +5,6 @@ class TempBoostError(Exception):
     """Base class for tempered-boosting specific failures."""
 
 
-class CollinearError(TempBoostError):
-    """Margin vector is collinear with the weight vector at t=0, where the
-    normalizer loses strict convexity and the projection is not unique."""
-
-
-class NoMixedSignsError(TempBoostError):
-    """Margins carry a single sign on the support, so the projection
-    objective has its minimum at infinity."""
-
-
 class AllZeroError(TempBoostError):
     """Every unnormalized weight clamped to zero; nothing to normalize."""
 

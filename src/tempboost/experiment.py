@@ -271,11 +271,14 @@ def _two_sided_p(statistic: float, df: int) -> float:
     return 1.0 - math.sin(theta) * series
 
 
-def paired_ttest(errors_a, errors_b, alpha: float = 0.1) -> str:
+TTEST_ALPHA = 0.1  # the p-value below which paired_ttest calls a difference
+
+
+def paired_ttest(errors_a, errors_b) -> str:
     """Two-sided paired Student t-test verdict on per-fold errors.
 
-    "better" means the first sequence has significantly lower error at the
-    given p-value threshold, "worse" the opposite, "equivalent" otherwise.
+    "better" means the first sequence has significantly lower error,
+    p < ``TTEST_ALPHA``, "worse" the opposite, "equivalent" otherwise.
     The p-value is ``_two_sided_p`` at folds - 1 degrees of freedom, the
     Abramowitz & Stegun 26.7.3/26.7.4 closed form.  With no spread in the
     differences there is no test: equal sequences are "equivalent", and
@@ -293,7 +296,7 @@ def paired_ttest(errors_a, errors_b, alpha: float = 0.1) -> str:
             return "equivalent"
         return "better" if mean < 0 else "worse"
     statistic = mean / (sd / math.sqrt(diff.size))
-    if _two_sided_p(statistic, diff.size - 1) >= alpha:
+    if _two_sided_p(statistic, diff.size - 1) >= TTEST_ALPHA:
         return "equivalent"
     return "better" if mean < 0 else "worse"
 

@@ -1,16 +1,16 @@
 """Scalar kernel for tempered (t-deformed) arithmetic.
 
-The deformed logarithm/exponential pair
+``TemperConfig`` carries the temperature t.  The deformed logarithm
 
-    log_t(z) = (z^(1-t) - 1) / (1 - t),      exp_t(z) = [1 + (1-t) z]_+^(1/(1-t)),
+    log_t(z) = (z^(1-t) - 1) / (1 - t)
 
-with [x]_+ = max(0, x), recovers ln/exp in the limit t -> 1.  The pair is
-mutually inverse on one side only: exp_t(log_t(z)) = z for z > 0, while
-log_t(exp_t(z)) truncates at -1/(1-t) for t < 1 (at 1/(t-1) from above for
-t > 1).  The deformed product satisfies exp_t(a+b) = exp_t(a) (x)_t exp_t(b).
+recovers ln in the limit t -> 1; ``booster.leveraging`` takes the weight
+update's coefficient from it.  The two-point power mean ``power_mean``
+underlies the Bayes risk, the per-round guarantee factor and the
+leveraging coefficient.
 
-All functions accept floats or numpy arrays and return matching shapes.
-The t = 1 limit is dispatched to the exact classical forms whenever
+Both accept floats or numpy arrays and return matching shapes.  The
+t = 1 limit is dispatched to the exact classical forms whenever
 |t - 1| < CLASSIC_TOLERANCE, because evaluating (z^(1-t) - 1)/(1-t) there
 is catastrophically cancellative.
 """
@@ -94,88 +94,6 @@ def log_t(z, cfg: TemperConfig):
         om = 1.0 - t
         out = np.expm1(om * np.log(arr)) / om
     return _finish(out, scalar, shape)
-
-
-def exp_t(z, cfg: TemperConfig):
-    """Deformed exponential [1 + (1-t) z]_+^(1/(1-t)); exp at t=1.
-
-    Total on the reals.  For t < 1 the clamp produces exact zeros on the
-    branch 1 + (1-t) z <= 0; for t > 1 that branch diverges and the
-    function returns the +inf sentinel instead (callers count occurrences).
-    """
-    t = _require_finite_t(cfg, "exp_t")
-    arr, scalar, shape = _prepare(z)
-    if cfg.is_classic():
-        with np.errstate(over="ignore"):
-            out = np.exp(arr)
-    else:
-        om = 1.0 - t
-        base = 1.0 + om * arr
-        out = np.empty_like(arr)
-        good = base > 0
-        with np.errstate(over="ignore"):
-            out[good] = np.exp(np.log1p(om * arr[good]) / om)
-        out[~good] = 0.0 if t < 1 else np.inf
-    return _finish(out, scalar, shape)
-
-
-def t_product(a, b, cfg: TemperConfig):
-    """Deformed product [a^(1-t) + b^(1-t) - 1]_+^(1/(1-t)) on a, b >= 0.
-
-    1 is the unit; the ordinary product at t=1.  Satisfies
-    exp_t(x + y) = t_product(exp_t(x), exp_t(y)).
-    """
-    t = _require_finite_t(cfg, "t_product")
-    arr_a, scalar_a, shape_a = _prepare(a)
-    arr_b, scalar_b, shape_b = _prepare(b)
-    if np.any(arr_a < 0) or np.any(arr_b < 0):
-        raise ValueError("t_product requires nonnegative operands")
-    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
-    if cfg.is_classic():
-        out = arr_a * arr_b
-    else:
-        om = 1.0 - t
-        out = np.empty_like(arr_a, dtype=float)
-        if t < 1:
-            bracket = arr_a**om + arr_b**om - 1.0
-            good = bracket > 0
-            with np.errstate(over="ignore"):
-                out[good] = bracket[good] ** (1.0 / om)
-            out[~good] = 0.0
-        else:
-            # A zero operand annihilates (its power diverges, the outer
-            # negative exponent sends the product to the zero limit).
-            zero = (arr_a == 0) | (arr_b == 0)
-            with np.errstate(divide="ignore"):
-                bracket = np.where(zero, np.inf, arr_a**om + arr_b**om - 1.0)
-            good = bracket > 0
-            out[good & ~zero] = bracket[good & ~zero] ** (1.0 / om)
-            out[~good] = np.inf
-            out[zero] = 0.0
-    scalar = scalar_a and scalar_b
-    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
-
-
-def t_minus(a, b, cfg: TemperConfig):
-    """Deformed subtraction (a - b) / (1 + (1-t) b); plain a - b at t=1.
-
-    Inverts the deformed exponential ratio:
-    exp_t(u) / exp_t(v) = exp_t(t_minus(u, v)) wherever both sides are
-    finite and positive.
-    """
-    t = _require_finite_t(cfg, "t_minus")
-    arr_a, scalar_a, shape_a = _prepare(a)
-    arr_b, scalar_b, shape_b = _prepare(b)
-    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
-    if cfg.is_classic():
-        out = arr_a - arr_b
-    else:
-        denom = 1.0 + (1.0 - t) * arr_b
-        if np.any(denom == 0.0):
-            raise ValueError("t_minus undefined where 1 + (1-t) b = 0")
-        out = (arr_a - arr_b) / denom
-    scalar = scalar_a and scalar_b
-    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
 
 
 def _over(ufunc, x, *args):

@@ -144,17 +144,6 @@ class DecisionTree:
                 stack.append((node.right, true_rows))
         return out
 
-    def leaves(self) -> list:
-        found = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.predicate is None:
-                found.append(node)
-            else:
-                stack.extend((node.right, node.left))
-        return found
-
 
 def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     """Real prediction the boosting projection assigns to a leaf.

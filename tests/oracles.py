@@ -206,10 +206,8 @@ def reference_divergence(q_new: np.ndarray, q_old: np.ndarray, t: float) -> floa
 
     total = 0.0
     for qn, qo in zip(q_new, q_old):
-        if qn > 0:
+        if qn > 0:  # q' log_t q' -> 0 as q' -> 0
             total += qn * (log_at(qn, t) - log_at(qo, t))
-        else:
-            total += 0.0 if t < 2 else math.inf
         total += -log_at(qn, t - 1.0) + log_at(qo, t - 1.0)
     return total
 

@@ -1,0 +1,387 @@
+"""Paper mathematics that the experiment does not run, checked against ``oracles.py``.
+
+The deformed exponential, product and subtraction, the tempered
+exponential loss, the exact entropy projection onto q~.u = 0, the partial
+losses of the tempered CPE family with their properness and coverage
+checks, and the leaves of a tree.  Private helpers come from the package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from tempboost.cpe_loss import bayes_risk
+from tempboost.errors import AllZeroError, TempBoostError, WeightOverflowError, ZeroWeightError
+from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
+from tempboost.talgebra import _finish, _prepare, _require_finite_t
+from tempboost.weights import TemWeights, _margins, _unnormalized, tempered_update
+
+# ---------------------------------------------------------------------------
+# deformed exponential, product and subtraction
+
+
+def exp_t(z, cfg: TemperConfig):
+    """Deformed exponential [1 + (1-t) z]_+^(1/(1-t)); exp at t=1.
+
+    Total on the reals.  For t < 1 the clamp produces exact zeros on the
+    branch 1 + (1-t) z <= 0; for t > 1 that branch diverges and the
+    function returns the +inf sentinel instead.  The inverse of
+    ``talgebra.log_t`` on one side only: exp_t(log_t(z)) = z for z > 0,
+    while log_t(exp_t(z)) truncates at -1/(1-t) for t < 1 (at 1/(t-1) from
+    above for t > 1).
+    """
+    t = _require_finite_t(cfg, "exp_t")
+    arr, scalar, shape = _prepare(z)
+    if cfg.is_classic():
+        with np.errstate(over="ignore"):
+            out = np.exp(arr)
+    else:
+        om = 1.0 - t
+        base = 1.0 + om * arr
+        out = np.empty_like(arr)
+        good = base > 0
+        with np.errstate(over="ignore"):
+            out[good] = np.exp(np.log1p(om * arr[good]) / om)
+        out[~good] = 0.0 if t < 1 else np.inf
+    return _finish(out, scalar, shape)
+
+
+def t_product(a, b, cfg: TemperConfig):
+    """Deformed product [a^(1-t) + b^(1-t) - 1]_+^(1/(1-t)) on a, b >= 0.
+
+    1 is the unit; the ordinary product at t=1.  Satisfies
+    exp_t(x + y) = t_product(exp_t(x), exp_t(y)).
+    """
+    t = _require_finite_t(cfg, "t_product")
+    arr_a, scalar_a, shape_a = _prepare(a)
+    arr_b, scalar_b, shape_b = _prepare(b)
+    if np.any(arr_a < 0) or np.any(arr_b < 0):
+        raise ValueError("t_product requires nonnegative operands")
+    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
+    if cfg.is_classic():
+        out = arr_a * arr_b
+    else:
+        om = 1.0 - t
+        out = np.empty_like(arr_a, dtype=float)
+        if t < 1:
+            bracket = arr_a**om + arr_b**om - 1.0
+            good = bracket > 0
+            with np.errstate(over="ignore"):
+                out[good] = bracket[good] ** (1.0 / om)
+            out[~good] = 0.0
+        else:
+            # A zero operand annihilates (its power diverges, the outer
+            # negative exponent sends the product to the zero limit).
+            zero = (arr_a == 0) | (arr_b == 0)
+            with np.errstate(divide="ignore"):
+                bracket = np.where(zero, np.inf, arr_a**om + arr_b**om - 1.0)
+            good = bracket > 0
+            out[good & ~zero] = bracket[good & ~zero] ** (1.0 / om)
+            out[~good] = np.inf
+            out[zero] = 0.0
+    scalar = scalar_a and scalar_b
+    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
+
+
+def t_minus(a, b, cfg: TemperConfig):
+    """Deformed subtraction (a - b) / (1 + (1-t) b); plain a - b at t=1.
+
+    Inverts the deformed exponential ratio:
+    exp_t(u) / exp_t(v) = exp_t(t_minus(u, v)) wherever both sides are
+    finite and positive.
+    """
+    t = _require_finite_t(cfg, "t_minus")
+    arr_a, scalar_a, shape_a = _prepare(a)
+    arr_b, scalar_b, shape_b = _prepare(b)
+    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
+    if cfg.is_classic():
+        out = arr_a - arr_b
+    else:
+        denom = 1.0 + (1.0 - t) * arr_b
+        if np.any(denom == 0.0):
+            raise ValueError("t_minus undefined where 1 + (1-t) b = 0")
+        out = (arr_a - arr_b) / denom
+    scalar = scalar_a and scalar_b
+    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
+
+
+def tempered_exp_loss(margins, cfg: TemperConfig) -> float:
+    """Mean of exp_t(-margin)^(2-t); upper-bounds the 0/1 risk for t <= 2.
+
+    At t=1 this is the exponential loss the classic AdaBoost minimizes.
+    """
+    margins = np.asarray(margins, dtype=float)
+    with np.errstate(over="ignore"):
+        values = exp_t(-margins, cfg) ** (2.0 - cfg.t)
+    return float(np.mean(values))
+
+
+# ---------------------------------------------------------------------------
+# exact entropy projection onto a single linear constraint
+
+
+class CollinearError(TempBoostError):
+    """Margin vector is collinear with the weight vector at t=0, where the
+    normalizer loses strict convexity and the projection is not unique."""
+
+
+class NoMixedSignsError(TempBoostError):
+    """Margins carry a single sign on the support, so the projection
+    objective has its minimum at infinity."""
+
+
+_BISECT_TOL = 1e-12
+_BISECT_MAX_ITER = 80
+
+
+def _constraint_value(weights: TemWeights, u: np.ndarray, mu: float):
+    """q~(mu) . u for the normalized update; None when a weight diverges
+    (t > 1) or every weight is clamped to zero (t < 1)."""
+    if weights.cfg.is_classic():
+        # the log-sum-exp shift keeps large |mu| from overflowing
+        q = weights.q
+        support = q > 0
+        logs = np.log(q[support]) - mu * u[support]
+        logs -= logs.max()
+        w = np.exp(logs)
+        return float(np.dot(w, u[support]) / w.sum())
+    try:
+        w, z = _unnormalized(weights, u, mu)
+    except (AllZeroError, WeightOverflowError):
+        return None
+    return float(np.dot(w, u) / z)
+
+
+def solve_projection(weights: TemWeights, u):
+    """Entropy projection of ``weights`` onto {q~ on co-simplex : q~.u = 0}.
+
+    The projection has the form of tempered_update at the coefficient mu*
+    minimizing the strictly convex normalizer Z_t(mu); since
+    dZ_t/dmu = -Z_t^t (q~(mu).u), mu* is the root of the monotone
+    constraint value G(mu) = q~(mu).u, found by sign bisection.  The
+    starting bracket 1/(R |1-t|) + 1 (R the largest |u_i|/q_i^(1-t) on the
+    support) is doubled until G changes sign.  Returns (mu*, projected
+    weights).
+    """
+    cfg = weights.cfg
+    t = cfg.t
+    q = weights.q
+    u = _margins(u, weights.m)
+    if math.isinf(cfg.clamp_delta) and weights.dagger.size:
+        raise ZeroWeightError("zero weights cannot revive for t >= 1")
+
+    support = q > 0
+    us = u[support]
+    if abs(t) < CLASSIC_TOLERANCE:
+        # Strict convexity of Z_0 fails exactly when u is collinear with q.
+        cos = abs(float(np.dot(u, q)))
+        norms = float(np.linalg.norm(u) * np.linalg.norm(q))
+        if norms > 0 and cos >= (1.0 - 1e-12) * norms:
+            raise CollinearError("margins collinear with weights at t = 0")
+    if not (np.any(us > 0) and np.any(us < 0)):
+        raise NoMixedSignsError(
+            "margins need both signs on the support; minimum is at infinity"
+        )
+
+    def g(mu: float) -> float:
+        value = _constraint_value(weights, u, mu)
+        if value is None:
+            # Divergent branch (t > 1): mass concentrates on components
+            # whose margin opposes mu, so the constraint takes mu's
+            # opposite sign.
+            return -math.copysign(1.0, mu)
+        return value
+
+    g0 = g(0.0)
+    if abs(g0) <= _BISECT_TOL:
+        projected, _ = tempered_update(weights, u, 0.0)
+        return 0.0, projected
+
+    if cfg.is_classic():
+        radius = 1.0
+    else:
+        r_max = float(np.max(np.abs(us) / weights.q_om[support]))
+        radius = 1.0 / (r_max * abs(1.0 - t)) + 1.0
+    lo, hi = -radius, radius
+    for _ in range(200):
+        if g(lo) > 0:
+            break
+        lo *= 2.0
+    else:
+        raise NoMixedSignsError("failed to bracket the projection from below")
+    for _ in range(200):
+        if g(hi) < 0:
+            break
+        hi *= 2.0
+    else:
+        raise NoMixedSignsError("failed to bracket the projection from above")
+
+    for _ in range(_BISECT_MAX_ITER):
+        mu = 0.5 * (lo + hi)
+        value = g(mu)
+        if abs(value) <= _BISECT_TOL:
+            break
+        if value > 0:
+            lo = mu
+        else:
+            hi = mu
+    projected, _ = tempered_update(weights, u, mu)
+    return mu, projected
+
+
+# ---------------------------------------------------------------------------
+# partial losses of the tempered CPE family, properness and coverage
+
+def _prepare_unit(z, name: str):
+    flat, scalar, shape = _prepare(z)
+    if flat.size and not (flat.min() >= 0 and flat.max() <= 1):  # a nan fails both
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return flat, scalar, shape
+
+
+def partial_loss_pos(u, cfg: TemperConfig):
+    """Partial loss ((1 - u) / M_(1-t)(u, 1 - u))^(2-t) charged to the
+    positive class at posterior guess u.
+
+    The negative class is charged l_pos(1 - u).  Zero at u=1,
+    nonincreasing on [0, 1]; diverges at u=0 for t >= 1.  At t=-inf it is
+    exactly 2 * [u <= 1/2].
+    """
+    arr, scalar, shape = _prepare_unit(u, "posterior guess")
+    t = cfg.t
+    if t == -math.inf:
+        out = 2.0 * (arr <= 0.5)
+        return _finish(out, scalar, shape)
+    mean = power_mean(arr, 1.0 - arr, 1.0 - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ((1.0 - arr) / mean) ** (2.0 - t)
+    out[arr == 1.0] = 0.0  # settles the 0/0 at the right endpoint for t >= 1
+    return _finish(out, scalar, shape)
+
+
+def _weighted(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
+    # No mass, no charge: the product is skipped where the weight is 0, so
+    # 0 * inf at the endpoints is never evaluated.
+    out = np.zeros(np.broadcast(weight, value).shape)
+    return np.multiply(weight, value, out=out, where=weight != 0.0)
+
+
+def pointwise_risk(u, v, cfg: TemperConfig):
+    """Conditional risk v l_pos(u) + (1-v) l_pos(1-u) of guess u at truth v."""
+    u_arr, u_scalar, u_shape = _prepare_unit(u, "posterior guess")
+    v_arr, v_scalar, v_shape = _prepare_unit(v, "ground truth")
+    u_arr, v_arr = np.broadcast_arrays(u_arr, v_arr)
+    pos = np.atleast_1d(partial_loss_pos(u_arr, cfg))
+    neg = np.atleast_1d(partial_loss_pos(1.0 - u_arr, cfg))
+    out = _weighted(v_arr, pos) + _weighted(1.0 - v_arr, neg)
+    scalar = u_scalar and v_scalar
+    return _finish(out, scalar, u_shape if not u_scalar else v_shape)
+
+
+@dataclass(frozen=True)
+class PropernessReport:
+    """Outcome of the grid properness check."""
+
+    strict: bool
+    violations: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_strict_properness(cfg: TemperConfig, v_grid=None) -> PropernessReport:
+    """Verify on a grid of truths v that v minimizes the conditional risk.
+
+    The guesses u are the grid of step 1e-4 inside (0, 1).  For finite t
+    the minimizer must be unique: the set of grid points attaining the
+    minimum must span at most 3 grid steps and sit within one step of v.
+    At t = -inf only properness is required (v attains the minimum,
+    uniqueness waived).  Returns the violations found.
+    """
+    u_grid = np.arange(1, 10_000) / 10_000
+    if v_grid is None:
+        v_grid = np.arange(1, 100) / 100.0
+    else:
+        v_grid = np.asarray(v_grid, dtype=float)
+    if np.any(v_grid <= 0) or np.any(v_grid >= 1):
+        raise ValueError("truths must lie strictly inside (0, 1)")
+
+    step = float(np.max(np.diff(u_grid)))
+    strict = cfg.t != -math.inf
+    violations = []
+    for v in v_grid:
+        risks = pointwise_risk(u_grid, float(v), cfg)
+        best = np.flatnonzero(risks == risks.min())
+        if strict:
+            span = u_grid[best.max()] - u_grid[best.min()]
+            nearest = u_grid[best[np.argmin(np.abs(u_grid[best] - v))]]
+            if span > 3 * step + 1e-12:
+                violations.append((float(v), f"minimizer spans {span:.2e}"))
+            elif abs(nearest - v) > step + 1e-12:
+                violations.append((float(v), f"argmin {nearest} away from truth"))
+        else:
+            # The step loss charges both classes at exactly u = 1/2 (its
+            # finite-t limit there is 1, not 2), so properness is checked
+            # as: a minimizer sits within one grid step of the truth.
+            nearest = float(np.min(np.abs(u_grid[best] - v)))
+            if nearest > step + 1e-12:
+                violations.append((float(v), "no minimizer near the truth"))
+    return PropernessReport(strict, tuple(violations))
+
+
+def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
+    """Temperature t for which the Bayes risk at posterior u equals z.
+
+    Well-defined for z in [2 min(u, 1-u), 1]; the endpoints map to -inf
+    and 2.  Uses monotone bisection in t: for a fixed u the Bayes risk is
+    nondecreasing in t.
+    """
+    u = float(u)
+    z = float(z)
+    if not 0.0 < u < 1.0:
+        raise ValueError("posterior must lie strictly inside (0, 1)")
+    floor = 2.0 * min(u, 1.0 - u)
+    if z < floor - 1e-12 or z > 1.0 + 1e-12:
+        raise ValueError(f"target {z} outside the attainable [{floor}, 1]")
+    if z <= floor + 1e-14:
+        return -math.inf
+    if z >= 1.0 - 1e-14:
+        return 2.0
+
+    lo = -16.0
+    while bayes_risk(u, 1.0 - u, TemperConfig(lo)) > z:
+        lo *= 2.0
+        if lo < -1e18:
+            return -math.inf
+    hi = 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = bayes_risk(u, 1.0 - u, TemperConfig(mid))
+        if abs(value - z) <= tol:
+            return mid
+        if value < z:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# trees
+
+
+def leaves(tree) -> list:
+    """The leaf ``Node``s of a DecisionTree, left to right."""
+    found = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.predicate is None:
+            found.append(node)
+        else:
+            stack.extend((node.right, node.left))
+    return found

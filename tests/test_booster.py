@@ -12,6 +12,7 @@ from oracles import (
     predict,
     textbook_adaboost,
 )
+from paper_math import exp_t, tempered_exp_loss
 from tempboost import booster
 from tempboost.booster import (
     Ensemble,
@@ -23,7 +24,6 @@ from tempboost.booster import (
     kt_bound,
     leveraging,
     risk_bound,
-    tempered_exp_loss,
     zero_one_error,
 )
 from tempboost.dataio import NUMERIC, Column, Dataset
@@ -34,10 +34,11 @@ from tempboost.errors import (
     SingleClassError,
     ZeroWeightError,
 )
-from tempboost.synthetic import make_margin_blobs, make_mixed_table
-from tempboost.talgebra import TemperConfig, exp_t
+from tempboost.experiment import RunSpec, _folds
+from tempboost.synthetic import make_margin_blobs, make_mixed_table, make_wideband
+from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig
 from tempboost.tree import TreeWeakLearner
-from tempboost.weights import TemWeights, uniform_init
+from tempboost.weights import TemWeights, tempered_update, uniform_init
 
 
 class ConstantHypothesis:
@@ -92,6 +93,22 @@ class TestConfidenceBounds:
         with pytest.raises(ZeroWeightError) as raised:
             confidence_bounds(w, np.array([0.5, -0.5]))
         assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "t, classic",
+        [(math.nextafter(1 - 1e-9, 0), False), (1 - 1e-9, True), (math.nextafter(1 - 1e-9, 1), True)],
+    )
+    def test_zero_weights_are_refused_where_there_is_no_clamped_model(self, t, classic):
+        cfg = TemperConfig(t)
+        assert (t >= 1.0 - CLASSIC_TOLERANCE) == classic  # the rule's former spelling
+        assert (ScoreFold(2, cfg).clamped is None) == classic
+        w, u = TemWeights(np.array([0.0, 1.0]), cfg), np.array([0.5, -0.5])
+        for step in (lambda: confidence_bounds(w, u), lambda: tempered_update(w, u, 0.1)):
+            if classic:
+                with pytest.raises(ZeroWeightError):
+                    step()
+            else:
+                step()
 
 
 class TestEdge:
@@ -385,6 +402,20 @@ class TestScoreFold:
         np.testing.assert_array_equal(fold.scores, [-0.5, 0.5])
         np.testing.assert_array_equal(fold.clamped, [0.5, -0.5])
         assert fold.errors(labels) == (1.0, 0.0)
+
+    def test_the_fold_clips_where_real_trees_leave_the_clamp(self):
+        # fold 1 of the 3-fold make_wideband(seed=0) grid at t = 0.5: over 100
+        # rounds the clip lowers 25 running test scores to +delta (none is
+        # raised to -delta), yet neither error moves, so only a row-by-row
+        # comparison can see a fault
+        cfg = TemperConfig(0.5)
+        spec = RunSpec(data_path="", folds=3, rounds=100)
+        _, train, test, _ = list(_folds(make_wideband(seed=0), spec))[1]
+        ensemble, _ = boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg)
+        clamped = ensemble.decision_scores(test, clamped=True)  # ScoreFold.clamped
+        assert (clamped != ensemble.decision_scores(test)).any()
+        by_row = np.array([m.alpha * m.hypothesis.predict(test) for m in ensemble.members]).T
+        assert clamped.tolist() == [clamped_sum(row, cfg.clamp_delta) for row in by_row]
 
     @pytest.mark.parametrize("t", [1.0, 1.5])
     def test_no_clamped_model_from_t_one_up(self, t):

@@ -392,9 +392,10 @@ class TestPairedTTest:
         assert paired_ttest([0.1, 0.4, 0.2, 0.3], [0.3, 0.2, 0.1, 0.35]) == "equivalent"
 
     def test_the_p_value_threshold_decides(self):
-        a, b = [0.1, 0.2, 0.3], [0.2, 0.25, 0.5]  # t = -2.65 at 2 degrees of freedom: p = 0.118
-        assert paired_ttest(a, b, alpha=0.1) == "equivalent"
-        assert paired_ttest(a, b, alpha=0.2) == "better"
+        # at 2 degrees of freedom t = -2.65 gives p = 0.118, t = -3.46 gives p = 0.074
+        a = [0.1, 0.2, 0.3]
+        assert paired_ttest(a, [0.2, 0.25, 0.5]) == "equivalent"
+        assert paired_ttest(a, [0.2, 0.25, 0.45]) == "better"
 
     def test_without_spread_the_sign_of_the_gap_decides(self):
         # dyadic errors, so every difference is exactly 0.25

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from paper_math import leaves
 from tempboost import errors, tree as tree_module
 from tempboost.dataio import CATEGORICAL, NUMERIC, Column, Dataset, save_csv
 from tempboost.experiment import RunSpec, run
@@ -74,7 +75,7 @@ def test_every_grid_runs_and_fails_only_typed(grid):
 
     def checked_induce(*args):
         found = real_induce(*args)
-        for leaf in found.leaves():  # the admissibility contract
+        for leaf in leaves(found):  # the admissibility contract
             assert leaf.stats.m_pos > 0 and leaf.stats.m_neg > 0
         return found
 

@@ -4,6 +4,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
+# the public rerun API: its callers are users, not the program
+KEEP = {"spec_from_manifest"}
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +41,51 @@ def test_no_module_imports_a_name_it_does_not_use():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found
+
+
+def _names_read(nodes) -> set:
+    """Names the nodes read as a variable or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in nodes
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_definitions(sources, readers=(), keep=()) -> list:
+    """Names of the module-level functions and classes that no live code reads.
+
+    Code reads a name as a variable or an attribute; a string, such as a
+    docstring, does not.  A definition is live when code outside the dead
+    definitions reads its name, so what only dead code reads is dead too.
+    ``readers`` are more sources, whose own definitions are not checked;
+    the names in ``keep`` are live whether read or not.
+    """
+    statements = [node for text in sources for node in ast.parse(text).body]
+    defined = [node for node in statements if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    outside = _names_read(ast.parse(text) for text in readers) | set(keep)
+    dead: set = set()
+    while True:
+        read = outside | _names_read(node for node in statements if node not in dead)
+        newly = {node for node in defined if node.name not in read} - dead
+        if not newly:
+            return sorted(node.name for node in dead)
+        dead |= newly
+
+
+def test_unread_definitions_are_found():
+    source = (
+        "def a():\n    return b()\n\n"
+        "def b():\n    \"\"\"Not c.\"\"\"\n\n"
+        "def c():\n    return D\n\n"
+        "class D:\n    pass\n\n"
+        "def e():\n    pass\n"
+    )
+    assert unread_definitions([source], readers=["import m\nm.c()\n"], keep={"e"}) == ["a", "b"]
+
+
+def test_the_program_reads_every_definition_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
+    readers = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.rglob("*.py"))]
+    assert unread_definitions(sources, readers, KEEP) == []

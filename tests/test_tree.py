@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import describe_tree, leaf_of, naive_tree, predict_row, split_gain
+from paper_math import exp_t, leaves
 from tempboost import dataio
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
@@ -13,7 +14,7 @@ from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset, run_layout
 from tempboost.errors import SingleClassError
 from tempboost.synthetic import make_mixed_table
-from tempboost.talgebra import TemperConfig, exp_t, log_t
+from tempboost.talgebra import TemperConfig, log_t
 from tempboost.tree import (
     CategoricalSplit,
     LeafStats,
@@ -190,7 +191,7 @@ class TestInduceTree:
         data, w = weighted_mixed_dataset()
         tree = induce_tree(data, w, 1, TemperConfig(0.5))
         assert tree.n_nodes == 1
-        leaf = tree.leaves()[0]
+        leaf = leaves(tree)[0]
         p = leaf.stats.p
         assert predict_row(tree, data.row(0)) == pytest.approx(
             leaf_prediction(p, data.m ** (-TemperConfig(0.5).t_star), TemperConfig(0.5))
@@ -308,15 +309,15 @@ class TestInduceTree:
             risks = []
             for budget in (1, 3, 5, 7, 9):
                 tree = induce_tree(data, w, budget, cfg)
-                risks.append(sum(bayes_risk(*leaf.stats, cfg) for leaf in tree.leaves()))
+                risks.append(sum(bayes_risk(*leaf.stats, cfg) for leaf in leaves(tree)))
             assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
     def test_leaf_masses_partition_unit(self):
         data, w = weighted_mixed_dataset(m=50, seed=11)
         tree = induce_tree(data, w, 9, TemperConfig(0.4))
-        total = sum(leaf.stats.r for leaf in tree.leaves())
+        total = sum(leaf.stats.r for leaf in leaves(tree))
         assert total == pytest.approx(1.0, abs=1e-12)
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             assert 0.0 < leaf.stats.p < 1.0
             assert math.isfinite(leaf.prediction)
         # growth against prediction: a leaf's masses are, bitwise, those of
@@ -326,8 +327,8 @@ class TestInduceTree:
         reached = {}
         for i in range(data.m):
             reached.setdefault(id(leaf_of(tree, data.row(i))), []).append(i)
-        assert set(reached) == {id(leaf) for leaf in tree.leaves()}
-        for leaf in tree.leaves():
+        assert set(reached) == {id(leaf) for leaf in leaves(tree)}
+        for leaf in leaves(tree):
             rows = np.array(reached[id(leaf)])
             assert leaf.stats == (float(pos[rows].sum()), float(neg[rows].sum()))
         # a split keeps the masses it had as a leaf: the root holds the totals
@@ -338,7 +339,7 @@ class TestInduceTree:
         data, _ = weighted_mixed_dataset(m=30, seed=12)
         w = np.full(data.m, 1.0 / data.m)
         tree = induce_tree(data, w, 5, TemperConfig(0.5))
-        counts = sum(round(leaf.stats.r * data.m) for leaf in tree.leaves())
+        counts = sum(round(leaf.stats.r * data.m) for leaf in leaves(tree))
         assert counts == data.m
 
     def test_single_class_rejected(self):
@@ -376,7 +377,7 @@ class TestInduceTree:
         cuts = [x >= above for above in np.unique(x)[1:]]
         best = max(cuts, key=lambda right: partition_gain(data, w, right, cfg))
         assert np.array_equal(tree.root.predicate.evaluate(data), best)
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             assert leaf.stats.m_pos > 0 and leaf.stats.m_neg > 0
 
     def test_even_budget_rejected(self):
@@ -754,6 +755,6 @@ class TestBoosterIntegration:
             TemperConfig(0.5),
         )
         tree = ens.members[0].hypothesis
-        leaf_values = {id(leaf): leaf.prediction for leaf in tree.leaves()}
+        leaf_values = {id(leaf): leaf.prediction for leaf in leaves(tree)}
         for i in range(data.m):
             assert predict_row(tree, data.row(i)) in leaf_values.values()
