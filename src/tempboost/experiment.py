@@ -15,7 +15,10 @@ cells, so every temperature trains on the same rows and, with label noise,
 on the same noisy labels: the noise is drawn once per fold from a stream
 derived from (seed, fold).  Tree induction draws no random numbers, so a
 cell depends only on its fold and temperature; results do not depend on
-execution order, and --jobs N can fan cells out across processes.
+execution order, and --jobs N can fan cells out across processes.  Each
+pool worker receives the RunSpec and every fold's Datasets once, as it
+starts, and then only (fold, t) pairs; it builds a fold's presorted
+column block at most once, for its first cell of that fold.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +198,31 @@ def _pin_malloc_thresholds() -> None:
         mallopt(param, value)
 
 
+_worker: dict = {}  # a pool worker's RunSpec and ``_folds`` list, from _init_worker
+
+
+def _init_worker(spec: RunSpec, folds: list) -> None:
+    """A pool worker's initializer: pin the allocator, keep the run's folds."""
+    _pin_malloc_thresholds()
+    _worker.update(spec=spec, folds=folds)
+
+
+def _worker_cell(fold: int, t: float):
+    """Cell (fold, t) in a pool worker, on the Datasets its initializer received."""
+    return _run_cell(*_worker["folds"][fold], t, _worker["spec"])
+
+
 def run(spec: RunSpec) -> RunResult:
     """Execute the whole grid and write results under ``spec.out_dir``.
+
+    With one job the cells run in this process, fold by fold, and only the
+    current fold's Datasets are alive.  With more, ``_folds`` runs here in
+    full and each of ``min(jobs, cells)`` pool workers receives the RunSpec
+    and every fold's Datasets once, when it starts: inherited under the
+    ``fork`` start method, pickled once per worker under ``spawn`` or
+    ``forkserver``.  A task is then a (fold, t) pair.  A worker builds a
+    fold's presorted ``column_block`` at its first cell of that fold and
+    reuses it for the fold's later cells.
 
     Allocator policy: on Linux the run first pins glibc's mmap and trim
     thresholds (``_MALLOC_THRESHOLDS``) in this process and its workers,
@@ -207,12 +234,16 @@ def run(spec: RunSpec) -> RunResult:
     """
     _pin_malloc_thresholds()
     data = load_csv(spec.data_path, spec.label_column)
-    payloads = ((*fold, t, spec) for fold in _folds(data, spec) for t in spec.t_values)
+    folds = _folds(data, spec)
     if spec.jobs == 1:  # lazily: one fold's Datasets alive at a time
-        outcomes = [_run_cell(*payload) for payload in payloads]
+        outcomes = [_run_cell(*fold, t, spec) for fold in folds for t in spec.t_values]
     else:
-        with ProcessPoolExecutor(spec.jobs, initializer=_pin_malloc_thresholds) as pool:
-            outcomes = list(pool.map(_run_cell, *zip(*payloads)))
+        folds = list(folds)
+        tasks = [(fold, t) for fold in range(len(folds)) for t in spec.t_values]
+        workers = min(spec.jobs, len(tasks))  # never a worker without a cell
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(spec, folds))
+        with pool:
+            outcomes = list(pool.map(_worker_cell, *zip(*tasks)))
 
     rows: list = []
     cells: list = []
@@ -223,7 +254,7 @@ def run(spec: RunSpec) -> RunResult:
 
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "trace.csv", TRACE_FIELDS, map(astuple, rows))
+    _write_csv(out_dir / "trace.csv", TRACE_FIELDS, map(attrgetter(*TRACE_FIELDS), rows))
     _write_summary(out_dir / "summary.csv", rows, spec)
     emit_plots(rows, out_dir)
     _write_manifest(out_dir / "manifest.json", spec, data, cells)

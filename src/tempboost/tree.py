@@ -87,7 +87,10 @@ class CategoricalSplit:
 
     def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
         levels, codes = data.category_codes[self.feature]
-        return np.isin(levels, self.subset)[codes[rows]]
+        # a set lookup per level of ``data``: several times faster than np.isin on strings
+        chosen = set(self.subset)
+        in_subset = np.fromiter(map(chosen.__contains__, levels.tolist()), bool, levels.size)
+        return in_subset[codes[rows]]
 
 
 class LeafStats(NamedTuple):
@@ -200,7 +203,8 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
         layout = run_layout(bins)
     else:  # the root's layout is the same in every tree grown on data
         layout = data.root_runs
-    pos, neg = _run_sums(layout, wpos[order], wneg[order])
+    flat = order.ravel()  # take on the flat order is faster than wpos[order]
+    pos, neg = _run_sums(layout, *(w.take(flat).reshape(order.shape) for w in (wpos, wneg)))
     codes = data.category_codes
     categorical = list(codes)
     if categorical:  # rank the levels by posterior, runs without mass and padding last

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -224,6 +225,48 @@ def test_traces_do_not_depend_on_jobs_and_rerun_from_the_manifest(tmp_path):
     assert trace == (one / "out" / "trace.csv").read_bytes()
 
 
+def test_a_pool_worker_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(monkeypatch):
+    data = make_mixed_table(m=200, seed=5)
+    spec = RunSpec("data.csv", t_values=(0.0, 0.6, 1.0, 1.5), rounds=2, folds=3, noise=0.1, seed=3)
+    serial = experiment._folds(data, spec)
+    expected = [experiment._run_cell(*fold, t, spec) for fold in serial for t in spec.t_values]
+    assert sum(status.noise_flips for _, status in expected) > 0
+    built = []
+    block = Dataset.column_block
+
+    def counting_block(self):
+        built.append(self)
+        return block.func(self)
+
+    counting = functools.cached_property(counting_block)
+    counting.__set_name__(Dataset, "column_block")
+    monkeypatch.setattr(Dataset, "column_block", counting)
+    folds = list(experiment._folds(data, spec))
+    experiment._init_worker(spec, folds)
+    try:  # every cell of the grid, as the tasks of one worker
+        got = [experiment._worker_cell(f, t) for f in range(spec.folds) for t in spec.t_values]
+    finally:
+        experiment._worker.clear()
+    assert repr(got) == repr(expected)  # repr: nan equals nan, and -0.0 differs from 0.0
+    assert len(built) == len(folds)
+    assert all(dataset is train for dataset, (_, train, _, _) in zip(built, folds))
+
+
+def test_a_grid_with_fewer_cells_than_jobs_starts_one_worker_per_cell(tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    data = make_mixed_table(m=60, seed=1)
+    result, _ = run_grid(tmp_path, data, t_values=(0.5,), rounds=1, folds=2, jobs=8)
+    assert result.failed_cells == 0 and len(result.cells) == 2
+    assert started == [2]
+
+
 @pytest.mark.parametrize("clamped", ["both", "on", "off"])
 def test_manifest_from_before_the_clamped_option_was_removed(tmp_path, clamped):
     # "both" and "on" ran what every run runs now; "off" skipped the clamped model
@@ -312,12 +355,15 @@ def test_a_typed_failure_fails_only_its_cells(tmp_path, monkeypatch):
     assert {row.t for row in result.rows} == {1.0}
 
 
-def test_a_run_whose_every_cell_fails_still_writes_every_output(tmp_path, capsys):
-    # one constant column: no tree splits, so every cell's first hypothesis is degenerate
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_whose_every_cell_fails_still_writes_every_output(tmp_path, capsys, jobs):
+    # one constant column: no tree splits, so every cell's first hypothesis is
+    # degenerate, in a pool worker as in this process
     path = tmp_path / "constant.csv"
     path.write_text("x,y\n" + "".join(f"1.0,{(-1) ** i}\n" for i in range(20)))
     out = tmp_path / "out"
     argv = ["--data", str(path), "--folds", "2", "--t", "0.5,1.0", "--iters", "2"]
+    argv += ["--jobs", str(jobs)]
     assert main([*argv, "--out", str(out)]) == 2
     assert "4 cell(s) failed" in capsys.readouterr().err
     assert (out / "trace.csv").read_text().splitlines() == [",".join(experiment.TRACE_FIELDS)]
