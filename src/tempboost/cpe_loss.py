@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .talgebra import TemperConfig, _finish, power_mean
+from .talgebra import TemperConfig, _ordered_power_mean
 
 
 def bayes_risk(pos, neg, cfg: TemperConfig):
@@ -35,25 +35,29 @@ def bayes_risk(pos, neg, cfg: TemperConfig):
     r L_t(pos / r) for r = pos + neg (see the module notes): 4 pos neg / r
     at t=0, 2 sqrt(pos neg) at t=1, 2 min(pos, neg) at t=-inf, and zero
     whenever either mass is zero.  Concave, which makes tree-splitting
-    gains nonnegative.  Accurate while 2 pos neg is a normal double; a
-    negative or nan mass raises ``ValueError``.  Floats or arrays,
-    broadcast together; neither input is written to.
+    gains nonnegative.  Accurate while 2 pos neg is a normal double.
+    Floats or arrays, broadcast together; a float is scored with the array
+    arithmetic.  Neither input is written to.  A negative or nan mass
+    raises ``ValueError``: the one check that the unchecked power-mean
+    kernel ``talgebra._ordered_power_mean`` relies on.
     """
-    pos, neg = np.broadcast_arrays(np.asarray(pos, dtype=float), np.asarray(neg, dtype=float))
-    scalar, shape = pos.ndim == 0, pos.shape
-    pos, neg = np.atleast_1d(pos, neg)
-    if pos.size and not (pos.min() >= 0 and neg.min() >= 0):  # a nan fails too
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+    if pos.shape != neg.shape:
+        pos, neg = np.broadcast_arrays(pos, neg)
+    scalar = pos.ndim == 0
+    if scalar:
+        pos, neg = pos.reshape(1), neg.reshape(1)
+    lo = np.minimum(pos, neg)
+    if lo.size and not lo.min() >= 0:  # a nan fails too
         raise ValueError("class masses must be nonnegative")
-    t = cfg.t
-    if t == -math.inf:
-        out = np.minimum(pos, neg)
-        out *= 2.0
-        return _finish(out, scalar, shape)
-    numerator = np.multiply(2.0, pos)
-    numerator *= neg
-    mean = power_mean(pos, neg, 1.0 - t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(numerator, mean, out=mean)
-    # a zero numerator gives 0 over a positive mean and nan over a zero one
-    np.fmax(out, 0.0, out=out)
-    return _finish(out, scalar, shape)
+    if cfg.t == -math.inf:
+        out = np.multiply(lo, 2.0, out=lo)
+    else:
+        numerator = np.multiply(2.0, pos)
+        numerator *= neg
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean = _ordered_power_mean(lo, np.maximum(pos, neg), 1.0 - cfg.t)
+            out = np.divide(numerator, mean, out=mean)
+        # a zero numerator gives 0 over a positive mean and nan over a zero one
+        np.fmax(out, 0.0, out=out)
+    return float(out[0]) if scalar else out

@@ -5,9 +5,12 @@
     log_t(z) = (z^(1-t) - 1) / (1 - t)
 
 recovers ln in the limit t -> 1; ``booster.leveraging`` takes the weight
-update's coefficient from it.  The two-point power mean ``power_mean``
-underlies the Bayes risk, the per-round guarantee factor and the
-leveraging coefficient.
+update's coefficient from it.  The two-point power mean M_q underlies
+the Bayes risk, the per-round guarantee factor and the leveraging
+coefficient.  Its arithmetic is one kernel, ``_ordered_power_mean``, which
+assumes nonnegative operands and checks nothing; its two entry points,
+``power_mean`` here and ``cpe_loss.bayes_risk``, each make the one
+nonnegativity check before calling it.
 
 Both accept floats or numpy arrays and return matching shapes.  The
 t = 1 limit is dispatched to the exact classical forms whenever
@@ -24,7 +27,7 @@ import numpy as np
 
 CLASSIC_TOLERANCE = 1e-9
 
-_SMALL_EXPONENT = 1e-2  # power_mean switches to expm1/log1p below this |q|
+_SMALL_EXPONENT = 1e-2  # the power mean switches to expm1/log1p below this |q|
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,37 @@ def log_t(z, cfg: TemperConfig):
     return _finish(out, scalar, shape)
 
 
-def _over(ufunc, x, *args):
-    """``ufunc(x, *args)``, written over ``x`` when it is an array; a numpy
-    scalar cannot be written to, so it gets a new one."""
-    return ufunc(x, *args, out=x if isinstance(x, np.ndarray) else None)
+def _ordered_power_mean(lo, hi, q: float):
+    """M_q(lo, hi) for 0 <= lo <= hi and a finite q, unchecked.
+
+    The one kernel of the power mean: ``power_mean`` and
+    ``cpe_loss.bayes_risk`` check that the operands are nonnegative before
+    calling it.  Call it under ``np.errstate`` with divide, invalid and over
+    ignored: where the operand factored out is 0 the result is 0, or nan
+    for 0/0, and at q < 0 a subnormal lo overflows hi / lo to inf, whose
+    q-th power is 0.  An array result is computed in place in lo or hi.
+    """
+    buf = lo if isinstance(lo, np.ndarray) else None  # a numpy scalar gets a new one
+    if abs(q) < CLASSIC_TOLERANCE:  # the q -> 0 limit, where the forms below divide by q
+        return np.sqrt(np.multiply(lo, hi, out=buf), out=buf)
+    if abs(q) < _SMALL_EXPONENT:
+        out = np.log(np.divide(lo, hi, out=buf), out=buf)
+        out *= q
+        out = np.expm1(out, out=buf)
+        out /= 2.0
+        out = np.log1p(out, out=buf)
+        out /= q
+        out = np.exp(out, out=buf)
+        out *= hi
+        return out
+    base, other = (hi, lo) if q > 0 else (lo, hi)
+    out = np.divide(other, base, out=None if buf is None else other)
+    out **= q
+    out += 1.0
+    out /= 2.0
+    out **= 1.0 / q
+    out *= base
+    return out
 
 
 def power_mean(a, b, q: float):
@@ -108,12 +138,14 @@ def power_mean(a, b, q: float):
     Floats or arrays, broadcast together; two floats give a float,
     computed in scalar arithmetic, since numpy's vectorised pow can differ
     from libm's in the last bit.  Limits: geometric mean at q=0, max at
-    q=+inf, min at q=-inf, and 0 for q < 0 when either operand is 0.
-    Factoring out the operand that keeps the ratio's q-th power at most 1
-    keeps extreme exponents from overflowing.  For |q| < 1e-2 the form
-    ((1 + r^q)/2)^(1/q) cancels (relative error about eps/|q|), so it is
-    evaluated as exp(log1p(expm1(q ln r)/2)/q) instead.  Arrays are
-    computed in place in the min/max temporaries, never in ``a`` or ``b``.
+    q=+inf, min at q=-inf, and 0 for q < 0 when either operand is 0, or
+    for any q when both are.  Factoring out the operand that keeps the
+    ratio's q-th power at most 1 keeps extreme exponents from overflowing.
+    For |q| < 1e-2 the form ((1 + r^q)/2)^(1/q) cancels (relative error
+    about eps/|q|), so it is evaluated as exp(log1p(expm1(q ln r)/2)/q)
+    instead.  A negative operand raises ``ValueError``; this is the check
+    the unchecked kernel ``_ordered_power_mean`` relies on.  Neither ``a``
+    nor ``b`` is written to.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scalar = a.ndim == 0 and b.ndim == 0
@@ -126,34 +158,11 @@ def power_mean(a, b, q: float):
         out = lo
     elif q == math.inf:
         out = np.maximum(a, b)
-    elif abs(q) < CLASSIC_TOLERANCE:
-        # the q -> 0 limit, where the forms below divide by q
-        out = _over(np.sqrt, a * b)
     else:
-        hi = np.maximum(a, b)
-        base, other = (hi, lo) if q > 0 else (lo, hi)
-        empty = ~(base > 0)
-        # at q < 0 a subnormal lo overflows other / base to inf, and inf**q = 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if abs(q) < _SMALL_EXPONENT:
-                out = _over(np.log, _over(np.divide, lo, hi))
-                out *= q
-                out = _over(np.expm1, out)
-                out /= 2.0
-                out = _over(np.log1p, out)
-                out /= q
-                out = _over(np.exp, out)
-                out *= hi
-            else:
-                out = _over(np.divide, other, base)
-                out **= q
-                out += 1.0
-                out /= 2.0
-                out **= 1.0 / q
-                out *= base
-        if scalar:
-            return 0.0 if empty else float(out)
-        # where base is 0 the forms above give 0 already, or nan for 0/0
-        if np.isnan(out).any():
-            out[empty] = 0.0
+            out = _ordered_power_mean(lo, np.maximum(a, b), q)
+        if abs(q) >= CLASSIC_TOLERANCE and np.isnan(out).any():
+            # the kernel's 0/0 where the operand factored out is 0
+            base = np.maximum(a, b) if q > 0 else np.minimum(a, b)
+            out = np.where(base > 0, out, 0.0)
     return float(out) if scalar else out

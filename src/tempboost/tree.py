@@ -43,7 +43,10 @@ admissible subset a non-prefix one, which the scan misses.
 Each leaf scores all candidates and itself in one block: row j holds
 column j's class masses on both sides of its cuts, from prefix and suffix
 sums, and one ``bayes_risk`` call scores every cell from its masses,
-unless no cut is admissible.  Inadmissible cuts are masked to gain -inf
+unless no cut is admissible.  Those masses are sums of nonnegative
+weights, which is what the unchecked power-mean kernel behind
+``bayes_risk`` assumes; ``bayes_risk`` makes its one nonnegativity check
+per call, on the whole block.  Inadmissible cuts are masked to gain -inf
 rather than filtered out.  A gain subtracts the sum of its side terms,
 which IEEE addition makes independent of which side is which, so a cut
 and its mirror (as on a column's exact reverse) tie bitwise.
@@ -226,10 +229,11 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     block[:, -1] = parent
     sides = block[:, :-1].reshape(2, 2, n_rows, width - 1)
     for by_side, mass in zip(sides, (pos, neg)):
-        np.cumsum(mass[:, :-1], axis=1, out=by_side[0])
+        # the ufunc behind np.cumsum, called without that wrapper's overhead
+        np.add.accumulate(mass[:, :-1], axis=1, out=by_side[0])
         # the suffixes summed from the far end, not as total - prefix: sums
         # of nonnegative terms stay nonnegative, so zero means an empty side
-        np.cumsum(mass[:, :0:-1], axis=1, out=by_side[1, :, ::-1])
+        np.add.accumulate(mass[:, :0:-1], axis=1, out=by_side[1, :, ::-1])
     admissible = sides.min(axis=(0, 1)).ravel() > 0
     if not admissible.any():
         return None

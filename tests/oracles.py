@@ -349,7 +349,8 @@ def reference_power_mean(a, b, q: float) -> np.ndarray:
         return np.sqrt(a * b)
     hi = np.maximum(a, b)
     base, other = (hi, lo) if q > 0 else (lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # at q < 0 a subnormal lo overflows other / base to inf, and inf**q = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if abs(q) < 1e-2:
             out = hi * np.exp(np.log1p(np.expm1(q * np.log(lo / hi)) / 2.0) / q)
         else:
@@ -357,13 +358,13 @@ def reference_power_mean(a, b, q: float) -> np.ndarray:
     return np.where(base > 0, out, 0.0)
 
 
-def reference_bayes_risk(v, t: float) -> np.ndarray:
-    """2v(1-v)/M_(1-t)(v, 1-v) over an array, as plain expressions."""
-    v = np.asarray(v, dtype=float)
+def reference_bayes_risk(pos, neg, t: float) -> np.ndarray:
+    """2 pos neg / M_(1-t)(pos, neg) of two arrays of class masses, as plain expressions."""
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
     if t == -math.inf:
-        return 2.0 * np.minimum(v, 1.0 - v)
-    numerator = 2.0 * v * (1.0 - v)
-    mean = reference_power_mean(v, 1.0 - v, 1.0 - t)
+        return 2.0 * np.minimum(pos, neg)
+    numerator = 2.0 * pos * neg
+    mean = reference_power_mean(pos, neg, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(numerator == 0.0, 0.0, numerator / mean)
 

@@ -190,7 +190,21 @@ class TestBayesRisk:
             assert np.all(np.isfinite(risk)) and np.all(risk >= 0)
 
 
-@pytest.mark.parametrize("t", (-math.inf, 0.0, 0.6, 0.995, 1.0, 1.1, 1.9))
+def split_block(rng, runs: int) -> np.ndarray:
+    """Class masses (2, 2 runs - 1) as a split search scores them: the prefix
+    and the suffix sums over ``runs`` runs at every cut, then the total."""
+    mass = rng.random((2, runs)) * (rng.random((2, runs)) < 0.5)  # runs missing a class, or both
+    mass[rng.random((2, runs)) < 0.1] = 5e-324  # a subnormal mass, and its sums
+    mass[:, 0] = 0.0  # the first cut's prefix side is empty: a both-zero pair
+    mass[:, -1] = 5e-324, 0.0  # the last cut's suffix side holds one subnormal mass
+    prefix = np.cumsum(mass[:, :-1], axis=1)
+    suffix = np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+    return np.concatenate([prefix, suffix, mass.sum(axis=1, keepdims=True)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "t", (-math.inf, 0.0, 0.6, 0.99, 0.995, 1 - 5e-10, 1.0, 1 + 5e-10, 1.01, 1.1, 1.9)
+)
 @pytest.mark.parametrize("size", (1, 2, 17, 1000, 20_000))
 def test_array_risk_is_bitwise_the_plain_expression(t, size):
     rng = np.random.default_rng(size)
@@ -198,12 +212,14 @@ def test_array_risk_is_bitwise_the_plain_expression(t, size):
     v[rng.random(size) < 0.2] = 0.0  # the empty and pure sides a split block holds
     v[rng.random(size) < 0.1] = 1.0
     v[rng.random(size) < 0.05] = 1e-300
-    kept = v.copy()
-    got = bayes_risk(v, 1 - v, TemperConfig(t))
-    assert np.array_equal(got, reference_bayes_risk(kept, t))
-    assert not np.signbit(got).any()
-    assert np.array_equal(v, kept)  # the input is never written to
-    assert bayes_risk(float(v[0]), 1 - float(v[0]), TemperConfig(t)) == got[0]
+    pos, neg = split_block(rng, size)  # off the line pos + neg = 1, as every split block is
+    for pos, neg in ((v, 1 - v), (pos, neg)):
+        kept = pos.copy(), neg.copy()
+        got = bayes_risk(pos, neg, TemperConfig(t))
+        assert np.array_equal(got, reference_bayes_risk(*kept, t))
+        assert not np.signbit(got).any()
+        assert np.array_equal(pos, kept[0]) and np.array_equal(neg, kept[1])  # never written to
+        assert bayes_risk(float(pos[0]), float(neg[0]), TemperConfig(t)) == got[0]
 
 
 class TestProperness:

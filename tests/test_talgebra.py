@@ -217,6 +217,11 @@ class TestPowerMean:
     def test_rejects_negative_operands(self):
         with pytest.raises(ValueError):
             power_mean(-0.1, 1.0, 2.0)
+        # one negative entry of an array operand, at each of the kernel's branches
+        for a, b in ((np.array([0.3, -0.1, 0.5]), 1.0), (np.ones(3), np.array([0.2, 0.0, -1e-300]))):
+            for q in (2.0, -1.5, 1e-3, -1e-3, 0.0):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    power_mean(a, b, q)
 
     @pytest.mark.parametrize("t", (-math.inf, 0.0, 0.6, 0.995, 1.0, 1.1, 1.9))
     @pytest.mark.parametrize("size", (1, 2, 17, 1000, 20_000))
