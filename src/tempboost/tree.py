@@ -22,10 +22,15 @@ Dataset and codes each entry with its bin.  A numeric column gets every
 midpoint when it has at most ``dataio.MAX_BINS`` distinct values, else
 equal-count bins that never split equal values (the global proposal of
 XGBoost's approximate split finding, section 3.2); a categorical column
-is sorted by its level codes, one bin per level.  A leaf keeps its rows
-of the block, in order, and one call sums the class masses of each run of
-equal codes in every column, so a numeric and a categorical column with
-the same runs get bitwise equal run masses.  Where the runs lie
+is sorted by its level codes, one bin per level.  A row's two class
+masses travel as one complex number, positive + 1j * negative, so that a
+gather, a prefix sum or a reordering moves both in one numpy call;
+complex addition adds each part on its own, so every sum has the bits of
+its per-class twin.  ``induce_tree`` gathers those masses into block order
+once per tree.  A leaf finds its entries of the block, in order, as one
+flat index, takes its bins and masses with it, and sums the masses of each
+run of equal codes in every column, so a numeric and a categorical column
+with the same runs get bitwise equal run masses.  Where the runs lie
 (``dataio.run_layout``) depends only on the rows, not the weights: a leaf
 below the root computes it, and the root reads ``Dataset.root_runs``,
 built once per Dataset for every tree, and so every boosting round, grown
@@ -41,15 +46,18 @@ leaf holds both classes; a single-class level can make the best
 admissible subset a non-prefix one, which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
-column j's class masses on both sides of its cuts, from prefix and suffix
-sums, and one ``bayes_risk`` call scores every cell from its masses,
-unless no cut is admissible.  Those masses are sums of nonnegative
-weights, which is what the unchecked power-mean kernel behind
-``bayes_risk`` assumes; ``bayes_risk`` makes its one nonnegativity check
-per call, on the whole block.  Inadmissible cuts are masked to gain -inf
-rather than filtered out.  A gain subtracts the sum of its side terms,
-which IEEE addition makes independent of which side is which, so a cut
-and its mirror (as on a column's exact reverse) tie bitwise.
+column j's class masses on both sides of its cuts, from complex prefix
+and suffix sums, and one ``bayes_risk`` call scores every cell from the
+real and imaginary parts of its masses, unless no cut is admissible.
+The run sums are the one step taken per class (see ``_run_sums``): a
+complex ``np.add.reduceat`` adds in another order.  Those masses are
+sums of nonnegative weights, which is what the unchecked power-mean
+kernel behind ``bayes_risk`` assumes; ``bayes_risk`` makes its one
+nonnegativity check per call, on the whole block.  Inadmissible cuts are
+masked to gain -inf rather than filtered out.  A gain subtracts the sum
+of its side terms, which IEEE addition makes independent of which side
+is which, so a cut and its mirror (as on a column's exact reverse) tie
+bitwise.
 
 A tree has one node type, ``Node``, split in place; ``Node.route`` sends
 rows down a split both while the tree grows and when it predicts.
@@ -169,75 +177,81 @@ def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     return q1 ** (1.0 - t) / (1.0 - t) * (a - b) / (a + b)
 
 
-def _run_sums(layout, *masses):
-    """Each block of ``masses`` summed over the runs of ``layout``.
+def _run_sums(layout, masses):
+    """The complex block ``masses`` summed over the runs of ``layout``.
 
     Row f holds the sums of row f's runs, in order, then zero padding, which
-    leaves the cuts next to it an empty side, so none is admissible.
+    leaves the cuts next to it an empty side, so none is admissible.  When
+    every entry is a run, the sums are ``masses`` itself, not a copy.  Each
+    class is summed by its own ``np.add.reduceat`` on the strided ``.real``
+    or ``.imag`` view, which adds in the order of a contiguous array; one
+    complex ``reduceat`` would not (its pairwise sum keeps fewer partial
+    sums), so its bits would differ.
     """
-    if layout.slot is None:  # every entry is a run: the sums are the blocks
+    if layout.slot is None:  # every entry is a run: the sums are the block
         return masses
-    sums = []
-    for mass in masses:
-        block = np.zeros(layout.runs.size * layout.width)
-        block[layout.slot] = np.add.reduceat(mass.ravel(), layout.first)
-        sums.append(block.reshape(layout.runs.size, layout.width))
-    return sums
+    flat = masses.ravel()
+    sums = np.zeros(layout.runs.size * layout.width, dtype=complex)
+    sums.real[layout.slot] = np.add.reduceat(flat.real, layout.first)
+    sums.imag[layout.slot] = np.add.reduceat(flat.imag, layout.first)
+    return sums.reshape(layout.runs.size, layout.width)
 
 
-def _best_split(data, rows, wpos, wneg, cfg, parent):
+def _best_split(data, rows, masses, cfg, parent):
     """Best admissible split predicate of one leaf, or None.
 
-    ``wpos``/``wneg`` are the class-split weights of all of ``data``.  Row j
-    of the block holds column j's run masses in cut order, zero-padded:
-    runs of equal bin codes in code order, those of a categorical column
-    (its levels in the leaf) reordered by posterior.  The row-major argmax
-    over the masked gains breaks ties to the lowest feature, then the
-    lowest threshold or the shortest prefix.
+    ``masses`` is the tree's complex block: entry (j, k) holds the class
+    masses, positive + 1j * negative, of the row at ``column_block`` entry
+    (j, k).  A leaf below the root finds its entries of the block once, as
+    one flat index, and takes its bins and its masses with it.  Row j of the
+    split block holds column j's run masses in cut order, zero-padded: runs
+    of equal bin codes in code order, those of a categorical column (its
+    levels in the leaf) reordered by posterior.  The row-major argmax over
+    the masked gains breaks ties to the lowest feature, then the lowest
+    threshold or the shortest prefix.
     """
     order, bins = data.column_block
-    if rows.size < data.m:  # below the root: keep the leaf's rows, in order
+    leaf = None
+    if rows.size < data.m:  # below the root: keep the leaf's entries, in order
         in_leaf = np.zeros(data.m, dtype=bool)
         in_leaf[rows] = True
-        # compress, not a boolean index: several times faster on scattered masks
-        keep = in_leaf[order].ravel()
-        order = order.compress(keep).reshape(data.d, rows.size)
-        bins = bins.compress(keep).reshape(data.d, rows.size)
+        leaf = np.flatnonzero(in_leaf[order])
+        bins = bins.take(leaf).reshape(data.d, rows.size)
+        masses = masses.take(leaf).reshape(bins.shape)
         layout = run_layout(bins)
     else:  # the root's layout is the same in every tree grown on data
         layout = data.root_runs
-    flat = order.ravel()  # take on the flat order is faster than wpos[order]
-    pos, neg = _run_sums(layout, *(w.take(flat).reshape(order.shape) for w in (wpos, wneg)))
+    sums = _run_sums(layout, masses)
     codes = data.category_codes
     categorical = list(codes)
     if categorical:  # rank the levels by posterior, runs without mass and padding last
+        if layout.slot is None:  # the sums are the block, which the tree's leaves share
+            sums = sums.copy()
         levels = layout.runs[categorical].max()
-        level_pos, level_neg = pos[categorical, :levels], neg[categorical, :levels]
-        mass = level_pos + level_neg
-        posterior = np.divide(level_pos, mass, out=np.full_like(mass, 2.0), where=mass > 0)
+        level = sums[categorical, :levels]
+        mass = level.real + level.imag
+        posterior = np.divide(level.real, mass, out=np.full_like(mass, 2.0), where=mass > 0)
         ranked = np.argsort(posterior, axis=1, kind="stable")
-        by_rank = np.arange(len(categorical))[:, np.newaxis], ranked
-        pos[categorical, :levels] = level_pos[by_rank]
-        neg[categorical, :levels] = level_neg[by_rank]
-    n_rows, width = pos.shape
+        sums[categorical, :levels] = level[np.arange(len(categorical))[:, np.newaxis], ranked]
+    n_rows, width = sums.shape
     cuts = n_rows * (width - 1)
     if not cuts:
         return None
-    # block[c]: class c's mass on the prefix side of every cut, row-major over
+    # block: the masses on the prefix side of every cut, row-major over
     # (feature, cut), then on the suffix side, then the parent's
-    block = np.empty((2, 2 * cuts + 1))
-    block[:, -1] = parent
-    sides = block[:, :-1].reshape(2, 2, n_rows, width - 1)
-    for by_side, mass in zip(sides, (pos, neg)):
-        # the ufunc behind np.cumsum, called without that wrapper's overhead
-        np.add.accumulate(mass[:, :-1], axis=1, out=by_side[0])
-        # the suffixes summed from the far end, not as total - prefix: sums
-        # of nonnegative terms stay nonnegative, so zero means an empty side
-        np.add.accumulate(mass[:, :0:-1], axis=1, out=by_side[1, :, ::-1])
-    admissible = sides.min(axis=(0, 1)).ravel() > 0
+    block = np.empty(2 * cuts + 1, dtype=complex)
+    block[-1] = complex(*parent)
+    sides = block[:-1].reshape(2, n_rows, width - 1)
+    np.add.accumulate(sums[:, :-1], axis=1, out=sides[0])
+    # the suffixes summed from the far end, not as total - prefix: sums
+    # of nonnegative terms stay nonnegative, so zero means an empty side
+    np.add.accumulate(sums[:, :0:-1], axis=1, out=sides[1, :, ::-1])
+    # minima over the side, then the class, of the (side, cut, class) real view:
+    # elementwise, many times faster than a reduction over those short axes
+    admissible = np.minimum(*np.minimum(*sides.view(float).reshape(2, cuts, 2)).T) > 0
     if not admissible.any():
         return None
-    terms = bayes_risk(block[0], block[1], cfg)
+    terms = bayes_risk(block.real, block.imag, cfg)
     gains = terms[-1] - (terms[:cuts] + terms[cuts:-1])  # the sum commutes: mirrors tie
     best = int(np.where(admissible, gains, -np.inf).argmax())
     j, at = divmod(best, width - 1)  # block row j is column j
@@ -245,9 +259,9 @@ def _best_split(data, rows, wpos, wneg, cfg, parent):
     if j in codes:  # a run's level code is the bin at its start
         prefix = np.sort(bins[j, starts[ranked[categorical.index(j), : at + 1]]])
         return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
-    x = data.columns[j].values
-    right = starts[at + 1]  # the first entry right of the cut
-    below, above = float(x[order[j, right - 1]]), float(x[order[j, right]])
+    right = j * rows.size + starts[at + 1]  # the leaf's first entry right of the cut
+    around = [right - 1, right] if leaf is None else leaf[right - 1 : right + 1]
+    below, above = data.columns[j].values[order.take(around)].tolist()
     threshold = below / 2 + above / 2  # cannot overflow, unlike (below + above) / 2
     if not below < threshold <= above:  # rounded onto below: adjacent doubles
         threshold = above
@@ -275,10 +289,11 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
         raise ValueError("need one nonnegative weight per example")
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("weights must sum to 1 (a co-density)")
-    # bitwise np.where(labels > 0, weights, 0.0) and its mirror: the weights are finite
-    wpos = weights * data.positive
-    wneg = weights - wpos
-    pos_total, neg_total = wpos.sum(), wneg.sum()
+    # pos + 1j * neg, bitwise np.where(labels > 0, weights, 0.0) and its mirror: weights are finite
+    masses = np.empty(data.m, dtype=complex)
+    np.multiply(weights, data.positive, out=masses.real)
+    np.subtract(weights, masses.real, out=masses.imag)
+    pos_total, neg_total = masses.real.sum(), masses.imag.sum()
     if pos_total <= 0 or neg_total <= 0:
         raise SingleClassError("training rows must carry weighted mass of both classes")
 
@@ -288,21 +303,22 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
         stats = LeafStats(float(m_pos), float(m_neg))
         return Node(stats, leaf_prediction(stats.p, q1, cfg))
 
-    rows = np.arange(data.m)
-    root = make_leaf(pos_total, neg_total)  # bitwise wpos[rows].sum(), wneg[rows].sum()
+    root = make_leaf(pos_total, neg_total)
     n_nodes = 1
-    live = [(root, rows)]  # (leaf, its training rows)
+    live = [(root, np.arange(data.m))]  # (leaf, its training rows)
+    block = masses.take(data.column_block[0])  # every leaf's masses, gathered once per tree
 
     while n_nodes + 2 <= max_nodes and live:
         heaviest = max(range(len(live)), key=lambda i: live[i][0].stats.r)
         node, rows = live.pop(heaviest)
-        predicate = _best_split(data, rows, wpos, wneg, cfg, node.stats)
+        predicate = _best_split(data, rows, block, cfg, node.stats)
         if predicate is None:
             continue  # retired: no admissible split on this leaf
         node.predicate = predicate
         false_rows, true_rows = node.route(data, rows)
-        node.left, node.right = (
-            make_leaf(wpos[side].sum(), wneg[side].sum()) for side in (false_rows, true_rows)
+        node.left, node.right = (  # one gather of both class masses per child
+            make_leaf(mass.real.sum(), mass.imag.sum())
+            for mass in (masses[false_rows], masses[true_rows])
         )
         live.append((node.left, false_rows))
         live.append((node.right, true_rows))

@@ -454,23 +454,65 @@ class TestInduceTree:
         assert bins[f, at[0]] != bins[f, at[1]]
 
     def test_run_sums_match_a_loop_over_runs(self):
+        # bitwise: each class summed by np.add.reduceat, run by run, on contiguous
+        # memory (reduceat adds in another order than sum, so the bits differ)
         rng = np.random.default_rng(5487)
-        for case in range(60):
-            n_rows, width = rng.integers(1, 6), rng.integers(1, 40)
+        shapes = [(rng.integers(1, 6), rng.integers(1, 40)) for _ in range(60)]
+        for n_rows, width in shapes + [(1, 1), (4, 1), (3, 60)]:
             run_start = rng.random((n_rows, width)) < rng.uniform(0.05, 1.0)
             run_start[:, 0] = True
-            mass = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.8)
+            pos, neg = spread_masses(rng, (n_rows, width)), spread_masses(rng, (n_rows, width))
             layout = run_layout(np.cumsum(run_start, axis=1))  # codes change at run starts
             assert np.array_equal(layout.run_start, run_start)
-            (got,) = _run_sums(layout, mass)
-            for f in range(n_rows):
-                edges = np.append(np.flatnonzero(run_start[f]), width)
-                want = [mass[f, a:b].sum() for a, b in zip(edges[:-1], edges[1:])]
-                np.testing.assert_allclose(got[f, : len(want)], want, rtol=1e-14, atol=0)
-                assert not got[f, len(want) :].any()  # padding stays exactly zero
+            got = _run_sums(layout, pack(pos, neg))
+            for part, mass in ((got.real, pos), (got.imag, neg)):
+                for f in range(n_rows):
+                    edges = np.append(np.flatnonzero(run_start[f]), width)
+                    runs = zip(edges[:-1], edges[1:])
+                    want = np.concatenate([np.add.reduceat(mass[f, a:b], [0]) for a, b in runs])
+                    assert same_bits(part[f, : want.size], want)
+                    assert not part[f, want.size :].any()  # padding stays exactly zero
         single = run_layout(np.arange(21).reshape(3, 7))
-        mass = rng.random((3, 7))
-        assert np.array_equal(_run_sums(single, mass)[0], mass)  # one entry per run
+        masses = pack(rng.random((3, 7)), rng.random((3, 7)))
+        assert _run_sums(single, masses) is masses  # one entry per run: the block itself
+
+    def test_complex_sums_and_gathers_match_each_class_bitwise(self):
+        # the exactness the complex block relies on: complex addition adds
+        # each part on its own, in the order of the per-class arrays
+        rng = np.random.default_rng(2306)
+        for n_rows, width in ((60, 94), (60, 20), (5, 256), (4, 2), (3, 1), (1, 1)):
+            pos, neg = spread_masses(rng, (n_rows, width)), spread_masses(rng, (n_rows, width))
+            masses = pack(pos, neg)
+            sides = np.empty((2, n_rows, width - 1), dtype=complex)
+            np.add.accumulate(masses[:, :-1], axis=1, out=sides[0])
+            np.add.accumulate(masses[:, :0:-1], axis=1, out=sides[1, :, ::-1])
+            for part, mass in ((sides.real, pos), (sides.imag, neg)):
+                assert same_bits(part[0], np.cumsum(mass[:, :-1], axis=1))
+                assert same_bits(part[1], np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1])
+            rows = rng.choice(masses.size, size=rng.integers(1, masses.size + 1))
+            gathered = masses.take(rows)
+            for part, mass in ((gathered.real, pos), (gathered.imag, neg)):
+                assert same_bits(part, mass.take(rows))
+                assert same_bits(part.sum(), mass.take(rows).sum())
+
+    def test_the_root_search_leaves_the_trees_block_as_it_was(self):
+        # distinct values in every column: the root's run sums are the block itself
+        m = 16
+        rng = np.random.default_rng(7)
+        x = rng.permutation(m).astype(float)
+        grade = np.array([f"v{k:02d}" for k in rng.permutation(m)])
+        labels = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int64)
+        labels[:2] = 1, -1
+        data = Dataset((Column("x", NUMERIC, x), Column("grade", CATEGORICAL, grade)), labels)
+        assert data.root_runs.slot is None
+        w = rng.uniform(0.5, 2.0, size=m)
+        w /= w.sum()
+        masses = pack(w * data.positive, w - w * data.positive)
+        block = masses.take(data.column_block[0])
+        kept = block.copy()
+        stats = LeafStats(masses.real.sum(), masses.imag.sum())
+        assert tree_module._best_split(data, np.arange(m), block, TemperConfig(0.5), stats)
+        assert same_bits(block, kept)  # every later leaf of the tree reads it
 
     def test_root_run_layout_is_built_once_per_dataset(self, monkeypatch):
         data = make_mixed_table(m=120, seed=4)
@@ -508,6 +550,27 @@ class TestInduceTree:
         tree = induce_tree(data, w, 15, TemperConfig(t))
         assert describe_tree(tree) == naive_tree(data, w, 15, t, max_bins=MAX_BINS)
         assert 2 not in split_features(tree.root)  # equal gains break to the lower feature
+
+
+def spread_masses(rng, shape):
+    """Nonnegative masses over many magnitudes, so that the order of a sum
+    shows in its bits, with exact zeros and subnormals among them."""
+    mass = rng.random(shape) * 10.0 ** rng.integers(-12, 1, size=shape)
+    mass[rng.random(shape) < 0.2] = 0.0
+    tiny = rng.random(shape) < 0.1
+    mass[tiny] = rng.integers(1, 1000, size=tiny.sum()) * np.finfo(float).smallest_subnormal
+    return mass
+
+
+def pack(pos, neg):
+    """The class masses as ``induce_tree`` carries them: pos + 1j * neg, exactly."""
+    masses = np.empty(pos.shape, dtype=complex)
+    masses.real, masses.imag = pos, neg
+    return masses
+
+
+def same_bits(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def random_mixed_table(seed):
