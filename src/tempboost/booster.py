@@ -165,7 +165,8 @@ def edge(weights: TemWeights, u, r_max: float, q_dagger: float) -> float:
     dagger = weights.dagger
     q_eff[dagger] = q_dagger
     scale = (1.0 + dagger.size * q_dagger ** (2.0 - t)) * r_max
-    return float(np.clip(np.dot(q_eff, u) / scale, -1.0, 1.0))
+    # a numpy reduction, not BLAS np.dot, whose bits depend on its thread count
+    return float(np.clip(np.add.reduce(q_eff * u) / scale, -1.0, 1.0))
 
 
 def leveraging(rho: float, r_max: float, cfg: TemperConfig, z_product: float, m: int):

@@ -1,6 +1,10 @@
 """Boosting loop: edges, coefficients, guarantees, prediction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,31 @@ class TestEdge:
             (1.0 + q_dagger**1.5) * r_max
         )
         assert edge(w, u, r_max, q_dagger) == pytest.approx(expected, rel=1e-12)
+
+    def test_edge_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product this long across its threads, which
+        # reorders the sum; a numpy reduction does not, so a trace reruns
+        code = (
+            "import numpy as np\n"
+            "from tempboost.booster import confidence_bounds, edge\n"
+            "from tempboost.talgebra import TemperConfig\n"
+            "from tempboost.weights import TemWeights\n"
+            "rng = np.random.default_rng(2306)\n"
+            "q = rng.random(20000) * 10.0 ** rng.integers(-6, 1, size=20000)\n"
+            "w = TemWeights(q / np.sum(q**1.5) ** (1 / 1.5), TemperConfig(0.5))\n"
+            "u = rng.uniform(-1.0, 1.0, size=20000)\n"
+            "print(edge(w, u, *confidence_bounds(w, u)).hex())\n"
+        )
+        src = str(Path(booster.__file__).resolve().parents[1])
+        bits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert out.returncode == 0, out.stderr
+            bits.append(out.stdout.strip())
+        assert bits[0] == bits[1]
 
 
 class TestLeveraging:

@@ -27,23 +27,26 @@ from tempboost.tree import DecisionTree
 
 # sha256 of trace.csv for the grids below.  Every tree, weight update and
 # prediction feeds it, so a change that alters results has to change this
-# pin and say why.
-SMOKE_TRACE_SHA256 = "540a316cf1236adb1680f0e38c7b7e8807d2d00d3c4855b1896aaabdea8e1056"
-CATEGORICAL_TRACE_SHA256 = "8e86c0fb45e4b966239531f311a4c9e3b2f1b874c30ccab9a96a8447cd8d9c30"
+# pin and say why.  Last changed when booster.edge moved from BLAS np.dot,
+# whose sum order depends on the BLAS thread count, to np.add.reduce: the
+# edges, and so the weights and co-density plots, moved in the last bits;
+# the summaries and test errors did not.
+SMOKE_TRACE_SHA256 = "0b74e3472978ed7fe7b65106cddc19c57684c12b53ae801fd5990708a3d9f696"
+CATEGORICAL_TRACE_SHA256 = "fa5adac73c0fbd2b9a7d6778e1a8cbd51e589e3befb52612078ba17a56e70144"
 # sha256 of the other outputs of the same grids: the summary and the plot data.
 SMOKE_OUTPUT_SHA256 = {
     "summary.csv": "630018203e7f7bf2573c88e417c71f2ff5ddf4a7b9722abe9bd0f2c443dbc1fe",
     "plot_test_err_unclamped.csv": "fbd50681deb6b0dd8541ff3988dd58615023c064e0236ecc5532ff6ea765cc39",
     "plot_test_err_clamped.csv": "4e12a909191698a24b0d542e210756363b62e7c00d0357a5a3567d765c7f71b2",
-    "plot_min_codensity.csv": "d0f181f0fcb8d03941ce73f6c4f82bbc7ebff177817db9870ea87e6464fa9f54",
-    "plot_max_codensity.csv": "ddaf5773e973cc6b7d1e0619a017f8fdbe1b38a1f43f12e2a9e78e3364e33772",
+    "plot_min_codensity.csv": "29275fa978738df0787adc0b0843d94b11828765893308116a323e71ef59b052",
+    "plot_max_codensity.csv": "718d00740d2d71e0df1606d987a0ed96fa181d4fee8836c1c034ee3978c6c56c",
 }
 CATEGORICAL_OUTPUT_SHA256 = {
     "summary.csv": "98047f1e5010940a48b38a5051decc0d1c88afc81c0849e1d87cde05ad856128",
     "plot_test_err_unclamped.csv": "d05eda6dfadc8fb515e6ec24249085f71b84e6c385c7a02437609d34bb67e817",
     "plot_test_err_clamped.csv": "bfa5919e8b568ca9cf66feab62b83147a21b20dd338d6a0533d2826f82cff733",
-    "plot_min_codensity.csv": "c797cdd242972ce8b83d4b14070ef305ebe183f9a87fdfbee9324a8e2da9b42c",
-    "plot_max_codensity.csv": "6ba5a68b99967b9346abff81daf53ff8b9b8ad59301af4ef35a6e7859bf32ca1",
+    "plot_min_codensity.csv": "a1639dfb2110124c0584cf60df0f43259466e87f7e848dd0a689c39a172de308",
+    "plot_max_codensity.csv": "9d698f74544e0afddddb6e2b47dafd9bd05c8d4157b166158cd381598a89b827",
 }
 
 
