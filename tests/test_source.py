@@ -89,3 +89,51 @@ def test_the_program_reads_every_definition_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
     readers = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.rglob("*.py"))]
     assert unread_definitions(sources, readers, KEEP) == []
+
+
+# numpy names backed by BLAS, whose sum order depends on the BLAS library
+# and its thread count, so that their bits do not reproduce from the seed
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+# ``latent @ mix`` generates the benchmark's wideband CSV; changing it
+# would change the benchmark's input
+BLAS_EXEMPT = {"tempboost/synthetic.py"}
+
+
+def blas_uses(source: str) -> list:
+    """(line, what) of every BLAS-backed numpy use in the source: the ``@``
+    operator, and a name in ``BLAS_NAMES`` read as an attribute, as in
+    ``np.dot`` or ``x.dot``, or imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                parts = set(f"{module}.{alias.name}".split("."))
+                if "numpy" in parts and parts & BLAS_NAMES:
+                    found.append((node.lineno, alias.name))
+    return sorted(found)
+
+
+def test_blas_uses_are_found():
+    source = (
+        "import numpy as np\nfrom numpy import dot\nimport numpy.linalg\n"
+        "a = np.dot(x, y)\nb = x @ y\nb @= y\nc = x.dot(y)\nd = np.linalg.norm(x)\n"
+        "e = np.add.reduce(x * y)\nf = np.cumsum(x)\n"
+    )
+    assert blas_uses(source) == [
+        (2, "dot"), (3, "numpy.linalg"), (4, "dot"), (5, "@"), (6, "@"), (7, "dot"), (8, "linalg")
+    ]
+
+
+def test_no_module_outside_the_generators_calls_blas():
+    found = {
+        name: uses
+        for path in sorted(SRC.rglob("*.py"))
+        if (name := path.relative_to(SRC).as_posix()) not in BLAS_EXEMPT
+        if (uses := blas_uses(path.read_text(encoding="utf-8")))
+    }
+    assert not found
