@@ -27,10 +27,11 @@ masses travel as one complex number, positive + 1j * negative, so that a
 gather, a prefix sum or a reordering moves both in one numpy call;
 complex addition adds each part on its own, so every sum has the bits of
 its per-class twin.  ``induce_tree`` gathers those masses into block order
-once per tree.  A leaf finds its entries of the block, in order, as one
-flat index, takes its bins and masses with it, and sums the masses of each
-run of equal codes in every column, so a numeric and a categorical column
-with the same runs get bitwise equal run masses.  Where the runs lie
+once per tree.  A leaf below the root finds its entries of the block, in
+order, as one flat index and takes its bins and masses with it.  Each
+leaf sums the masses of each run of equal codes in every column, so a
+numeric and a categorical column with the same runs get bitwise equal
+run masses.  Where the runs lie
 (``dataio.run_layout``) depends only on the rows, not the weights: a leaf
 below the root computes it, and the root reads ``Dataset.root_runs``,
 built once per Dataset for every tree, and so every boosting round, grown
@@ -316,7 +317,7 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
             continue  # retired: no admissible split on this leaf
         node.predicate = predicate
         false_rows, true_rows = node.route(data, rows)
-        node.left, node.right = (  # one gather of both class masses per child
+        node.left, node.right = (
             make_leaf(mass.real.sum(), mass.imag.sum())
             for mass in (masses[false_rows], masses[true_rows])
         )
