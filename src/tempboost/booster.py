@@ -198,10 +198,8 @@ def kt_bound(rho: float, cfg: TemperConfig) -> float:
     Equals sqrt(1 - z^2) at t=1 and 1 - z^2 at t=0, and is dominated by
     exp(-z^2 (2-t) / 2) on t in [0, 1].
     """
-    if abs(rho) > 1.0:
-        raise ValueError("edge must lie in [-1, 1]")
-    if abs(rho) == 1.0:
-        return 0.0 if cfg.t <= 1.0 else 2.0 ** (1.0 + 1.0 / (1.0 - cfg.t))
+    if not abs(rho) < 1.0:  # a nan fails too
+        raise ValueError(f"edge must lie in (-1, 1), got {rho}")
     if cfg.is_classic():
         return math.sqrt(1.0 - rho * rho)
     return (1.0 - rho * rho) / power_mean(1.0 - rho, 1.0 + rho, 1.0 - cfg.t)
@@ -232,8 +230,6 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    if cfg.t < 0:
-        raise ValueError("boosting requires t in [0, 2)")
     labels = data.labels.astype(float)
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise SingleClassError("training data must contain both classes")

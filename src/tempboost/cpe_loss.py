@@ -15,14 +15,12 @@ M_q is 1-homogeneous, so a mass r = P + N at posterior P / r risks
 r L_t(P / r) = 2PN / M_(1-t)(P, N).  ``bayes_risk`` computes that from
 the class masses P and N; L_t(v) is the case P = v, N = 1 - v.
 
-t = -inf is represented by the float -inf with explicit limit branches
-(the limits have closed forms; a merely large negative float would
-overflow the powers instead of attaining them).
+Trees score splits only at boosting temperatures, t in [0, 2).  The
+family's t < 0 and t = -inf live in ``tests/paper_math.py``, which hands
+``bayes_risk`` such a t as a ``CPETemperature``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -33,13 +31,13 @@ def bayes_risk(pos, neg, cfg: TemperConfig):
     """Bayes risk 2 pos neg / M_(1-t)(pos, neg) of the class masses pos and neg.
 
     r L_t(pos / r) for r = pos + neg (see the module notes): 4 pos neg / r
-    at t=0, 2 sqrt(pos neg) at t=1, 2 min(pos, neg) at t=-inf, and zero
-    whenever either mass is zero.  Concave, which makes tree-splitting
-    gains nonnegative.  Accurate while 2 pos neg is a normal double.
-    Floats or arrays, broadcast together; a float is scored with the array
-    arithmetic.  Neither input is written to.  A negative or nan mass
-    raises ``ValueError``: the one check that the unchecked power-mean
-    kernel ``talgebra._ordered_power_mean`` relies on.
+    at t=0, 2 sqrt(pos neg) at t=1, and zero whenever either mass is zero.
+    Concave, which makes tree-splitting gains nonnegative.  Accurate while
+    2 pos neg is a normal double.  Reads only ``cfg.t``.  Floats or arrays,
+    broadcast together; a float is scored with the array arithmetic.
+    Neither input is written to.  A negative or nan mass raises
+    ``ValueError``: the one check that the unchecked power-mean kernel
+    ``talgebra._ordered_power_mean`` relies on.
     """
     pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
     if pos.shape != neg.shape:
@@ -50,14 +48,11 @@ def bayes_risk(pos, neg, cfg: TemperConfig):
     lo = np.minimum(pos, neg)
     if lo.size and not lo.min() >= 0:  # a nan fails too
         raise ValueError("class masses must be nonnegative")
-    if cfg.t == -math.inf:
-        out = np.multiply(lo, 2.0, out=lo)
-    else:
-        numerator = np.multiply(2.0, pos)
-        numerator *= neg
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mean = _ordered_power_mean(lo, np.maximum(pos, neg), 1.0 - cfg.t)
-            out = np.divide(numerator, mean, out=mean)
-        # a zero numerator gives 0 over a positive mean and nan over a zero one
-        np.fmax(out, 0.0, out=out)
+    numerator = np.multiply(2.0, pos)
+    numerator *= neg
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = _ordered_power_mean(lo, np.maximum(pos, neg), 1.0 - cfg.t)
+        out = np.divide(numerator, mean, out=mean)
+    # a zero numerator gives 0 over a positive mean and nan over a zero one
+    np.fmax(out, 0.0, out=out)
     return float(out[0]) if scalar else out

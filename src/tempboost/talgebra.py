@@ -1,19 +1,21 @@
 """Scalar kernel for tempered (t-deformed) arithmetic.
 
-``TemperConfig`` carries the temperature t.  The deformed logarithm
+``TemperConfig`` carries the temperature t and is the one check of its
+range, [0, 2).  The deformed logarithm
 
     log_t(z) = (z^(1-t) - 1) / (1 - t)
 
 recovers ln in the limit t -> 1; ``booster.leveraging`` takes the weight
-update's coefficient from it.  The two-point power mean M_q underlies
-the Bayes risk, the per-round guarantee factor and the leveraging
-coefficient.  Its arithmetic is one kernel, ``_ordered_power_mean``, which
-assumes nonnegative operands and checks nothing; its two entry points,
-``power_mean`` here and ``cpe_loss.bayes_risk``, each make the one
-nonnegativity check before calling it.
+update's coefficient from it, one float at a time.  The two-point power
+mean M_q underlies the Bayes risk, the per-round guarantee factor and the
+leveraging coefficient.  Its arithmetic is one kernel,
+``_ordered_power_mean``, which assumes nonnegative operands and checks
+nothing; its two entry points, ``power_mean`` here and
+``cpe_loss.bayes_risk``, each make the one nonnegativity check before
+calling it.  The kernel's finite form attains the limits q = +-inf (the
+max and the min) exactly: r^(+-inf) is 0 or 1, and x^0 = 1.
 
-Both accept floats or numpy arrays and return matching shapes.  The
-t = 1 limit is dispatched to the exact classical forms whenever
+The t = 1 limit is dispatched to the exact classical forms whenever
 |t - 1| < CLASSIC_TOLERANCE, because evaluating (z^(1-t) - 1)/(1-t) there
 is catastrophically cancellative.
 """
@@ -34,18 +36,17 @@ _SMALL_EXPONENT = 1e-2  # the power mean switches to expm1/log1p below this |q|
 class TemperConfig:
     """Temperature parameter driving every deformed operation.
 
-    ``t`` must be < 2 (the co-simplex power 2 - t must stay positive).
-    Boosting operations additionally require t in [0, 2); the CPE-loss
-    family accepts any t in [-inf, 2).  Range policing beyond t < 2 is
-    left to the callers.
+    ``t`` must lie in [0, 2), where boosting is defined; this is the one
+    range check, and a nan fails it.  The CPE-loss family's t < 0 is paper
+    mathematics that only the tests run (``tests/paper_math.py``).
     """
 
     t: float
 
     def __post_init__(self):
         t = float(self.t)
-        if math.isnan(t) or t >= 2.0:
-            raise ValueError(f"temperature must satisfy t < 2, got {self.t}")
+        if not 0.0 <= t < 2.0:  # a nan fails too
+            raise ValueError(f"temperature must lie in [0, 2), got {self.t}")
         object.__setattr__(self, "t", t)
 
     @property
@@ -65,42 +66,21 @@ class TemperConfig:
         return math.inf
 
 
-def _prepare(z):
-    arr = np.asarray(z, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0, arr.shape
-
-
-def _finish(out, scalar, shape):
-    if scalar:
-        return float(out[0])
-    return out.reshape(shape)
-
-
-def _require_finite_t(cfg: TemperConfig, op: str) -> float:
-    if not math.isfinite(cfg.t):
-        raise ValueError(f"{op} requires a finite temperature, got t={cfg.t}")
-    return cfg.t
-
-
-def log_t(z, cfg: TemperConfig):
-    """Deformed logarithm (z^(1-t) - 1)/(1-t); natural log at t=1.
-
-    Domain is z > 0.
-    """
-    t = _require_finite_t(cfg, "log_t")
-    arr, scalar, shape = _prepare(z)
-    if arr.size == 0 or np.any(arr <= 0) or np.any(np.isnan(arr)):
+def log_t(z: float, cfg: TemperConfig) -> float:
+    """Deformed logarithm (z^(1-t) - 1)/(1-t) of a float z > 0; natural log at t=1."""
+    if not z > 0:  # a nan fails too
         raise ValueError("log_t requires strictly positive input")
+    arr = np.array([z], dtype=float)  # numpy's log and expm1, not libm's
     if cfg.is_classic():
         out = np.log(arr)
     else:
-        om = 1.0 - t
+        om = 1.0 - cfg.t
         out = np.expm1(om * np.log(arr)) / om
-    return _finish(out, scalar, shape)
+    return float(out[0])
 
 
 def _ordered_power_mean(lo, hi, q: float):
-    """M_q(lo, hi) for 0 <= lo <= hi and a finite q, unchecked.
+    """M_q(lo, hi) for 0 <= lo <= hi and a non-nan q, unchecked.
 
     The one kernel of the power mean: ``power_mean`` and
     ``cpe_loss.bayes_risk`` check that the operands are nonnegative before
@@ -154,15 +134,10 @@ def power_mean(a, b, q: float):
     lo = np.minimum(a, b)
     if (lo < 0).any():
         raise ValueError("power_mean requires nonnegative operands")
-    if q == -math.inf:
-        out = lo
-    elif q == math.inf:
-        out = np.maximum(a, b)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _ordered_power_mean(lo, np.maximum(a, b), q)
-        if abs(q) >= CLASSIC_TOLERANCE and np.isnan(out).any():
-            # the kernel's 0/0 where the operand factored out is 0
-            base = np.maximum(a, b) if q > 0 else np.minimum(a, b)
-            out = np.where(base > 0, out, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _ordered_power_mean(lo, np.maximum(a, b), q)
+    if abs(q) >= CLASSIC_TOLERANCE and np.isnan(out).any():
+        # the kernel's 0/0 where the operand factored out is 0
+        base = np.maximum(a, b) if q > 0 else np.minimum(a, b)
+        out = np.where(base > 0, out, 0.0)
     return float(out) if scalar else out

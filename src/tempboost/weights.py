@@ -41,8 +41,6 @@ class TemWeights:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise ValueError("weights must form a nonempty 1-d vector")
-        if not math.isfinite(self.cfg.t):
-            raise ValueError("co-simplex weights require a finite temperature")
         if not np.all(np.isfinite(q)) or np.any(q < 0):
             raise ValueError("weights must be finite and nonnegative")
         p = q ** (2.0 - self.cfg.t)

@@ -361,8 +361,6 @@ def reference_power_mean(a, b, q: float) -> np.ndarray:
 def reference_bayes_risk(pos, neg, t: float) -> np.ndarray:
     """2 pos neg / M_(1-t)(pos, neg) of two arrays of class masses, as plain expressions."""
     pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
-    if t == -math.inf:
-        return 2.0 * np.minimum(pos, neg)
     numerator = 2.0 * pos * neg
     mean = reference_power_mean(pos, neg, 1.0 - t)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -10,14 +10,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from tempboost.cpe_loss import bayes_risk
 from tempboost.errors import AllZeroError, TempBoostError, WeightOverflowError, ZeroWeightError
 from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
-from tempboost.talgebra import _finish, _prepare, _require_finite_t
 from tempboost.weights import TemWeights, _margins, _unnormalized, tempered_update
+
+
+class CPETemperature(NamedTuple):
+    """A CPE-family temperature t in [-inf, 2), unchecked; ``TemperConfig`` takes [0, 2)."""
+
+    t: float
+
+
+def _prepare(z):
+    arr = np.asarray(z, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0, arr.shape
+
+
+def _finish(out, scalar, shape):
+    return float(out[0]) if scalar else out.reshape(shape)
+
 
 # ---------------------------------------------------------------------------
 # deformed exponential, product and subtraction
@@ -33,7 +49,7 @@ def exp_t(z, cfg: TemperConfig):
     while log_t(exp_t(z)) truncates at -1/(1-t) for t < 1 (at 1/(t-1) from
     above for t > 1).
     """
-    t = _require_finite_t(cfg, "exp_t")
+    t = cfg.t
     arr, scalar, shape = _prepare(z)
     if cfg.is_classic():
         with np.errstate(over="ignore"):
@@ -55,7 +71,7 @@ def t_product(a, b, cfg: TemperConfig):
     1 is the unit; the ordinary product at t=1.  Satisfies
     exp_t(x + y) = t_product(exp_t(x), exp_t(y)).
     """
-    t = _require_finite_t(cfg, "t_product")
+    t = cfg.t
     arr_a, scalar_a, shape_a = _prepare(a)
     arr_b, scalar_b, shape_b = _prepare(b)
     if np.any(arr_a < 0) or np.any(arr_b < 0):
@@ -93,7 +109,7 @@ def t_minus(a, b, cfg: TemperConfig):
     exp_t(u) / exp_t(v) = exp_t(t_minus(u, v)) wherever both sides are
     finite and positive.
     """
-    t = _require_finite_t(cfg, "t_minus")
+    t = cfg.t
     arr_a, scalar_a, shape_a = _prepare(a)
     arr_b, scalar_b, shape_b = _prepare(b)
     arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
@@ -242,7 +258,7 @@ def _prepare_unit(z, name: str):
     return flat, scalar, shape
 
 
-def partial_loss_pos(u, cfg: TemperConfig):
+def partial_loss_pos(u, cfg: CPETemperature):
     """Partial loss ((1 - u) / M_(1-t)(u, 1 - u))^(2-t) charged to the
     positive class at posterior guess u.
 
@@ -269,7 +285,7 @@ def _weighted(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.multiply(weight, value, out=out, where=weight != 0.0)
 
 
-def pointwise_risk(u, v, cfg: TemperConfig):
+def pointwise_risk(u, v, cfg: CPETemperature):
     """Conditional risk v l_pos(u) + (1-v) l_pos(1-u) of guess u at truth v."""
     u_arr, u_scalar, u_shape = _prepare_unit(u, "posterior guess")
     v_arr, v_scalar, v_shape = _prepare_unit(v, "ground truth")
@@ -293,7 +309,7 @@ class PropernessReport:
         return not self.violations
 
 
-def check_strict_properness(cfg: TemperConfig, v_grid=None) -> PropernessReport:
+def check_strict_properness(cfg: CPETemperature, v_grid=None) -> PropernessReport:
     """Verify on a grid of truths v that v minimizes the conditional risk.
 
     The guesses u are the grid of step 1e-4 inside (0, 1).  For finite t
@@ -353,14 +369,14 @@ def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
         return 2.0
 
     lo = -16.0
-    while bayes_risk(u, 1.0 - u, TemperConfig(lo)) > z:
+    while bayes_risk(u, 1.0 - u, CPETemperature(lo)) > z:
         lo *= 2.0
         if lo < -1e18:
             return -math.inf
     hi = 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = bayes_risk(u, 1.0 - u, TemperConfig(mid))
+        value = bayes_risk(u, 1.0 - u, CPETemperature(mid))
         if abs(value - z) <= tol:
             return mid
         if value < z:

@@ -238,6 +238,13 @@ class TestKtBound:
             for z in np.linspace(-0.99, 0.99, 67):
                 assert kt_bound(float(z), cfg) <= math.exp(-z * z / (2 * cfg.t_star)) + 1e-15
 
+    def test_rejects_a_saturated_or_nan_edge(self):
+        # a record's edge is at most 1 - RHO_CAP in magnitude, so |rho| = 1 has no factor
+        for rho in (1.0, -1.0, math.nan):
+            for t in (0.0, 0.5, 1.0):
+                with pytest.raises(ValueError, match="edge"):
+                    kt_bound(rho, TemperConfig(t))
+
 
 class TestBoostLoop:
     def test_single_round_fixed_hypothesis(self):
@@ -355,10 +362,8 @@ class TestBoostLoop:
         assert len(trace) == 1
         assert len(ens.members) == 1
 
-    def test_rejects_negative_temperature_and_bad_labels(self):
+    def test_rejects_single_class_labels(self):
         data = make_mixed_table(m=30, seed=0)
-        with pytest.raises(ValueError):
-            boost(data, TreeWeakLearner(), 3, TemperConfig(-0.5))
         one_class = data.with_labels(np.ones(data.m, dtype=np.int64))
         with pytest.raises(SingleClassError) as raised:
             boost(one_class, TreeWeakLearner(), 3, TemperConfig(0.5))

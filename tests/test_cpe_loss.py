@@ -6,32 +6,32 @@ import numpy as np
 import pytest
 
 from oracles import reference_bayes_risk
-from paper_math import bayes_risk_coverage, check_strict_properness, partial_loss_pos, pointwise_risk
+from paper_math import CPETemperature, bayes_risk_coverage, check_strict_properness
+from paper_math import partial_loss_pos, pointwise_risk
 from tempboost.cpe_loss import bayes_risk
-from tempboost.talgebra import TemperConfig
 
 T_SPAN = [-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9]
-NEG_INF = TemperConfig(-math.inf)
+NEG_INF = CPETemperature(-math.inf)
 
 
 class TestPartialLosses:
     def test_half_point_is_one_for_every_t(self):
         for t in T_SPAN:
-            assert partial_loss_pos(0.5, TemperConfig(t)) == pytest.approx(1.0, rel=1e-12)
+            assert partial_loss_pos(0.5, CPETemperature(t)) == pytest.approx(1.0, rel=1e-12)
         assert partial_loss_pos(0.5, NEG_INF) == 2.0  # the step loss doubles there
 
     def test_half_point_mirror_and_bayes_diagonal(self):
-        cfg = TemperConfig(0.5)
+        cfg = CPETemperature(0.5)
         assert partial_loss_pos(0.5, cfg) == pytest.approx(1.0)
         assert bayes_risk(0.4, 1 - 0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
 
     def test_t_zero_square_form(self):
         # (2 (1-u))^2
-        assert partial_loss_pos(0.75, TemperConfig(0.0)) == pytest.approx(0.25, rel=1e-12)
+        assert partial_loss_pos(0.75, CPETemperature(0.0)) == pytest.approx(0.25, rel=1e-12)
 
     def test_classic_matusita_partial(self):
         # (1-u)/sqrt(u(1-u)) at u=0.9 is exactly 1/3
-        assert partial_loss_pos(0.9, TemperConfig(1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert partial_loss_pos(0.9, CPETemperature(1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_step_loss_at_minus_infinity(self):
         cfg = NEG_INF
@@ -42,7 +42,7 @@ class TestPartialLosses:
 
     def test_vanishes_at_one_and_nonincreasing(self):
         for t in T_SPAN:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             assert partial_loss_pos(1.0, cfg) == 0.0
             u = np.linspace(0.001, 0.999, 300)
             values = partial_loss_pos(u, cfg)
@@ -50,34 +50,34 @@ class TestPartialLosses:
 
     def test_diverges_at_zero_for_t_at_least_one(self):
         for t in (1.0, 1.5, 1.9):
-            assert partial_loss_pos(0.0, TemperConfig(t)) == math.inf
+            assert partial_loss_pos(0.0, CPETemperature(t)) == math.inf
         # finite below one: 2^((2-t)/(1-t))
-        assert partial_loss_pos(0.0, TemperConfig(0.0)) == pytest.approx(4.0)
+        assert partial_loss_pos(0.0, CPETemperature(0.0)) == pytest.approx(4.0)
 
     def test_numeric_differentiability_inside(self):
         h = 1e-6
         u = np.linspace(0.05, 0.95, 19)
         for t in (-4.5, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9):
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             derivative = (partial_loss_pos(u + h, cfg) - partial_loss_pos(u - h, cfg)) / (2 * h)
             assert np.all(np.isfinite(derivative))
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            partial_loss_pos(-0.01, TemperConfig(0.5))
+            partial_loss_pos(-0.01, CPETemperature(0.5))
         with pytest.raises(ValueError):
-            partial_loss_pos(1.01, TemperConfig(0.5))
+            partial_loss_pos(1.01, CPETemperature(0.5))
 
 
 class TestPointwiseRisk:
     def test_perfect_confident_guess_costs_nothing(self):
         for t in T_SPAN:
-            assert pointwise_risk(1.0, 1.0, TemperConfig(t)) == 0.0
+            assert pointwise_risk(1.0, 1.0, CPETemperature(t)) == 0.0
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(0)
         for t in T_SPAN:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             for _ in range(20):
                 u, v = rng.uniform(0, 1, 2)
                 assert pointwise_risk(u, v, cfg) == pytest.approx(
@@ -85,7 +85,7 @@ class TestPointwiseRisk:
                 )
 
     def test_grid_minimum_at_truth(self):
-        cfg = TemperConfig(0.5)
+        cfg = CPETemperature(0.5)
         u = np.arange(1, 10_000) / 10_000.0
         risks = pointwise_risk(u, 0.3, cfg)
         best = u[np.argmin(risks)]
@@ -93,24 +93,24 @@ class TestPointwiseRisk:
 
     def test_endpoint_products_resolve_to_zero(self):
         # v=0 meets the divergent l_pos(0): no mass means no charge
-        assert pointwise_risk(0.0, 0.0, TemperConfig(1.5)) == 0.0
+        assert pointwise_risk(0.0, 0.0, CPETemperature(1.5)) == 0.0
 
 
 class TestBayesRisk:
     def test_zero_at_certainty(self):
         for t in T_SPAN + [-math.inf]:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             assert bayes_risk(0.0, 1.0, cfg) == 0.0
             assert bayes_risk(1.0, 0.0, cfg) == 0.0
 
     def test_gini_at_t_zero(self):
-        cfg = TemperConfig(0.0)
+        cfg = CPETemperature(0.0)
         assert bayes_risk(0.5, 0.5, cfg) == pytest.approx(1.0, abs=1e-15)
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(bayes_risk(v, 1 - v, cfg), 4 * v * (1 - v), rtol=0, atol=1e-12)
 
     def test_matusita_at_classic(self):
-        cfg = TemperConfig(1.0)
+        cfg = CPETemperature(1.0)
         assert bayes_risk(0.2, 1 - 0.2, cfg) == pytest.approx(0.8, rel=1e-12)
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
@@ -118,13 +118,14 @@ class TestBayesRisk:
         )
 
     def test_min_class_mass_at_minus_infinity(self):
-        v = np.linspace(0, 1, 101)
-        np.testing.assert_allclose(bayes_risk(v, 1 - v, NEG_INF), 2 * np.minimum(v, 1 - v))
+        v = np.linspace(0, 1, 101)  # the limit, approached at a finite t
+        risk = bayes_risk(v, 1 - v, CPETemperature(-1e7))
+        np.testing.assert_allclose(risk, 2 * np.minimum(v, 1 - v), rtol=1e-6)
 
     def test_equals_risk_at_truth(self):
         rng = np.random.default_rng(1)
         for t in T_SPAN:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             for v in rng.uniform(0.01, 0.99, 15):
                 assert bayes_risk(v, 1 - v, cfg) == pytest.approx(
                     pointwise_risk(v, v, cfg), rel=1e-10
@@ -133,16 +134,16 @@ class TestBayesRisk:
     def test_concavity_midpoint(self):
         rng = np.random.default_rng(2)
         for t in T_SPAN + [-math.inf]:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             for _ in range(50):
                 a, b = rng.uniform(0, 1, 2)
                 mid = bayes_risk((a + b) / 2, 1 - (a + b) / 2, cfg)
                 assert mid >= (bayes_risk(a, 1 - a, cfg) + bayes_risk(b, 1 - b, cfg)) / 2 - 1e-12
 
     def test_monotone_in_temperature(self):
-        grid = [-math.inf, -8.0, -2.0, 0.0, 0.7, 1.0, 1.5, 1.9]
-        for v in (0.1, 0.3, 0.5, 0.8):
-            values = [bayes_risk(v, 1 - v, TemperConfig(t)) for t in grid]
+        grid = [-8.0, -2.0, 0.0, 0.7, 1.0, 1.5, 1.9]
+        for v in (0.1, 0.3, 0.5, 0.8):  # from the t = -inf limit 2 min(v, 1 - v)
+            values = [2 * min(v, 1 - v)] + [bayes_risk(v, 1 - v, CPETemperature(t)) for t in grid]
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
     def test_mass_form_is_the_posterior_form_times_the_mass(self):
@@ -155,7 +156,7 @@ class TestBayesRisk:
         far_pos, far_neg = rng.uniform(0.01, 1.0, (2, 500)) * 10.0 ** rng.integers(-75, 75, (2, 500))
         far_mass = far_pos + far_neg
         for t in T_SPAN + [-math.inf]:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             np.testing.assert_allclose(
                 bayes_risk(pos, neg, cfg), (pos + neg) * bayes_risk(p, 1 - p, cfg), rtol=1e-12
             )
@@ -171,7 +172,7 @@ class TestBayesRisk:
     def test_a_zero_mass_risks_nothing(self):
         pos, neg = np.array([0.0, 0.0, 2.5, 1e-300]), np.array([0.0, 3.0, 0.0, 0.0])
         for t in T_SPAN + [-math.inf]:
-            cfg = TemperConfig(t)
+            cfg = CPETemperature(t)
             assert np.array_equal(bayes_risk(pos, neg, cfg), np.zeros(4))
             assert bayes_risk(0.0, 0.7, cfg) == bayes_risk(0.7, 0.0, cfg) == 0.0
 
@@ -180,13 +181,13 @@ class TestBayesRisk:
         for pos, neg in bad:
             for t in (0.5, -math.inf):
                 with pytest.raises(ValueError, match="nonnegative"):
-                    bayes_risk(pos, neg, TemperConfig(t))
+                    bayes_risk(pos, neg, CPETemperature(t))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_posterior_above_one_neither_warns_nor_overflows(self):
         # at t > 1 the power mean's ratio 1/v overflows to inf, and inf**(1-t) = 0
         for v, t in ((np.array([5e-324, 0.5]), 1.1), (1e-310, 1.5)):
-            risk = bayes_risk(v, 1 - v, TemperConfig(t))
+            risk = bayes_risk(v, 1 - v, CPETemperature(t))
             assert np.all(np.isfinite(risk)) and np.all(risk >= 0)
 
 
@@ -202,6 +203,7 @@ def split_block(rng, runs: int) -> np.ndarray:
     return np.concatenate([prefix, suffix, mass.sum(axis=1, keepdims=True)], axis=1)
 
 
+# t = -inf runs the kernel at q = +inf, whose mean is the max: 2 pos neg / max(pos, neg)
 @pytest.mark.parametrize(
     "t", (-math.inf, 0.0, 0.6, 0.99, 0.995, 1 - 5e-10, 1.0, 1 + 5e-10, 1.01, 1.1, 1.9)
 )
@@ -215,20 +217,20 @@ def test_array_risk_is_bitwise_the_plain_expression(t, size):
     pos, neg = split_block(rng, size)  # off the line pos + neg = 1, as every split block is
     for pos, neg in ((v, 1 - v), (pos, neg)):
         kept = pos.copy(), neg.copy()
-        got = bayes_risk(pos, neg, TemperConfig(t))
+        got = bayes_risk(pos, neg, CPETemperature(t))
         assert np.array_equal(got, reference_bayes_risk(*kept, t))
         assert not np.signbit(got).any()
         assert np.array_equal(pos, kept[0]) and np.array_equal(neg, kept[1])  # never written to
-        assert bayes_risk(float(pos[0]), float(neg[0]), TemperConfig(t)) == got[0]
+        assert bayes_risk(float(pos[0]), float(neg[0]), CPETemperature(t)) == got[0]
 
 
 class TestProperness:
     def test_strict_for_classic_matusita(self):
-        report = check_strict_properness(TemperConfig(1.0))
+        report = check_strict_properness(CPETemperature(1.0))
         assert report.passed and report.strict
 
     def test_strict_above_one(self):
-        report = check_strict_properness(TemperConfig(1.5))
+        report = check_strict_properness(CPETemperature(1.5))
         assert report.passed
 
     def test_proper_only_at_minus_infinity(self):
@@ -242,7 +244,7 @@ class TestProperness:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            check_strict_properness(TemperConfig(0.5), v_grid=np.array([0.0, 0.5]))
+            check_strict_properness(CPETemperature(0.5), v_grid=np.array([0.0, 0.5]))
 
 
 class TestCoverage:
@@ -265,7 +267,7 @@ class TestCoverage:
             u = float(rng.uniform(0.05, 0.95))
             target = float(rng.uniform(2 * min(u, 1 - u) + 1e-6, 1.0 - 1e-6))
             t = bayes_risk_coverage(u, target)
-            assert bayes_risk(u, 1 - u, TemperConfig(t)) == pytest.approx(target, abs=1e-8)
+            assert bayes_risk(u, 1 - u, CPETemperature(t)) == pytest.approx(target, abs=1e-8)
 
     def test_rejects_unattainable_targets(self):
         with pytest.raises(ValueError):

@@ -171,15 +171,26 @@ def test_run_spec_rejects_bad_settings(field, value):
         RunSpec(data_path="data.csv", **{field: value})
 
 
-def test_cli_rejects_an_even_tree_size_before_any_cell(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("t_values", [(-0.5,), (0.5, 2.0), (math.nan,), ()])
+def test_run_spec_rejects_a_temperature_outside_zero_to_two(t_values):
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        RunSpec(data_path="data.csv", t_values=t_values)
+
+
+@pytest.mark.parametrize(
+    "option, value, msg",
+    [("--tree-nodes", "4", "tree_nodes"), ("--t", "-0.5", "[0, 2)")],
+    ids=["tree_nodes", "t_values"],
+)
+def test_cli_rejects_a_bad_setting_before_any_cell(tmp_path, monkeypatch, capsys, option, value, msg):
     path = tmp_path / "data.csv"
     save_csv(make_mixed_table(m=60, seed=1), path)
     started = []
     monkeypatch.setattr(experiment, "run", started.append)
     with pytest.raises(SystemExit) as exit_info:
-        main(["--data", str(path), "--tree-nodes", "4", "--out", str(tmp_path / "out")])
+        main(["--data", str(path), option, value, "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
-    assert "tree_nodes" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
     assert not started and not (tmp_path / "out").exists()
 
 
