@@ -17,8 +17,13 @@ finite_t = st.sampled_from(T_GRID)
 
 
 class TestTemperConfig:
-    def test_rejects_temperatures_outside_zero_to_two(self):
-        for t in (-1e-300, -3.0, -math.inf, math.nan, 2.0, 2.5):
+    def test_rejects_t_of_two_and_beyond(self):
+        for t in (2.0, 2.5):
+            with pytest.raises(ValueError, match=r"\[0, 2\)"):
+                TemperConfig(t)
+
+    def test_rejects_negative_and_nan_temperatures(self):
+        for t in (-1e-300, -3.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match=r"\[0, 2\)"):
                 TemperConfig(t)
 
