@@ -224,7 +224,7 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     loop and returns the partial ensemble; weak-learner failures propagate.
 
     ``on_round(member, record, weights)``, when given, runs after every
-    round with the freshly updated weights; a truthy return stops early.
+    round with the freshly updated weights.
     For t <= 1 the training-risk guarantee is checked on exit against
     the last round's training errors.
     """
@@ -271,8 +271,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         )
         members.append(member)
         trace.append(record)
-        if on_round is not None and on_round(member, record, weights):
-            break
+        if on_round is not None:
+            on_round(member, record, weights)
 
     if trace and cfg.t <= 1.0:
         _check_guarantee(trace, cfg)

@@ -33,20 +33,14 @@ def bayes_risk(pos, neg, cfg: TemperConfig):
     r L_t(pos / r) for r = pos + neg (see the module notes): 4 pos neg / r
     at t=0, 2 sqrt(pos neg) at t=1, and zero whenever either mass is zero.
     Concave, which makes tree-splitting gains nonnegative.  Accurate while
-    2 pos neg is a normal double.  Reads only ``cfg.t``.  Floats or arrays,
-    broadcast together; a float is scored with the array arithmetic.
-    Neither input is written to.  A negative or nan mass raises
-    ``ValueError``: the one check that the unchecked power-mean kernel
-    ``talgebra._ordered_power_mean`` relies on.
+    2 pos neg is a normal double.  Reads only ``cfg.t``.  ``pos`` and
+    ``neg`` are float arrays of one shape, such as the real and imaginary
+    parts of the split search's block; neither is written to.  A negative
+    or nan mass raises ``ValueError``: the one check that the unchecked
+    power-mean kernel ``talgebra._ordered_power_mean`` relies on.
     """
-    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
-    if pos.shape != neg.shape:
-        pos, neg = np.broadcast_arrays(pos, neg)
-    scalar = pos.ndim == 0
-    if scalar:
-        pos, neg = pos.reshape(1), neg.reshape(1)
     lo = np.minimum(pos, neg)
-    if lo.size and not lo.min() >= 0:  # a nan fails too
+    if not lo.min() >= 0:  # a nan fails too
         raise ValueError("class masses must be nonnegative")
     numerator = np.multiply(2.0, pos)
     numerator *= neg
@@ -54,5 +48,4 @@ def bayes_risk(pos, neg, cfg: TemperConfig):
         mean = _ordered_power_mean(lo, np.maximum(pos, neg), 1.0 - cfg.t)
         out = np.divide(numerator, mean, out=mean)
     # a zero numerator gives 0 over a positive mean and nan over a zero one
-    np.fmax(out, 0.0, out=out)
-    return float(out[0]) if scalar else out
+    return np.fmax(out, 0.0, out=out)

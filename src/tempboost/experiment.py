@@ -154,7 +154,6 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
                 m_dagger=record.m_dagger,
             )
         )
-        return False
 
     try:
         boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg, on_round=on_round)
@@ -373,15 +372,12 @@ def _write_summary(path: Path, rows, spec: RunSpec) -> None:
     _write_csv(path, SUMMARY_FIELDS, lines)
 
 
-def emit_plots(rows, out_dir) -> list:
-    """Tidy per-panel CSVs: columns (t, j, mean over folds).
+def emit_plots(rows, out_dir: Path) -> None:
+    """Tidy per-panel CSVs in the existing ``out_dir``: columns (t, j, mean over folds).
 
     One file per plotted quantity; any plotting tool can consume them.
     With no rows, as when every cell failed, each file is its header alone.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for panel in PLOT_PANELS:
         groups: dict = {}
         for row in rows:
@@ -389,11 +385,8 @@ def emit_plots(rows, out_dir) -> list:
             if isinstance(value, float) and math.isnan(value):
                 continue
             groups.setdefault((row.t, row.j), []).append(value)
-        path = out_dir / f"plot_{panel}.csv"
         means = ((t, j, float(np.mean(groups[(t, j)]))) for (t, j) in sorted(groups))
-        _write_csv(path, ("t", "j", "mean"), means)
-        written.append(path)
-    return written
+        _write_csv(out_dir / f"plot_{panel}.csv", ("t", "j", "mean"), means)
 
 
 def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:

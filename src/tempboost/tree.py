@@ -86,7 +86,7 @@ class NumericSplit:
     feature: int
     threshold: float
 
-    def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
+    def evaluate(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
         return data.columns[self.feature].values[rows] >= self.threshold
 
 
@@ -97,7 +97,7 @@ class CategoricalSplit:
     feature: int
     subset: tuple
 
-    def evaluate(self, data: Dataset, rows=slice(None)) -> np.ndarray:
+    def evaluate(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
         levels, codes = data.category_codes[self.feature]
         # a set lookup per level of ``data``: several times faster than np.isin on strings
         chosen = set(self.subset)
@@ -236,8 +236,6 @@ def _best_split(data, rows, masses, cfg, parent):
         sums[categorical, :levels] = level[np.arange(len(categorical))[:, np.newaxis], ranked]
     n_rows, width = sums.shape
     cuts = n_rows * (width - 1)
-    if not cuts:
-        return None
     # block: the masses on the prefix side of every cut, row-major over
     # (feature, cut), then on the suffix side, then the parent's
     block = np.empty(2 * cuts + 1, dtype=complex)
@@ -331,7 +329,7 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
 class TreeWeakLearner:
     """Adapter plugging tempered-loss trees into the boosting loop."""
 
-    def __init__(self, max_nodes: int = 15):
+    def __init__(self, max_nodes: int):
         self.max_nodes = max_nodes
 
     def __call__(self, weights: TemWeights, data: Dataset) -> DecisionTree:

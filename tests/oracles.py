@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tempboost.cpe_loss import bayes_risk
+from paper_math import scalar_bayes_risk
 from tempboost.dataio import NUMERIC
 from tempboost.tree import CategoricalSplit, DecisionTree
 from tempboost.weights import co_density
@@ -336,18 +336,14 @@ def grid_min_normalizer(q: np.ndarray, u: np.ndarray, t: float, radius: float, n
 def reference_power_mean(a, b, q: float) -> np.ndarray:
     """Two-point power mean of arrays, one out-of-place expression per case.
 
-    The array arithmetic of ``talgebra.power_mean`` written as fresh
-    temporaries, so an in-place rewrite can be compared with it bit for bit.
+    The arithmetic of the kernel ``talgebra._ordered_power_mean`` written as
+    fresh temporaries, so its in-place form can be compared with it bit for
+    bit.  The finite form attains the limits q = +-inf, the max and the min.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    lo = np.minimum(a, b)
-    if q == -math.inf:
-        return lo
-    if q == math.inf:
-        return np.maximum(a, b)
     if abs(q) < 1e-9:
         return np.sqrt(a * b)
-    hi = np.maximum(a, b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     base, other = (hi, lo) if q > 0 else (lo, hi)
     # at q < 0 a subnormal lo overflows other / base to inf, and inf**q = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -392,9 +388,9 @@ def split_gain(parent, left, right, cfg) -> float:
     for child in (left, right):
         if child.r <= 0 or child.m_pos <= 0 or child.m_neg <= 0:
             return -math.inf
-    parent_term = parent.r * bayes_risk(parent.p, 1.0 - parent.p, cfg)
-    left_term = left.r * bayes_risk(left.p, 1.0 - left.p, cfg)
-    right_term = right.r * bayes_risk(right.p, 1.0 - right.p, cfg)
+    parent_term = parent.r * scalar_bayes_risk(parent.p, 1.0 - parent.p, cfg)
+    left_term = left.r * scalar_bayes_risk(left.p, 1.0 - left.p, cfg)
+    right_term = right.r * scalar_bayes_risk(right.p, 1.0 - right.p, cfg)
     return parent_term - left_term - right_term
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from tempboost.cpe_loss import bayes_risk
 from tempboost.errors import AllZeroError, TempBoostError, WeightOverflowError, ZeroWeightError
-from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
+from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, _ordered_power_mean
 from tempboost.weights import TemWeights, _margins, _unnormalized, tempered_update
 
 
@@ -24,6 +24,11 @@ class CPETemperature(NamedTuple):
     """A CPE-family temperature t in [-inf, 2), unchecked; ``TemperConfig`` takes [0, 2)."""
 
     t: float
+
+
+def scalar_bayes_risk(pos: float, neg: float, cfg) -> float:
+    """``bayes_risk`` of two float class masses, scored as one-entry arrays."""
+    return float(bayes_risk(np.array([pos], dtype=float), np.array([neg], dtype=float), cfg)[0])
 
 
 def _prepare(z):
@@ -65,63 +70,42 @@ def exp_t(z, cfg: TemperConfig):
     return _finish(out, scalar, shape)
 
 
-def t_product(a, b, cfg: TemperConfig):
-    """Deformed product [a^(1-t) + b^(1-t) - 1]_+^(1/(1-t)) on a, b >= 0.
+def t_product(a: float, b: float, cfg: TemperConfig) -> float:
+    """Deformed product [a^(1-t) + b^(1-t) - 1]_+^(1/(1-t)) of floats a, b >= 0.
 
     1 is the unit; the ordinary product at t=1.  Satisfies
-    exp_t(x + y) = t_product(exp_t(x), exp_t(y)).
+    exp_t(x + y) = t_product(exp_t(x), exp_t(y)).  Above t = 1 a zero
+    operand annihilates (its power diverges, and the outer negative
+    exponent sends the product to the zero limit), and a bracket at or
+    below 0 diverges.
     """
-    t = cfg.t
-    arr_a, scalar_a, shape_a = _prepare(a)
-    arr_b, scalar_b, shape_b = _prepare(b)
-    if np.any(arr_a < 0) or np.any(arr_b < 0):
+    if a < 0 or b < 0:
         raise ValueError("t_product requires nonnegative operands")
-    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
     if cfg.is_classic():
-        out = arr_a * arr_b
-    else:
-        om = 1.0 - t
-        out = np.empty_like(arr_a, dtype=float)
-        if t < 1:
-            bracket = arr_a**om + arr_b**om - 1.0
-            good = bracket > 0
-            with np.errstate(over="ignore"):
-                out[good] = bracket[good] ** (1.0 / om)
-            out[~good] = 0.0
-        else:
-            # A zero operand annihilates (its power diverges, the outer
-            # negative exponent sends the product to the zero limit).
-            zero = (arr_a == 0) | (arr_b == 0)
-            with np.errstate(divide="ignore"):
-                bracket = np.where(zero, np.inf, arr_a**om + arr_b**om - 1.0)
-            good = bracket > 0
-            out[good & ~zero] = bracket[good & ~zero] ** (1.0 / om)
-            out[~good] = np.inf
-            out[zero] = 0.0
-    scalar = scalar_a and scalar_b
-    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
+        return a * b
+    om = 1.0 - cfg.t
+    if om < 0 and (a == 0 or b == 0):
+        return 0.0
+    with np.errstate(over="ignore"):  # numpy scalars: an overflow is inf, not an error
+        bracket = np.float64(a) ** om + np.float64(b) ** om - 1.0
+        if bracket <= 0:
+            return 0.0 if om > 0 else math.inf
+        return float(bracket ** (1.0 / om))
 
 
-def t_minus(a, b, cfg: TemperConfig):
-    """Deformed subtraction (a - b) / (1 + (1-t) b); plain a - b at t=1.
+def t_minus(a: float, b: float, cfg: TemperConfig) -> float:
+    """Deformed subtraction (a - b) / (1 + (1-t) b) of floats; plain a - b at t=1.
 
     Inverts the deformed exponential ratio:
     exp_t(u) / exp_t(v) = exp_t(t_minus(u, v)) wherever both sides are
     finite and positive.
     """
-    t = cfg.t
-    arr_a, scalar_a, shape_a = _prepare(a)
-    arr_b, scalar_b, shape_b = _prepare(b)
-    arr_a, arr_b = np.broadcast_arrays(arr_a, arr_b)
     if cfg.is_classic():
-        out = arr_a - arr_b
-    else:
-        denom = 1.0 + (1.0 - t) * arr_b
-        if np.any(denom == 0.0):
-            raise ValueError("t_minus undefined where 1 + (1-t) b = 0")
-        out = (arr_a - arr_b) / denom
-    scalar = scalar_a and scalar_b
-    return _finish(out, scalar, shape_a if not scalar_a else shape_b)
+        return a - b
+    denom = 1.0 + (1.0 - cfg.t) * b
+    if denom == 0.0:
+        raise ValueError("t_minus undefined where 1 + (1-t) b = 0")
+    return (a - b) / denom
 
 
 def tempered_exp_loss(margins, cfg: TemperConfig) -> float:
@@ -271,8 +255,9 @@ def partial_loss_pos(u, cfg: CPETemperature):
     if t == -math.inf:
         out = 2.0 * (arr <= 0.5)
         return _finish(out, scalar, shape)
-    mean = power_mean(arr, 1.0 - arr, 1.0 - t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # u and 1 - u are never both 0, so the kernel's 0/0 cannot arise
+        mean = _ordered_power_mean(np.minimum(arr, 1.0 - arr), np.maximum(arr, 1.0 - arr), 1.0 - t)
         out = ((1.0 - arr) / mean) ** (2.0 - t)
     out[arr == 1.0] = 0.0  # settles the 0/0 at the right endpoint for t >= 1
     return _finish(out, scalar, shape)
@@ -369,14 +354,14 @@ def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
         return 2.0
 
     lo = -16.0
-    while bayes_risk(u, 1.0 - u, CPETemperature(lo)) > z:
+    while scalar_bayes_risk(u, 1.0 - u, CPETemperature(lo)) > z:
         lo *= 2.0
         if lo < -1e18:
             return -math.inf
     hi = 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = bayes_risk(u, 1.0 - u, CPETemperature(mid))
+        value = scalar_bayes_risk(u, 1.0 - u, CPETemperature(mid))
         if abs(value - z) <= tol:
             return mid
         if value < z:

@@ -313,22 +313,22 @@ class TestBoostLoop:
         cfg = TemperConfig(0.6)
         m = data.m
         scores = np.zeros(m)
-        hit = []
+        rounds = []
+        hit = []  # the first round after which no training row is misclassified
 
         def on_round(member, record, weights):
             nonlocal scores
             scores = scores + member.alpha * member.hypothesis.predict(data)
-            if zero_one_error(scores, data.labels) == 0.0:
-                hit.append(record)
-                return True
-            return False
+            rounds.append(record)
+            if not hit and zero_one_error(scores, data.labels) == 0.0:
+                hit.append(len(rounds))
 
         limit = math.ceil(2 * cfg.t_star / 0.04 * math.log(m))
         ens, trace = boost(data, EnforcedEdgeLearner(0.2), limit, cfg, on_round=on_round)
         assert hit, "training error never reached zero"
-        gamma = min(r.rho for r in trace)
+        gamma = min(r.rho for r in trace[: hit[0]])
         assert gamma >= 0.2
-        assert len(trace) <= math.ceil(2 * cfg.t_star / gamma**2 * math.log(m))
+        assert hit[0] <= math.ceil(2 * cfg.t_star / gamma**2 * math.log(m))
 
     def test_saturation_returns_partial_ensemble(self):
         # |rho| = 1 needs margins aligned with q^(1-t), not mere correctness
@@ -366,7 +366,7 @@ class TestBoostLoop:
         data = make_mixed_table(m=30, seed=0)
         one_class = data.with_labels(np.ones(data.m, dtype=np.int64))
         with pytest.raises(SingleClassError) as raised:
-            boost(one_class, TreeWeakLearner(), 3, TemperConfig(0.5))
+            boost(one_class, TreeWeakLearner(3), 3, TemperConfig(0.5))
         assert isinstance(raised.value, ValueError)
 
 

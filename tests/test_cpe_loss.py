@@ -7,7 +7,7 @@ import pytest
 
 from oracles import reference_bayes_risk
 from paper_math import CPETemperature, bayes_risk_coverage, check_strict_properness
-from paper_math import partial_loss_pos, pointwise_risk
+from paper_math import partial_loss_pos, pointwise_risk, scalar_bayes_risk
 from tempboost.cpe_loss import bayes_risk
 
 T_SPAN = [-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9]
@@ -23,7 +23,7 @@ class TestPartialLosses:
     def test_half_point_mirror_and_bayes_diagonal(self):
         cfg = CPETemperature(0.5)
         assert partial_loss_pos(0.5, cfg) == pytest.approx(1.0)
-        assert bayes_risk(0.4, 1 - 0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
+        assert scalar_bayes_risk(0.4, 1 - 0.4, cfg) == pytest.approx(pointwise_risk(0.4, 0.4, cfg))
 
     def test_t_zero_square_form(self):
         # (2 (1-u))^2
@@ -100,18 +100,18 @@ class TestBayesRisk:
     def test_zero_at_certainty(self):
         for t in T_SPAN + [-math.inf]:
             cfg = CPETemperature(t)
-            assert bayes_risk(0.0, 1.0, cfg) == 0.0
-            assert bayes_risk(1.0, 0.0, cfg) == 0.0
+            assert scalar_bayes_risk(0.0, 1.0, cfg) == 0.0
+            assert scalar_bayes_risk(1.0, 0.0, cfg) == 0.0
 
     def test_gini_at_t_zero(self):
         cfg = CPETemperature(0.0)
-        assert bayes_risk(0.5, 0.5, cfg) == pytest.approx(1.0, abs=1e-15)
+        assert scalar_bayes_risk(0.5, 0.5, cfg) == pytest.approx(1.0, abs=1e-15)
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(bayes_risk(v, 1 - v, cfg), 4 * v * (1 - v), rtol=0, atol=1e-12)
 
     def test_matusita_at_classic(self):
         cfg = CPETemperature(1.0)
-        assert bayes_risk(0.2, 1 - 0.2, cfg) == pytest.approx(0.8, rel=1e-12)
+        assert scalar_bayes_risk(0.2, 1 - 0.2, cfg) == pytest.approx(0.8, rel=1e-12)
         v = np.linspace(0, 1, 101)
         np.testing.assert_allclose(
             bayes_risk(v, 1 - v, cfg), 2 * np.sqrt(v * (1 - v)), rtol=0, atol=1e-12
@@ -127,7 +127,7 @@ class TestBayesRisk:
         for t in T_SPAN:
             cfg = CPETemperature(t)
             for v in rng.uniform(0.01, 0.99, 15):
-                assert bayes_risk(v, 1 - v, cfg) == pytest.approx(
+                assert scalar_bayes_risk(v, 1 - v, cfg) == pytest.approx(
                     pointwise_risk(v, v, cfg), rel=1e-10
                 )
 
@@ -137,13 +137,15 @@ class TestBayesRisk:
             cfg = CPETemperature(t)
             for _ in range(50):
                 a, b = rng.uniform(0, 1, 2)
-                mid = bayes_risk((a + b) / 2, 1 - (a + b) / 2, cfg)
-                assert mid >= (bayes_risk(a, 1 - a, cfg) + bayes_risk(b, 1 - b, cfg)) / 2 - 1e-12
+                mid = scalar_bayes_risk((a + b) / 2, 1 - (a + b) / 2, cfg)
+                ends = scalar_bayes_risk(a, 1 - a, cfg) + scalar_bayes_risk(b, 1 - b, cfg)
+                assert mid >= ends / 2 - 1e-12
 
     def test_monotone_in_temperature(self):
         grid = [-8.0, -2.0, 0.0, 0.7, 1.0, 1.5, 1.9]
         for v in (0.1, 0.3, 0.5, 0.8):  # from the t = -inf limit 2 min(v, 1 - v)
-            values = [2 * min(v, 1 - v)] + [bayes_risk(v, 1 - v, CPETemperature(t)) for t in grid]
+            risks = [scalar_bayes_risk(v, 1 - v, CPETemperature(t)) for t in grid]
+            values = [2 * min(v, 1 - v)] + risks
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
     def test_mass_form_is_the_posterior_form_times_the_mass(self):
@@ -165,8 +167,8 @@ class TestBayesRisk:
                 far_mass * bayes_risk(far_pos / far_mass, far_neg / far_mass, cfg),
                 rtol=1e-12,
             )
-            assert bayes_risk(0.3, 0.1, cfg) == pytest.approx(
-                0.4 * bayes_risk(0.75, 0.25, cfg), rel=1e-12
+            assert scalar_bayes_risk(0.3, 0.1, cfg) == pytest.approx(
+                0.4 * scalar_bayes_risk(0.75, 0.25, cfg), rel=1e-12
             )
 
     def test_a_zero_mass_risks_nothing(self):
@@ -174,19 +176,20 @@ class TestBayesRisk:
         for t in T_SPAN + [-math.inf]:
             cfg = CPETemperature(t)
             assert np.array_equal(bayes_risk(pos, neg, cfg), np.zeros(4))
-            assert bayes_risk(0.0, 0.7, cfg) == bayes_risk(0.7, 0.0, cfg) == 0.0
+            assert scalar_bayes_risk(0.0, 0.7, cfg) == scalar_bayes_risk(0.7, 0.0, cfg) == 0.0
 
     def test_negative_or_nan_masses_are_rejected(self):
-        bad = ((-0.1, 0.5), (0.5, -1e-300), (math.nan, 0.5), (0.5, [0.2, math.nan]))
+        bad = (([-0.1], [0.5]), ([0.5], [-1e-300]), ([math.nan], [0.5]))
+        bad += (([0.5, 0.5], [0.2, math.nan]),)
         for pos, neg in bad:
             for t in (0.5, -math.inf):
                 with pytest.raises(ValueError, match="nonnegative"):
-                    bayes_risk(pos, neg, CPETemperature(t))
+                    bayes_risk(np.array(pos), np.array(neg), CPETemperature(t))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_posterior_above_one_neither_warns_nor_overflows(self):
         # at t > 1 the power mean's ratio 1/v overflows to inf, and inf**(1-t) = 0
-        for v, t in ((np.array([5e-324, 0.5]), 1.1), (1e-310, 1.5)):
+        for v, t in ((np.array([5e-324, 0.5]), 1.1), (np.array([1e-310]), 1.5)):
             risk = bayes_risk(v, 1 - v, CPETemperature(t))
             assert np.all(np.isfinite(risk)) and np.all(risk >= 0)
 
@@ -221,7 +224,7 @@ def test_array_risk_is_bitwise_the_plain_expression(t, size):
         assert np.array_equal(got, reference_bayes_risk(*kept, t))
         assert not np.signbit(got).any()
         assert np.array_equal(pos, kept[0]) and np.array_equal(neg, kept[1])  # never written to
-        assert bayes_risk(float(pos[0]), float(neg[0]), CPETemperature(t)) == got[0]
+        assert scalar_bayes_risk(pos[0], neg[0], CPETemperature(t)) == got[0]
 
 
 class TestProperness:
@@ -267,7 +270,7 @@ class TestCoverage:
             u = float(rng.uniform(0.05, 0.95))
             target = float(rng.uniform(2 * min(u, 1 - u) + 1e-6, 1.0 - 1e-6))
             t = bayes_risk_coverage(u, target)
-            assert bayes_risk(u, 1 - u, CPETemperature(t)) == pytest.approx(target, abs=1e-8)
+            assert scalar_bayes_risk(u, 1 - u, CPETemperature(t)) == pytest.approx(target, abs=1e-8)
 
     def test_rejects_unattainable_targets(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,150 @@
+"""Every statement in a function of the package runs on small experiment grids, or is exempt."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+from tempboost.dataio import save_csv
+from tempboost.experiment import RunSpec, main, run
+from tempboost.synthetic import make_mixed_table, make_wideband
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tempboost"
+OFF = "no small grid switches a weight off"
+DF1 = "two folds give the t-test one degree of freedom"
+# (function, the first line of a statement, or None for all of the function):
+# why no grid runs it.  Exempting a compound statement exempts the ones in it.
+EXEMPT = {
+    ("booster.Ensemble.decision_scores", None): "perfbench's tracer wraps it",
+    ("booster.confidence_bounds", "if math.isinf(weights.cfg.clamp_delta):"): OFF,
+    ("booster.confidence_bounds", "top = float(np.max(np.abs(u[dagger])))"): OFF,
+    ("booster.confidence_bounds", "return r_max, (top / r_max) ** (1.0 / (1.0 - t))"): OFF,
+    ("errors.WeightOverflowError.__init__", None): "builds an error no grid raises",
+    ("experiment._pin_malloc_thresholds", "return"): "off Linux, or without mallopt",
+    ("experiment._init_worker", None): "runs in a pool worker",
+    ("experiment._worker_cell", None): "runs in a pool worker",
+    ("experiment._two_sided_p", "for k in range(1, (df - 1) // 2):"): DF1,
+    ("experiment._two_sided_p", "if df > 1:"): DF1,
+    ("experiment._two_sided_p", "for k in range(1, df // 2):"): DF1,
+    ("experiment._two_sided_p", "return 1.0 - math.sin(theta) * series"): DF1,
+    ("experiment.paired_ttest", 'return "better" if mean < 0 else "worse"'): "no significant gap",
+    ("experiment.spec_from_manifest", None): "the rerun API",
+    ("experiment.main", "if result.failed_cells:"): "no cell of these grids fails",
+    ("synthetic.make_margin_blobs", None): "generates the tall benchmark's data",
+    ("tree._best_split", "sums = sums.copy()"): "a categorical leaf of single-entry runs",
+    ("tree._best_split", "threshold = above"): "a midpoint that rounds onto the value below",
+}
+
+
+def unreached(source: str, module: str, ran: set) -> list:
+    """``(function, heads)`` of each statement in a function of ``source`` with
+    no line in ``ran``: any line of a simple statement, the header of a compound one.
+
+    ``heads`` are the stripped first lines of the statement and of the ones
+    around it in its function.  Raises, except handlers and docstrings are
+    error handling and documentation, and left out; a ``try`` counts through
+    the statements in it.
+    """
+    text, found = source.splitlines(), []
+
+    def visit(nodes, scope, function, heads):
+        for node in nodes:
+            if isinstance(node, ast.Raise) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            ):
+                continue
+            head = (*heads, text[node.lineno - 1].strip())
+            body = getattr(node, "body", None)
+            end = max(body[0].lineno, node.lineno + 1) if body else node.end_lineno + 1
+            missed = ran.isdisjoint(range(node.lineno, end))
+            if function and missed and not isinstance(node, ast.Try):
+                found.append((function, head))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{node.name}"
+                visit(node.body, name, name if isinstance(node, ast.FunctionDef) else None, ())
+            elif function:  # not into a try's handlers
+                for field in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, field, ()), scope, function, head)
+
+    visit(ast.parse(source).body, module, None, ())
+    return found
+
+
+def lines_run(call, files) -> set:
+    """``(filename, line)`` of each line of ``files`` that ``call()`` runs."""
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename in files else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def uncovered_and_stale(missed, exempt) -> tuple:
+    """The ``missed`` statements no exemption covers, and the exemptions that cover none."""
+
+    def covers(key, miss):
+        return key[0] == miss[0] and key[1] in (None, *miss[1])
+
+    uncovered = [miss for miss in missed if not any(covers(key, miss) for key in exempt)]
+    return uncovered, [key for key in exempt if not any(covers(key, miss) for miss in missed)]
+
+
+SAMPLE = (
+    "def f(x):\n"
+    '    """Documented."""\n'
+    "    if x is None:\n"
+    "        raise ValueError(x)\n"
+    "    if x > 0:\n"
+    "        return 1\n"
+    "    try:\n"
+    "        return 1 / x\n"
+    "    except ZeroDivisionError:\n"
+    "        return 0\n"
+)
+
+
+def test_an_unreached_statement_is_found_and_a_raise_is_not():
+    namespace: dict = {}
+    exec(compile(SAMPLE, "<sample>", "exec"), namespace)
+    ran = {line for _, line in lines_run(lambda: namespace["f"](-2), {"<sample>"})}
+    assert unreached(SAMPLE, "m", ran) == [("m.f", ("if x > 0:", "return 1"))]
+
+
+def test_an_exemption_that_covers_no_unreached_statement_is_stale():
+    missed = [("m.f", ("if x > 0:", "return 1"))]
+    exempt = {("m.f", "if x > 0:"): "", ("m.f", "return 1 / x"): "", ("m.g", None): ""}
+    assert uncovered_and_stale(missed, exempt) == ([], [("m.f", "return 1 / x"), ("m.g", None)])
+    assert uncovered_and_stale(missed, {}) == (missed, [])
+
+
+def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
+    names = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    files = {importlib.import_module(f"tempboost.{name}").__file__: name for name in names}
+    grid = dict(folds=2, t_values=(0.0, 0.6, 0.995, 1.0, 1.1), rounds=5, tree_nodes=7)
+    wideband, mixed = tmp_path / "wideband.csv", tmp_path / "mixed.csv"
+
+    def grids():
+        save_csv(make_wideband(m=120), wideband)
+        save_csv(make_mixed_table(m=400), mixed)
+        run(RunSpec(str(wideband), out_dir=str(tmp_path / "a"), **grid))
+        run(RunSpec(str(mixed), "class", noise=0.1, out_dir=str(tmp_path / "b"), **grid))
+        # the command line and the pool's side of run; the workers run their
+        # cells in processes that this trace does not see
+        pool = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]
+        main(["--data", str(wideband), *pool, "--out", str(tmp_path / "c")])
+
+    ran = lines_run(grids, files)
+    missed = []
+    for file, name in files.items():
+        source = Path(file).read_text(encoding="utf-8")
+        missed += unreached(source, name, {line for f, line in ran if f == file})
+    assert uncovered_and_stale(missed, EXEMPT) == ([], [])

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import describe_tree, leaf_of, naive_tree, predict_row, split_gain
-from paper_math import exp_t, leaves
+from paper_math import exp_t, leaves, scalar_bayes_risk
 from tempboost import dataio
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
-from tempboost.cpe_loss import bayes_risk
 from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset, run_layout
 from tempboost.errors import SingleClassError
 from tempboost.synthetic import make_mixed_table
@@ -82,7 +81,7 @@ def split_features(node):
 
 
 def root_gain(tree, data, w, cfg):
-    return partition_gain(data, w, tree.root.predicate.evaluate(data), cfg)
+    return partition_gain(data, w, tree.root.predicate.evaluate(data, np.arange(data.m)), cfg)
 
 
 def partition_gain(data, w, right, cfg):
@@ -309,7 +308,7 @@ class TestInduceTree:
             risks = []
             for budget in (1, 3, 5, 7, 9):
                 tree = induce_tree(data, w, budget, cfg)
-                risks.append(sum(bayes_risk(*leaf.stats, cfg) for leaf in leaves(tree)))
+                risks.append(sum(scalar_bayes_risk(*leaf.stats, cfg) for leaf in leaves(tree)))
             assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
     def test_leaf_masses_partition_unit(self):
@@ -376,7 +375,7 @@ class TestInduceTree:
         tree = induce_tree(data, w, 3, cfg)
         cuts = [x >= above for above in np.unique(x)[1:]]
         best = max(cuts, key=lambda right: partition_gain(data, w, right, cfg))
-        assert np.array_equal(tree.root.predicate.evaluate(data), best)
+        assert np.array_equal(tree.root.predicate.evaluate(data, np.arange(data.m)), best)
         for leaf in leaves(tree):
             assert leaf.stats.m_pos > 0 and leaf.stats.m_neg > 0
 
@@ -791,7 +790,8 @@ class TestCategoricalSplits:
             rowwise = [predict_row(tree, other.row(i)) for i in range(other.m)]
             assert np.array_equal(tree.predict(other), rowwise)
         # "z" rows were "a" rows: an unseen level takes the false branch
-        assert np.array_equal(CategoricalSplit(1, ("a", "b")).evaluate(unseen), grade == "b")
+        in_subset = CategoricalSplit(1, ("a", "b")).evaluate(unseen, np.arange(unseen.m))
+        assert np.array_equal(in_subset, grade == "b")
 
 
 class TestBoosterIntegration:
