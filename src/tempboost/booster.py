@@ -17,12 +17,14 @@ Each round yields an ``IterationRecord``: the edge rho, the confidence
 bound R, the switched-off count m_dagger and surrogate weight q_dagger,
 mu, alpha, Z, the co-density range, and the training 0/1 errors of the
 plain and the clamped model.  Those errors come from running training
-scores built from the one prediction per tree the round makes anyway, and
+scores built from the training predictions each round receives, and
 ``boost`` checks the guarantee on exit from the last of them.
 
 A weak hypothesis is any object with ``predict(data) -> ndarray`` over a
 Dataset; a weak learner is a callable ``learner(weights, data) ->
-hypothesis``.
+(hypothesis, predictions)``, the predictions being the hypothesis's on
+``data``, one per row.  ``boost`` uses them as given and never predicts
+on the training rows itself: a tree learner has them from growth.
 """
 
 from __future__ import annotations
@@ -218,8 +220,9 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     """Run the tempered boosting loop for ``rounds`` iterations.
 
     Starts from uniform co-simplex weights; per round requests a weak
-    hypothesis, computes margins u_i = y_i h(x_i), the confidence bound,
-    the edge, the closed-form coefficients, and the weight update.  Returns
+    hypothesis with its predictions h(x_i) on ``data``, computes margins
+    u_i = y_i h(x_i), the confidence bound, the edge, the closed-form
+    coefficients, and the weight update.  Returns
     (ensemble, trace).  A saturated edge (a perfect hypothesis) stops the
     loop and returns the partial ensemble; weak-learner failures propagate.
 
@@ -240,8 +243,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     trace = []
     fold = ScoreFold(data.m, cfg)
     for _ in range(rounds):
-        hypothesis = weak_learner(weights, data)
-        h = np.asarray(hypothesis.predict(data), dtype=float)
+        hypothesis, h = weak_learner(weights, data)
+        h = np.asarray(h, dtype=float)
         u = labels * h
         m_dagger = weights.dagger.size
         r_max, q_dagger = confidence_bounds(weights, u)

@@ -4,13 +4,23 @@ Input files are RFC-4180-style CSV, UTF-8, with a mandatory header row and
 no missing cells.  A column is numeric iff every cell parses as a finite
 real; anything else makes it categorical.  The (binary) label column is
 mapped to -1/+1 with the lexicographically smaller raw value becoming -1.
+
+``load_csv`` reads a file's text once and has two readers for it.  A file
+without quotes or lone carriage returns whose lines all hold the header's
+comma count, as ``save_csv`` writes any table without a comma in a cell,
+is split on commas in one pass, each column a stride of the split.  Any
+other file, quoted, ragged or with a blank line, is parsed by
+``csv.reader``, which parses the first kind the same way.  Both feed the
+same type inference, missing-cell search and label mapping.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +141,8 @@ class Dataset:
     def column_block(self) -> tuple:
         """``(orders, bins)``, row j for column j.
 
-        Row j of ``orders`` is a stable argsort of column j, and row j of
+        Row j of ``orders`` is a stable argsort of column j (whose values
+        hold no nan, as every loaded column's do), and row j of
         ``bins`` the bin code of each entry in that order.  A numeric
         value's code is its rank among at most ``MAX_BINS`` distinct
         values, else ``first * MAX_BINS // m`` for ``first`` its first
@@ -147,11 +158,18 @@ class Dataset:
             [codes[j][1] if j in codes else c.values for j, c in enumerate(self.columns)],
             dtype=float,
         ).reshape(self.d, self.m)
-        orders = np.argsort(values, axis=1, kind="stable")
+        orders = np.argsort(values, axis=1)  # numpy's SIMD sort, which may reorder ties
         ordered = np.take_along_axis(values, orders, axis=1)
         new = np.ones(ordered.shape, dtype=bool)
         new[:, 1:] = ordered[:, :-1] < ordered[:, 1:]
         rank = np.cumsum(new, axis=1) - 1
+        # ties back in index order, as a stable sort leaves them: sorting the keys
+        # rank * m + index keeps every rank in place, so minus the ranks they are
+        # the indices in stable order
+        offset = rank * self.m
+        keys = offset + orders
+        keys.sort(axis=1)
+        orders = keys - offset
         first = np.maximum.accumulate(np.where(new, np.arange(self.m), 0), axis=1)
         categorical = np.array([c.kind == CATEGORICAL for c in self.columns], dtype=bool)
         exact = categorical | (rank[:, -1] < MAX_BINS)
@@ -202,32 +220,65 @@ def _parse_numeric(cells):
     return values if np.isfinite(values).all() else None
 
 
+def _read_table(path):
+    """``(header, columns, ragged)`` of a CSV file: the header's cells, each
+    column's cells in the data rows before the first ragged row, and that row
+    as ``(index, cell count)``, or None.
+
+    The text is split (see the module notes) when it has no quote and, CRLF
+    read as LF, no carriage return, and every line holds the header's comma
+    count; else ``csv.reader`` parses it and is the source of every
+    row-shape error.  Each intermediate is released before the next is built.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        text = handle.read()
+    if '"' not in text and "\r" in text:  # unquoted, csv.reader reads CRLF as LF
+        text = text.replace("\r\n", "\n")
+    lines = [] if '"' in text or "\r" in text else text.split("\n")
+    if lines and lines[-1] == "":  # the final newline
+        lines.pop()
+    if len(lines) > 1 and set(map(str.count, lines, repeat(","))) == {lines[0].count(",")}:
+        del text
+        width = lines[0].count(",") + 1
+        joined = ",".join(lines)
+        del lines
+        flat = joined.split(",")
+        del joined
+        return flat[:width], [flat[width + j :: width] for j in range(width)], None
+    del lines
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    del text
+    if len(rows) < 2:
+        raise ValueError("file needs a header row and at least one data row")
+    header, data_rows = rows[0], rows[1:]
+    lengths = np.fromiter(map(len, data_rows), dtype=int, count=len(data_rows))
+    ragged = np.flatnonzero(lengths != len(header))
+    whole = int(ragged[0]) if ragged.size else len(data_rows)
+    columns = list(zip(*data_rows[:whole]))
+    return header, columns, (whole, int(lengths[whole])) if ragged.size else None
+
+
 def load_csv(path, label_column: str = "last") -> Dataset:
     """Load a CSV with feature-type inference and +/-1 label mapping.
 
     ``label_column`` is a header name or "last".  Raises ValueError on
     missing cells, non-binary labels, or a malformed file.  A constant
     column, numeric or categorical, loads as a column without a cut.
+    A cell longer than ``csv.field_size_limit()`` loads when the file is
+    read by ``split`` (see ``_read_table``) and raises ``csv.Error`` when
+    it is read by ``csv.reader``.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 2:
-        raise ValueError("file needs a header row and at least one data row")
-    header = [name.strip() for name in rows[0]]
+    header, raw, ragged = _read_table(path)
+    header = [name.strip() for name in header]
     if len(header) < 2:
         raise ValueError("need at least one feature column plus the label")
-    data_rows = rows[1:]
     if label_column == "last":
         label_idx = len(header) - 1
     else:
         label_idx = header.index(label_column) if label_column in header else None
     # missing cells are sought column-wise before the first ragged row: the first bad row wins
-    lengths = np.fromiter(map(len, data_rows), dtype=int, count=len(data_rows))
-    ragged = np.flatnonzero(lengths != len(header))
-    whole = int(ragged[0]) if ragged.size else len(data_rows)
     # float() ignores surrounding whitespace and rejects a blank cell, so a
     # feature column that parses has no missing cell and needs no stripping
-    raw = list(zip(*data_rows[:whole]))
     parsed = [None if j == label_idx else _parse_numeric(cells) for j, cells in enumerate(raw)]
     stripped = {
         j: list(map(str.strip, cells)) for j, cells in enumerate(raw) if parsed[j] is None
@@ -235,8 +286,8 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     missing = [cells.index("") for cells in stripped.values() if "" in cells]
     if missing:
         raise ValueError(f"missing cell in row {min(missing) + 2}")
-    if ragged.size:
-        raise ValueError(f"row {whole + 2} has {lengths[whole]} cells, expected {len(header)}")
+    if ragged is not None:
+        raise ValueError(f"row {ragged[0] + 2} has {ragged[1]} cells, expected {len(header)}")
     if label_idx is None:
         raise ValueError(f"no column named {label_column!r}")
 

@@ -13,10 +13,6 @@ class WeightOverflowError(TempBoostError):
     """One or more weights hit the infinite branch of the deformed
     exponential (t > 1) or overflowed (t = 1) before normalization."""
 
-    def __init__(self, count: int):
-        super().__init__(f"{count} weight(s) became infinite before normalization")
-        self.count = count
-
 
 class EdgeSaturatedError(TempBoostError):
     """|edge| is at (or beyond) 1 up to the saturation cap; the leveraging

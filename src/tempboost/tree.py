@@ -61,7 +61,11 @@ is which, so a cut and its mirror (as on a column's exact reverse) tie
 bitwise.
 
 A tree has one node type, ``Node``, split in place; ``Node.route`` sends
-rows down a split both while the tree grows and when it predicts.
+rows down a split both while the tree grows and when it predicts.  Growth
+keeps the rows of every final leaf, retired ones included, and writes the
+leaf's prediction to them: ``DecisionTree.fitted`` holds the tree's
+predictions on its training rows, which ``TreeWeakLearner`` hands to the
+booster with the tree, so that no row is routed through the tree twice.
 """
 
 from __future__ import annotations
@@ -140,10 +144,16 @@ class Node:
 
 @dataclass
 class DecisionTree:
-    """Binary tree of ``Node``s; ``predict`` routes rows with ``Node.route``, as growth did."""
+    """Binary tree of ``Node``s; ``predict`` routes rows with ``Node.route``, as growth did.
+
+    ``fitted`` is the read-only prediction of every training row, filled
+    from the rows growth left in each final leaf: bitwise ``predict`` on
+    the Dataset the tree was grown on.
+    """
 
     root: Node
     n_nodes: int
+    fitted: np.ndarray
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Leaf prediction per row; each row is tested only along its path."""
@@ -306,13 +316,15 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     n_nodes = 1
     live = [(root, np.arange(data.m))]  # (leaf, its training rows)
     block = masses.take(data.column_block[0])  # every leaf's masses, gathered once per tree
+    fitted = np.empty(data.m)
 
     while n_nodes + 2 <= max_nodes and live:
         heaviest = max(range(len(live)), key=lambda i: live[i][0].stats.r)
         node, rows = live.pop(heaviest)
         predicate = _best_split(data, rows, block, cfg, node.stats)
-        if predicate is None:
-            continue  # retired: no admissible split on this leaf
+        if predicate is None:  # retired: no admissible split on this leaf
+            fitted[rows] = node.prediction
+            continue
         node.predicate = predicate
         false_rows, true_rows = node.route(data, rows)
         node.left, node.right = (
@@ -323,7 +335,10 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
         live.append((node.right, true_rows))
         n_nodes += 2
 
-    return DecisionTree(root, n_nodes)
+    for node, rows in live:
+        fitted[rows] = node.prediction
+    fitted.setflags(write=False)
+    return DecisionTree(root, n_nodes, fitted)
 
 
 class TreeWeakLearner:
@@ -332,5 +347,7 @@ class TreeWeakLearner:
     def __init__(self, max_nodes: int):
         self.max_nodes = max_nodes
 
-    def __call__(self, weights: TemWeights, data: Dataset) -> DecisionTree:
-        return induce_tree(data, co_density(weights), self.max_nodes, weights.cfg)
+    def __call__(self, weights: TemWeights, data: Dataset):
+        """The tree grown on ``data`` and its predictions there, ``tree.fitted``."""
+        tree = induce_tree(data, co_density(weights), self.max_nodes, weights.cfg)
+        return tree, tree.fitted

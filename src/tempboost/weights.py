@@ -103,7 +103,9 @@ def _unnormalized(weights: TemWeights, u: np.ndarray, mu: float):
             w = weights.q * np.exp(-mu * u)
         infinite = ~np.isfinite(w)
         if np.any(infinite):
-            raise WeightOverflowError(int(infinite.sum()))
+            raise WeightOverflowError(
+                f"{infinite.sum()} weight(s) became infinite before normalization"
+            )
         w_pow, co = w, 1.0
     else:
         om, co = 1.0 - t, 2.0 - t
@@ -111,7 +113,9 @@ def _unnormalized(weights: TemWeights, u: np.ndarray, mu: float):
         bracket = weights.q_om - om * mu * u
         nonpositive = bracket <= 0  # clamped to 0 for t < 1, divergent for t > 1
         if t > 1 and np.any(nonpositive):
-            raise WeightOverflowError(int(nonpositive.sum()))
+            raise WeightOverflowError(
+                f"{nonpositive.sum()} weight(s) became infinite before normalization"
+            )
         np.copyto(bracket, 0.0, where=nonpositive)
         w, w_pow = bracket ** (1.0 / om), bracket ** (co / om)
     total = w_pow.sum()
@@ -126,7 +130,7 @@ def tempered_update(weights: TemWeights, u, mu: float):
     Z_t is the (2-t)-norm of the unnormalized vector, which puts q' back on
     the co-simplex exactly.  Returns (new weights, Z_t).  For t >= 1 a zero
     input weight is an error (it cannot revive); for t > 1 any component on
-    the divergent branch raises WeightOverflowError with the count.
+    the divergent branch raises WeightOverflowError, which names the count.
     """
     cfg = weights.cfg
     u = _margins(u, weights.m)

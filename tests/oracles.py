@@ -156,7 +156,8 @@ class StumpLearner:
 
     def __call__(self, weights, data):
         p = co_density(weights)
-        return fit_stump(feature_matrix(data), data.labels.astype(float), p)
+        stump = fit_stump(feature_matrix(data), data.labels.astype(float), p)
+        return stump, stump.predict(data)
 
 
 def textbook_adaboost(X: np.ndarray, y: np.ndarray, rounds: int):
@@ -579,4 +580,5 @@ class EnforcedEdgeLearner:
                 v[i] = -1.0
                 total -= 2.0 * p[i]
         margins = v * q ** (1.0 - t)
-        return LookupHypothesis(data, data.labels * margins)
+        hypothesis = LookupHypothesis(data, data.labels * margins)
+        return hypothesis, hypothesis.values

@@ -55,6 +55,12 @@ class ConstantHypothesis:
         return self.values
 
 
+def constant(values):
+    """A weak learner's answer: a ConstantHypothesis and its predictions."""
+    hypothesis = ConstantHypothesis(values)
+    return hypothesis, hypothesis.values
+
+
 def numeric_dataset(X, y):
     columns = tuple(
         Column(f"f{j}", NUMERIC, X[:, j]) for j in range(X.shape[1])
@@ -254,7 +260,7 @@ class TestBoostLoop:
         data = numeric_dataset(X, y)
         values = y * np.array([0.5, 0.5, 0.5, 0.5, -0.5, 0.5])  # one mistake
         ens, trace = boost(
-            data, lambda w, d: ConstantHypothesis(values), 1, TemperConfig(0.5)
+            data, lambda w, d: constant(values), 1, TemperConfig(0.5)
         )
         assert len(trace) == 1
         record = trace[0]
@@ -339,9 +345,9 @@ class TestBoostLoop:
         def learner(weights, data):
             calls.append(1)
             if len(calls) == 1:
-                return ConstantHypothesis(y * np.array([0.5, -0.5, 0.5, 0.5]))
+                return constant(y * np.array([0.5, -0.5, 0.5, 0.5]))
             t = weights.cfg.t
-            return ConstantHypothesis(y * weights.q ** (1.0 - t))
+            return constant(y * weights.q ** (1.0 - t))
 
         ens, trace = boost(data, learner, 5, TemperConfig(0.5))
         assert len(trace) == 1
@@ -355,8 +361,8 @@ class TestBoostLoop:
         def learner(weights, data):
             calls.append(1)
             if len(calls) == 1:
-                return ConstantHypothesis(y * np.array([0.5, -0.5, 0.5, 0.5]))
-            return ConstantHypothesis(y.astype(float))  # perfect at t=1
+                return constant(y * np.array([0.5, -0.5, 0.5, 0.5]))
+            return constant(y.astype(float))  # perfect at t=1
 
         ens, trace = boost(data, learner, 5, TemperConfig(1.0))
         assert len(trace) == 1
@@ -389,7 +395,7 @@ class TestRunningTrainingScores:
             calls.append(1)
             values = base.copy()
             values[:2] *= -10.0 if len(calls) <= 5 else 20.0
-            return ConstantHypothesis(values)
+            return constant(values)
 
         trace = self._check_prefixes(data, learner, TemperConfig(0.0), 13)
         assert any(r.train_err_clamped != r.train_err for r in trace)

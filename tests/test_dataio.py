@@ -1,9 +1,20 @@
-"""CSV round trip, categorical level codes and stratified folds."""
+"""CSV round trip, categorical level codes, the presorted block and stratified folds."""
+
+import csv
+import re
 
 import numpy as np
 import pytest
 
-from tempboost.dataio import CATEGORICAL, NUMERIC, load_csv, save_csv, stratified_folds
+from tempboost.dataio import (
+    CATEGORICAL,
+    NUMERIC,
+    Column,
+    Dataset,
+    load_csv,
+    save_csv,
+    stratified_folds,
+)
 from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig
 from tempboost.tree import induce_tree
@@ -63,6 +74,26 @@ def test_take_builds_its_own_category_codes():
     assert data.category_codes[j][0].tolist().count(dropped) == 1
 
 
+@pytest.mark.parametrize("m", (1, 2, 9, 5000))
+def test_column_block_orders_are_a_stable_argsort(m):
+    # ties everywhere: few levels, small integers, a constant, -0.0 beside 0.0
+    rng = np.random.default_rng(m)
+    columns = (
+        Column("grade", CATEGORICAL, rng.choice(list("abcd"), size=m)),
+        Column("count", NUMERIC, rng.integers(0, 5, size=m).astype(float)),
+        Column("wide", NUMERIC, rng.integers(-400, 400, size=m).astype(float)),
+        Column("constant", NUMERIC, np.full(m, 2.5)),
+        Column("zero", NUMERIC, rng.choice([0.0, -0.0, 1.0], size=m)),
+        Column("real", NUMERIC, rng.normal(size=m)),
+    )
+    data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
+    orders, _ = data.column_block
+    codes = data.category_codes
+    for j, column in enumerate(columns):
+        keys = codes[j][1] if j in codes else column.values
+        assert np.array_equal(orders[j], np.argsort(keys, kind="stable"))
+
+
 @pytest.mark.parametrize("k", (2, 3, 7))
 def test_stratified_folds_partition_rows_in_proportion(k):
     data = make_mixed_table(m=101, seed=7)
@@ -81,9 +112,66 @@ def test_stratified_folds_partition_rows_in_proportion(k):
     assert stratified_folds(data, k, seed=9)[0][1].tolist() == tests[0].tolist()
 
 
-def write_csv(path, header, rows):
-    path.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+def write_csv(path, header, rows, newline="\n"):
+    text = newline.join(",".join(row) for row in [header, *rows]) + newline
+    path.write_text(text, encoding="utf-8", newline="")
     return path
+
+
+def describe(data):
+    """Everything a Dataset holds, bit for bit."""
+    columns = [(c.name, c.kind, c.values.dtype.str, c.values.tobytes()) for c in data.columns]
+    return data.label_name, data.labels.tobytes(), columns
+
+
+@pytest.mark.parametrize("newline, final", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newline, final):
+    # Quoting the header's names sends the file to csv.reader, which reads
+    # them unquoted; unquoted, the file is read by split.
+    data = make_mixed_table(m=60, seed=2)
+    path = tmp_path / "x.csv"
+    save_csv(data, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    quoted = ",".join(f'"{name}"' for name in header.split(","))
+    readers = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or reader(*args))
+    loaded = []
+    for head in (header, quoted):
+        path.write_text(newline.join([head, *lines]) + final, encoding="utf-8", newline="")
+        loaded.append(describe(load_csv(path)))
+    assert len(readers) == 1  # the quoted file's
+    assert loaded[0] == loaded[1] == describe(data)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ('x,c,y\n1,"a,b",p\n2,c,q\n', ["a,b", "c"]),
+        ('x,c,y\r\n1,"a\r\nb",p\r\n2,c,q\r\n', ["a\r\nb", "c"]),
+        ("x,c,y\r1,a,p\n2,c,q\r", ["a", "c"]),
+        ("x,c,y\n1,a\rb,p\n2,c,q\n", "row 2 has 2 cells, expected 3"),
+        ("x,c,y\n1,a,p\n\n2,c,q\n", "row 3 has 0 cells, expected 3"),
+        ("x,c,y\r\n1,a,p\r\n2,c,q\r\n\r\n", "row 4 has 0 cells, expected 3"),
+    ],
+)
+def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, text, outcome):
+    path = tmp_path / "x.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+            load_csv(path)
+    else:
+        assert load_csv(path).columns[1].values.tolist() == outcome
+
+
+def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path):
+    long = "v" * (csv.field_size_limit() + 1)
+    rows = [["1", long, "a"], ["2", "w", "b"]]
+    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    assert data.columns[1].values.tolist() == [long, "w"]
+    with pytest.raises(csv.Error):  # a quote sends the file to csv.reader
+        load_csv(write_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
 
 
 def test_numeric_cells_parse_as_python_floats(tmp_path):
@@ -119,8 +207,9 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
 )
 def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, message):
     rows = [bad.get(i, [str(i), "ab"[i % 2]]) for i in range(8)]  # row i is line i + 2
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    for newline in ("\n", "\r\n"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows, newline))
 
 
 def test_padded_cells_load_as_their_stripped_values(tmp_path):

@@ -132,10 +132,12 @@ def test_high_cardinality_column_runs_every_cell(tmp_path):
     assert len(result.rows) == 2 * 2
 
 
-def test_each_tree_predicts_train_and_test_once(tmp_path, monkeypatch):
-    # boost predicts the training fold, on_round the test fold; the training
-    # errors and the risk-bound check reuse boost's running scores.
-    calls = {"trees": 0, "predict": 0}
+def test_each_tree_predicts_the_test_fold_once(tmp_path, monkeypatch):
+    # on_round predicts the test fold; boost takes the training predictions
+    # from tree growth, and its training errors and risk-bound check reuse
+    # its running scores.  The three test folds partition the 120 rows, so
+    # predictions on them come to 120 rows per temperature and round.
+    calls = {"trees": 0, "predicted": []}
     induce_tree, predict = tree.induce_tree, DecisionTree.predict
 
     def counting_induce(*args, **kwargs):
@@ -143,17 +145,18 @@ def test_each_tree_predicts_train_and_test_once(tmp_path, monkeypatch):
         return induce_tree(*args, **kwargs)
 
     def counting_predict(self, data):
-        calls["predict"] += 1
+        calls["predicted"].append(data.m)
         return predict(self, data)
 
     monkeypatch.setattr(tree, "induce_tree", counting_induce)
     monkeypatch.setattr(DecisionTree, "predict", counting_predict)
     result, _ = run_grid(
-        tmp_path, make_mixed_table(m=120, seed=11), t_values=(0.5, 1.0), rounds=3, folds=2
+        tmp_path, make_mixed_table(m=120, seed=11), t_values=(0.5, 1.0), rounds=3, folds=3
     )
     assert result.failed_cells == 0
-    assert calls["trees"] == len(result.rows) == 2 * 2 * 3
-    assert calls["predict"] == 2 * calls["trees"]
+    assert calls["trees"] == len(result.rows) == 3 * 2 * 3
+    assert len(calls["predicted"]) == calls["trees"]
+    assert sum(calls["predicted"]) == 2 * 3 * 120
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,15 @@ from tempboost.tree import (
 from tempboost.weights import uniform_init
 
 
+def assert_fitted_is_predict(tree, data):
+    """``predict`` on the training rows equals the row-wise oracle, and the
+    read-only ``tree.fitted`` that growth filled is ``predict`` bit for bit."""
+    predicted = tree.predict(data)
+    assert np.array_equal(predicted, [predict_row(tree, data.row(i)) for i in range(data.m)])
+    assert not tree.fitted.flags.writeable
+    assert tree.fitted.tobytes() == predicted.tobytes()
+
+
 def xor_dataset():
     x1 = np.array([0.0, 0.0, 1.0, 1.0])
     x2 = np.array([0.0, 1.0, 0.0, 1.0])
@@ -190,6 +199,7 @@ class TestInduceTree:
         data, w = weighted_mixed_dataset()
         tree = induce_tree(data, w, 1, TemperConfig(0.5))
         assert tree.n_nodes == 1
+        assert_fitted_is_predict(tree, data)
         leaf = leaves(tree)[0]
         p = leaf.stats.p
         assert predict_row(tree, data.row(0)) == pytest.approx(
@@ -224,6 +234,7 @@ class TestInduceTree:
             assert a[0] == b[0] and a[1] != b[1]
         tree = induce_tree(data, w, 7, cfg)
         assert tree.n_nodes == 3
+        assert_fitted_is_predict(tree, data)  # both leaves retired
         predictions = tree.predict(data)
         errors = np.mean(np.where(predictions >= 0, 1, -1) != data.labels)
         assert errors == 0.5
@@ -243,8 +254,7 @@ class TestInduceTree:
         used = split_features(tree.root)
         assert {0, 1, 3, 4} <= set(used)
         assert not {2, 5, 6, 7} & set(used)  # equal gains break to the lower feature
-        rowwise = [predict_row(tree, data.row(i)) for i in range(data.m)]
-        assert np.array_equal(tree.predict(data), rowwise)
+        assert_fitted_is_predict(tree, data)
 
     @pytest.mark.parametrize("t", (0.0, 0.5, 1.0))
     def test_numeric_and_categorical_ties_break_to_lower_feature(self, t):
@@ -747,8 +757,7 @@ class TestCategoricalSplits:
         cfg = TemperConfig(0.5)
         tree = induce_tree(data, w, 15, cfg)
         assert tree.n_nodes == 15
-        rowwise = [predict_row(tree, data.row(i)) for i in range(data.m)]
-        assert np.array_equal(tree.predict(data), rowwise)
+        assert_fitted_is_predict(tree, data)
         # every level keeps a bin of its own, even above MAX_BINS levels
         data, w = graded_column(levels, 200, seed=levels, mixed=True)
         tree = induce_tree(data, w, 3, cfg)
@@ -800,8 +809,9 @@ class TestBoosterIntegration:
         cfg = TemperConfig(0.5)
         weights = uniform_init(data.m, cfg)
         learner = TreeWeakLearner(max_nodes=7)
-        tree = learner(weights, data)
-        margins = data.labels * tree.predict(data)
+        tree, predictions = learner(weights, data)
+        assert predictions is tree.fitted
+        margins = data.labels * predictions
         r_max, q_dagger = confidence_bounds(weights, margins)
         assert math.isfinite(r_max) and r_max > 0
         rho = edge_fn(weights, margins, r_max, q_dagger)
