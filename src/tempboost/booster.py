@@ -10,13 +10,14 @@ records the normalizer Z_tj.  The per-round factor
     K_t(z) = (1 - z^2) / M_(1-t)(1 - z, 1 + z)
 
 drives the guarantee: the training 0/1 risk of both the plain and the
-progressively clamped model is at most
-prod_j (1 + m_dagger_j q_dagger_j^(2-t)) K_t(rho_j) for t in [0, 1].
+progressively clamped model is at most prod_j K_t(rho_j) for t in [0, 1].
+The paper's bound has one more factor per round, for the weights that the
+update switches off at 0; it is 1 here, because ``leveraging``'s bound on
+mu keeps every weight positive.
 
 Each round yields an ``IterationRecord``: the edge rho, the confidence
-bound R, the switched-off count m_dagger and surrogate weight q_dagger,
-mu, alpha, Z, the co-density range, and the training 0/1 errors of the
-plain and the clamped model.  Those errors come from running training
+bound R, mu, alpha, Z, the co-density range, and the training 0/1 errors
+of the plain and the clamped model.  Those errors come from running training
 scores built from the training predictions each round receives, and
 ``boost`` checks the guarantee on exit from the last of them.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import BoundViolatedError, DegenerateHypothesisError, EdgeSaturatedError
-from .errors import SingleClassError, ZeroWeightError
+from .errors import SingleClassError
 from .talgebra import TemperConfig, log_t, power_mean
 from .weights import TemWeights, co_density, tempered_update, uniform_init
 
@@ -45,7 +46,10 @@ RHO_CAP = 1e-12
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything one boosting round produces, for traces and bounds.
+    """Everything one boosting round produces, for traces and the bound.
+
+    The bound prod_j K_t(rho_j) needs only rho: no weight is switched off,
+    so the paper's per-round factor for such weights is 1.
 
     ``alpha`` is also the coefficient under which the weights unravel into
     a clamped sum of margins, m^(1-t*) (prod Z)^(1-t) mu.  ``train_err`` and
@@ -55,8 +59,6 @@ class IterationRecord:
 
     rho: float
     r_max: float
-    q_dagger: float
-    m_dagger: int
     mu: float
     alpha: float
     z: float
@@ -130,45 +132,20 @@ def zero_one_error(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean((np.asarray(scores) >= 0) != (np.asarray(labels) > 0)))
 
 
-def confidence_bounds(weights: TemWeights, u):
-    """Largest weight-normalized confidence R and the surrogate weight.
-
-    R = max over supported i of |u_i| / q_i^(1-t).  Switched-off examples
-    get the surrogate (max_dagger |u_i| / R)^(1/(1-t)), which is
-    homogeneous to a weight; it is 0 when no weight is switched off.
-    """
-    t = weights.cfg.t
-    u = np.asarray(u, dtype=float)
-    support = weights.q > 0
-    magnitude = np.abs(u[support])
+def confidence_bounds(weights: TemWeights, u) -> float:
+    """Largest weight-normalized confidence R = max_i |u_i| / q_i^(1-t)."""
+    magnitude = np.abs(u)
     if not np.any(magnitude > 0):
-        raise DegenerateHypothesisError("all supported margins are zero")
-    r_max = float(np.max(magnitude / weights.q_om[support]))
-    dagger = weights.dagger
-    if dagger.size == 0:
-        return r_max, 0.0
-    if math.isinf(weights.cfg.clamp_delta):
-        raise ZeroWeightError("switched-off weights are undefined for t >= 1")
-    top = float(np.max(np.abs(u[dagger])))
-    return r_max, (top / r_max) ** (1.0 / (1.0 - t))
+        raise DegenerateHypothesisError("all margins are zero")
+    return float(np.max(magnitude / weights.q_om))
 
 
-def edge(weights: TemWeights, u, r_max: float, q_dagger: float) -> float:
-    """Normalized correlation between margins and weights, in [-1, 1].
-
-    Switched-off entries enter through the surrogate weight, and the
-    normalizer (1 + m_dagger q_dagger^(2-t)) R keeps the value in [-1, 1].
-    """
+def edge(weights: TemWeights, u, r_max: float) -> float:
+    """Normalized correlation sum_i q_i u_i / R of margins and weights, in [-1, 1]."""
     if r_max <= 0:
         raise DegenerateHypothesisError("degenerate hypothesis: R = 0")
-    t = weights.cfg.t
-    u = np.asarray(u, dtype=float)
-    q_eff = np.array(weights.q)
-    dagger = weights.dagger
-    q_eff[dagger] = q_dagger
-    scale = (1.0 + dagger.size * q_dagger ** (2.0 - t)) * r_max
     # a numpy reduction, not BLAS np.dot, whose bits depend on its thread count
-    return float(np.clip(np.add.reduce(q_eff * u) / scale, -1.0, 1.0))
+    return float(np.clip(np.add.reduce(weights.q * u) / r_max, -1.0, 1.0))
 
 
 def leveraging(rho: float, r_max: float, cfg: TemperConfig, z_product: float, m: int):
@@ -178,7 +155,8 @@ def leveraging(rho: float, r_max: float, cfg: TemperConfig, z_product: float, m:
     AdaBoost coefficient (1/2R) ln((1+rho)/(1-rho)) at t=1.  The model
     coefficient rescales it by m^(1-t*) (prod of past Z)^(1-t): past
     normalizers progressively dampen the leverage of later hypotheses.
-    For t in [0, 1) this gives |mu| < 1/(R (1-t)) strictly.
+    For t in [0, 1) this gives |mu| < 1/(R (1-t)) strictly, which keeps
+    every bracket q_i^(1-t) - (1-t) mu u_i of the weight update positive.
     """
     if abs(rho) > 1.0 - RHO_CAP:
         raise EdgeSaturatedError(f"|edge| = {abs(rho)} is saturated")
@@ -208,12 +186,12 @@ def kt_bound(rho: float, cfg: TemperConfig) -> float:
 
 
 def risk_bound(trace, cfg: TemperConfig) -> float:
-    """Guaranteed training-risk bound prod_j (1 + m+ q+^(2-t)) K_t(rho_j)."""
-    bound = 1.0
-    for record in trace:
-        factor = 1.0 + record.m_dagger * record.q_dagger ** (2.0 - cfg.t)
-        bound *= factor * kt_bound(record.rho, cfg)
-    return bound
+    """Guaranteed training-risk bound prod_j K_t(rho_j).
+
+    The paper's factor for switched-off weights is 1: ``leveraging`` keeps
+    every weight positive.
+    """
+    return math.prod(kt_bound(record.rho, cfg) for record in trace)
 
 
 def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=None):
@@ -246,9 +224,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         hypothesis, h = weak_learner(weights, data)
         h = np.asarray(h, dtype=float)
         u = labels * h
-        m_dagger = weights.dagger.size
-        r_max, q_dagger = confidence_bounds(weights, u)
-        rho = edge(weights, u, r_max, q_dagger)
+        r_max = confidence_bounds(weights, u)
+        rho = edge(weights, u, r_max)
         try:
             mu, alpha = leveraging(rho, r_max, cfg, z_product, data.m)
         except EdgeSaturatedError:
@@ -262,8 +239,6 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         record = IterationRecord(
             rho=rho,
             r_max=r_max,
-            q_dagger=q_dagger,
-            m_dagger=m_dagger,
             mu=mu,
             alpha=alpha,
             z=z,

@@ -5,13 +5,14 @@ class TempBoostError(Exception):
     """Base class for tempered-boosting specific failures."""
 
 
-class AllZeroError(TempBoostError):
-    """Every unnormalized weight clamped to zero; nothing to normalize."""
-
-
 class WeightOverflowError(TempBoostError):
     """One or more weights hit the infinite branch of the deformed
     exponential (t > 1) or overflowed (t = 1) before normalization."""
+
+
+class WeightUnderflowError(TempBoostError):
+    """An updated weight is not positive: clamped to 0 by the deformed
+    exponential (t < 1), or rounded to 0."""
 
 
 class EdgeSaturatedError(TempBoostError):
@@ -21,16 +22,12 @@ class EdgeSaturatedError(TempBoostError):
 
 
 class DegenerateHypothesisError(TempBoostError):
-    """Weak hypothesis has zero margin on every supported example."""
+    """Weak hypothesis has zero margin on every example."""
 
 
 class SingleClassError(TempBoostError, ValueError):
-    """Training rows hold one class, a class's weights all switched off, or
-    a leaf's posterior rounds to 0 or 1 after a split of uneven weights."""
-
-
-class ZeroWeightError(TempBoostError, ValueError):
-    """A zero weight at t >= 1, where switched-off examples cannot exist."""
+    """Training rows hold one class, or a leaf's posterior rounds to 0 or 1
+    after a split of uneven weights."""
 
 
 class BoundViolatedError(TempBoostError, RuntimeError):

@@ -100,7 +100,6 @@ class TraceRow:
     mu: float
     alpha: float
     z: float
-    m_dagger: int
 
 
 TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
@@ -151,7 +150,6 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
                 mu=record.mu,
                 alpha=record.alpha,
                 z=record.z,
-                m_dagger=record.m_dagger,
             )
         )
 

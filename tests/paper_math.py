@@ -15,9 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from tempboost.cpe_loss import bayes_risk
-from tempboost.errors import AllZeroError, TempBoostError, WeightOverflowError, ZeroWeightError
+from tempboost.errors import TempBoostError
 from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, _ordered_power_mean
-from tempboost.weights import TemWeights, _margins, _unnormalized, tempered_update
+from tempboost.weights import TemWeights, _margins
 
 
 class CPETemperature(NamedTuple):
@@ -137,73 +137,80 @@ _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 80
 
 
-def _constraint_value(weights: TemWeights, u: np.ndarray, mu: float):
-    """q~(mu) . u for the normalized update; None when a weight diverges
-    (t > 1) or every weight is clamped to zero (t < 1)."""
+def clamped_update(weights: TemWeights, u: np.ndarray, mu: float):
+    """``tempered_update`` with the paper's clamp, on plain arrays: (q', Z_t).
+
+    q' = exp_t(log_t q - mu u) / Z_t, where Z_t is the (2-t)-norm of the
+    numerator.  Below t = 1 a bracket q^(1-t) - (1-t) mu u at or below 0 is
+    clamped to 0: the exact projection does switch weights off, while
+    ``tempered_update`` never reaches the clamp.  Returns None when a weight
+    diverges (t > 1), or when the (2-t)-th powers sum to 0 or overflow.
+    """
     if weights.cfg.is_classic():
-        # the log-sum-exp shift keeps large |mu| from overflowing
-        q = weights.q
-        support = q > 0
-        logs = np.log(q[support]) - mu * u[support]
-        logs -= logs.max()
-        w = np.exp(logs)
-        return float(np.dot(w, u[support]) / w.sum())
-    try:
-        w, z = _unnormalized(weights, u, mu)
-    except (AllZeroError, WeightOverflowError):
+        with np.errstate(over="ignore"):
+            w = weights.q * np.exp(-mu * u)
+        w_pow, co = w, 1.0
+    else:
+        om, co = 1.0 - weights.cfg.t, 2.0 - weights.cfg.t
+        bracket = weights.q_om - om * mu * u
+        if om < 0 and np.any(bracket <= 0):
+            return None
+        bracket = np.maximum(bracket, 0.0)
+        w, w_pow = bracket ** (1.0 / om), bracket ** (co / om)
+    total = w_pow.sum()
+    if not 0.0 < total < math.inf:
         return None
-    return float(np.dot(w, u) / z)
+    z = total ** (1.0 / co)
+    return w / z, z
 
 
 def solve_projection(weights: TemWeights, u):
     """Entropy projection of ``weights`` onto {q~ on co-simplex : q~.u = 0}.
 
-    The projection has the form of tempered_update at the coefficient mu*
-    minimizing the strictly convex normalizer Z_t(mu); since
+    The projection has the form of ``clamped_update`` at the coefficient
+    mu* minimizing the strictly convex normalizer Z_t(mu); since
     dZ_t/dmu = -Z_t^t (q~(mu).u), mu* is the root of the monotone
     constraint value G(mu) = q~(mu).u, found by sign bisection.  The
-    starting bracket 1/(R |1-t|) + 1 (R the largest |u_i|/q_i^(1-t) on the
-    support) is doubled until G changes sign.  Returns (mu*, projected
-    weights).
+    starting bracket 1/(R |1-t|) + 1 (R the largest |u_i|/q_i^(1-t)) is
+    doubled until G changes sign.  Returns (mu*, the projected weights as a
+    plain array, which may hold zeros below t = 1).
     """
     cfg = weights.cfg
     t = cfg.t
     q = weights.q
     u = _margins(u, weights.m)
-    if math.isinf(cfg.clamp_delta) and weights.dagger.size:
-        raise ZeroWeightError("zero weights cannot revive for t >= 1")
-
-    support = q > 0
-    us = u[support]
     if abs(t) < CLASSIC_TOLERANCE:
         # Strict convexity of Z_0 fails exactly when u is collinear with q.
         cos = abs(float(np.dot(u, q)))
         norms = float(np.linalg.norm(u) * np.linalg.norm(q))
         if norms > 0 and cos >= (1.0 - 1e-12) * norms:
             raise CollinearError("margins collinear with weights at t = 0")
-    if not (np.any(us > 0) and np.any(us < 0)):
-        raise NoMixedSignsError(
-            "margins need both signs on the support; minimum is at infinity"
-        )
+    if not (np.any(u > 0) and np.any(u < 0)):
+        raise NoMixedSignsError("margins need both signs; minimum is at infinity")
 
     def g(mu: float) -> float:
-        value = _constraint_value(weights, u, mu)
-        if value is None:
+        """q~(mu) . u for the normalized update."""
+        if cfg.is_classic():
+            # the log-sum-exp shift keeps large |mu| from overflowing
+            logs = np.log(q) - mu * u
+            w = np.exp(logs - logs.max())
+            return float(np.dot(w, u) / w.sum())
+        update = clamped_update(weights, u, mu)
+        if update is None:
             # Divergent branch (t > 1): mass concentrates on components
             # whose margin opposes mu, so the constraint takes mu's
             # opposite sign.
             return -math.copysign(1.0, mu)
-        return value
+        return float(np.dot(update[0], u))
 
     g0 = g(0.0)
     if abs(g0) <= _BISECT_TOL:
-        projected, _ = tempered_update(weights, u, 0.0)
-        return 0.0, projected
+        return 0.0, clamped_update(weights, u, 0.0)[0]
 
     if cfg.is_classic():
         radius = 1.0
     else:
-        r_max = float(np.max(np.abs(us) / weights.q_om[support]))
+        r_max = float(np.max(np.abs(u) / weights.q_om))
         radius = 1.0 / (r_max * abs(1.0 - t)) + 1.0
     lo, hi = -radius, radius
     for _ in range(200):
@@ -228,8 +235,7 @@ def solve_projection(weights: TemWeights, u):
             lo = mu
         else:
             hi = mu
-    projected, _ = tempered_update(weights, u, mu)
-    return mu, projected
+    return mu, clamped_update(weights, u, mu)[0]
 
 
 # ---------------------------------------------------------------------------

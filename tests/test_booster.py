@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     EnforcedEdgeLearner,
@@ -19,6 +20,7 @@ from oracles import (
 from paper_math import exp_t, tempered_exp_loss
 from tempboost import booster
 from tempboost.booster import (
+    RHO_CAP,
     Ensemble,
     EnsembleMember,
     ScoreFold,
@@ -36,11 +38,10 @@ from tempboost.errors import (
     DegenerateHypothesisError,
     EdgeSaturatedError,
     SingleClassError,
-    ZeroWeightError,
 )
 from tempboost.experiment import RunSpec, _folds
 from tempboost.synthetic import make_margin_blobs, make_mixed_table, make_wideband
-from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig
+from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
 from tempboost.tree import TreeWeakLearner
 from tempboost.weights import TemWeights, tempered_update, uniform_init
 
@@ -72,67 +73,24 @@ class TestConfidenceBounds:
     def test_classic_reduces_to_max_margin(self):
         w = uniform_init(4, TemperConfig(1.0))
         u = np.array([0.5, -1.5, 0.25, 1.0])
-        r_max, q_dagger = confidence_bounds(w, u)
-        assert r_max == pytest.approx(1.5)
-        assert q_dagger == 0.0
-
-    def test_empty_dagger_gives_zero_surrogate(self):
-        w = uniform_init(3, TemperConfig(0.5))
-        _, q_dagger = confidence_bounds(w, np.array([1.0, -1.0, 0.5]))
-        assert q_dagger == 0.0
-
-    def test_hand_instance_with_one_switched_off_weight(self):
-        # t=0.5 co-simplex: q = (0.84, 0.49, 0): 0.84^1.5 + 0.49^1.5 ~ 1
-        t = 0.5
-        q2 = (1.0 - 0.84**1.5) ** (1.0 / 1.5)
-        q = np.array([0.84, q2, 0.0])
-        w = TemWeights(q, TemperConfig(t))
-        u = np.array([0.9, -0.6, 0.3])
-        r_max, q_dagger = confidence_bounds(w, u)
-        expected_r = max(0.9 / 0.84**0.5, 0.6 / q2**0.5)
-        assert r_max == pytest.approx(expected_r, rel=1e-12)
-        assert q_dagger == pytest.approx((0.3 / expected_r) ** 2, rel=1e-12)
+        assert confidence_bounds(w, u) == pytest.approx(1.5)
 
     def test_all_zero_margins_rejected(self):
         w = uniform_init(3, TemperConfig(0.5))
         with pytest.raises(DegenerateHypothesisError):
             confidence_bounds(w, np.zeros(3))
 
-    def test_switched_off_weight_at_t_one_is_a_typed_failure(self):
-        w = TemWeights(np.array([0.0, 1.0]), TemperConfig(1.0))
-        with pytest.raises(ZeroWeightError) as raised:
-            confidence_bounds(w, np.array([0.5, -0.5]))
-        assert isinstance(raised.value, ValueError)
-
-    @pytest.mark.parametrize(
-        "t, classic",
-        [(math.nextafter(1 - 1e-9, 0), False), (1 - 1e-9, True), (math.nextafter(1 - 1e-9, 1), True)],
-    )
-    def test_zero_weights_are_refused_where_there_is_no_clamped_model(self, t, classic):
-        cfg = TemperConfig(t)
-        assert (t >= 1.0 - CLASSIC_TOLERANCE) == classic  # the rule's former spelling
-        assert (ScoreFold(2, cfg).clamped is None) == classic
-        w, u = TemWeights(np.array([0.0, 1.0]), cfg), np.array([0.5, -0.5])
-        for step in (lambda: confidence_bounds(w, u), lambda: tempered_update(w, u, 0.1)):
-            if classic:
-                with pytest.raises(ZeroWeightError):
-                    step()
-            else:
-                step()
-
 
 class TestEdge:
     def test_perfect_hypothesis_has_unit_edge(self):
         w = uniform_init(5, TemperConfig(1.0))
         u = np.full(5, 0.8)
-        r_max, q_dagger = confidence_bounds(w, u)
-        assert edge(w, u, r_max, q_dagger) == pytest.approx(1.0)
+        assert edge(w, u, confidence_bounds(w, u)) == pytest.approx(1.0)
 
     def test_zero_correlation_gives_zero_edge(self):
         w = uniform_init(4, TemperConfig(0.3))
         u = np.array([1.0, -1.0, 1.0, -1.0])
-        r_max, q_dagger = confidence_bounds(w, u)
-        assert edge(w, u, r_max, q_dagger) == pytest.approx(0.0, abs=1e-15)
+        assert edge(w, u, confidence_bounds(w, u)) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_instance_without_dagger(self):
         # direct evaluation of the weighted-correlation formula, t = 0.5
@@ -143,19 +101,9 @@ class TestEdge:
         u = np.array([1.0, -1.0, 0.5])
         expected_r = max(1.0 / 0.6**0.5, 1.0 / 0.5**0.5, 0.5 / q3**0.5)
         expected_rho = (0.6 * 1.0 + 0.5 * -1.0 + q3 * 0.5) / expected_r
-        r_max, q_dagger = confidence_bounds(w, u)
-        assert edge(w, u, r_max, q_dagger) == pytest.approx(expected_rho, rel=1e-12)
-
-    def test_edge_with_dagger_weights(self):
-        t = 0.5
-        q2 = (1.0 - 0.84**1.5) ** (1.0 / 1.5)
-        w = TemWeights(np.array([0.84, q2, 0.0]), TemperConfig(t))
-        u = np.array([0.9, -0.6, 0.3])
-        r_max, q_dagger = confidence_bounds(w, u)
-        expected = (0.84 * 0.9 + q2 * -0.6 + q_dagger * 0.3) / (
-            (1.0 + q_dagger**1.5) * r_max
-        )
-        assert edge(w, u, r_max, q_dagger) == pytest.approx(expected, rel=1e-12)
+        r_max = confidence_bounds(w, u)
+        assert r_max == pytest.approx(expected_r, rel=1e-12)
+        assert edge(w, u, r_max) == pytest.approx(expected_rho, rel=1e-12)
 
     def test_edge_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a dot product this long across its threads, which
@@ -169,7 +117,7 @@ class TestEdge:
             "q = rng.random(20000) * 10.0 ** rng.integers(-6, 1, size=20000)\n"
             "w = TemWeights(q / np.sum(q**1.5) ** (1 / 1.5), TemperConfig(0.5))\n"
             "u = rng.uniform(-1.0, 1.0, size=20000)\n"
-            "print(edge(w, u, *confidence_bounds(w, u)).hex())\n"
+            "print(edge(w, u, confidence_bounds(w, u)).hex())\n"
         )
         src = str(Path(booster.__file__).resolve().parents[1])
         bits = []
@@ -227,6 +175,39 @@ class TestLeveraging:
                 assert abs(mu) < 1.0 / (2.0 * (1.0 - t))
 
 
+class TestSlackFloor:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        t=st.floats(0.0, 1.0, exclude_max=True),
+        m=st.integers(2, 40),
+        decades=st.floats(0.0, 12.0),
+        agree=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leveraging_keeps_every_bracket_above_the_floor(self, t, m, decades, agree, seed):
+        # (q_i^(1-t) - (1-t) mu u_i) / q_i^(1-t) >= x^(1-t) with
+        # x = (1-|rho|) / M_(1-t)(1-|rho|, 1+|rho|); equality where
+        # |u_i| / q_i^(1-t) = R and u_i has rho's sign
+        rng = np.random.default_rng(seed)
+        cfg = TemperConfig(t)
+        raw = 10.0 ** -rng.uniform(0.0, decades, m)  # weights spread over some decades
+        weights = TemWeights(raw / np.sum(raw ** (2 - t)) ** (1 / (2 - t)), cfg)
+        sign = np.where(rng.random(m) < agree, 1.0, -1.0)
+        sign[:2] = rng.permutation([1.0, -1.0])  # both signs
+        u = sign * weights.q_om * rng.uniform(0.0, 1.0, m)
+        u[0] = sign[0] * weights.q_om[0]  # R is attained
+        r_max = confidence_bounds(weights, u)
+        rho = edge(weights, u, r_max)
+        assume(abs(rho) <= 1.0 - RHO_CAP)
+        mu, _ = leveraging(rho, r_max, cfg, 1.0, m)
+        om, a, b = 1.0 - t, 1.0 - abs(rho), 1.0 + abs(rho)
+        floor = (a / power_mean(a, b, om)) ** om
+        slack = (weights.q_om - om * mu * u) / weights.q_om
+        assert slack.min() >= floor - 4 * np.finfo(float).eps
+        updated, _ = tempered_update(weights, u, mu)
+        assert np.all(updated.q > 0)
+
+
 class TestKtBound:
     def test_no_edge_no_progress(self):
         for t in (0.0, 0.5, 1.0, 1.5):
@@ -270,7 +251,6 @@ class TestBoostLoop:
         expected_r = float(np.max(np.abs(u) / w0.q**0.5))
         expected_rho = float(np.dot(w0.q, u) / expected_r)
         assert record.rho == pytest.approx(expected_rho, rel=1e-12)
-        assert record.m_dagger == 0
         err = zero_one_error(ens.decision_scores(data), data.labels)
         assert err <= risk_bound(trace, TemperConfig(0.5)) + 1e-9
 
@@ -457,8 +437,11 @@ class TestScoreFold:
         by_row = np.array([m.alpha * m.hypothesis.predict(test) for m in ensemble.members]).T
         assert clamped.tolist() == [clamped_sum(row, cfg.clamp_delta) for row in by_row]
 
-    @pytest.mark.parametrize("t", [1.0, 1.5])
+    @pytest.mark.parametrize("t", [1.0, 1.5, 1 - 1e-9, math.nextafter(1 - 1e-9, 1)])
     def test_no_clamped_model_from_t_one_up(self, t):
+        # t counts as 1 from 1 - CLASSIC_TOLERANCE up; one ulp below, the clamp exists
+        assert t >= 1.0 - CLASSIC_TOLERANCE
+        assert ScoreFold(2, TemperConfig(math.nextafter(1 - 1e-9, 0))).clamped is not None
         fold = ScoreFold(2, TemperConfig(t))
         fold.add(np.array([-3.0, 3.0]))
         fold.add(np.array([2.5, -2.5]))

@@ -25,28 +25,52 @@ from tempboost.experiment import RunSpec, _two_sided_p, main, paired_ttest, run,
 from tempboost.synthetic import make_mixed_table, make_wideband
 from tempboost.tree import DecisionTree
 
+# numpy picks its SIMD code at run time (NEP 38), and its array exp, log
+# and power give other last bits where AVX-512 is found than where it is
+# not, enough to flip some splits; so each grid is pinned once per family.
+FOUND = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+SIMD_FAMILY = "avx512" if any(f.startswith(("AVX512", "X86_V4")) for f in FOUND) else "portable"
 # sha256 of trace.csv for the grids below.  Every tree, weight update and
 # prediction feeds it, so a change that alters results has to change this
-# pin and say why.  Last changed when booster.edge moved from BLAS np.dot,
-# whose sum order depends on the BLAS thread count, to np.add.reduce: the
-# edges, and so the weights and co-density plots, moved in the last bits;
-# the summaries and test errors did not.
-SMOKE_TRACE_SHA256 = "0b74e3472978ed7fe7b65106cddc19c57684c12b53ae801fd5990708a3d9f696"
-CATEGORICAL_TRACE_SHA256 = "fa5adac73c0fbd2b9a7d6778e1a8cbd51e589e3befb52612078ba17a56e70144"
+# pin and say why.  Last changed when the trace lost its m_dagger column,
+# the count of weights switched off at 0, which leveraging's bound on mu
+# keeps at 0; every other column kept its bits.
+SMOKE_TRACE_SHA256 = {
+    "avx512": "baa8aaab364754a2f3d447ae8060296cc6bb6061f9da2f1115d2f8d683f7320f",
+    "portable": "2da67bbe6eb6d88c93b8a5ee19262268bc6588ac6b86c4f5e57c1d158b1ba4a1",
+}
+CATEGORICAL_TRACE_SHA256 = {
+    "avx512": "ddaf580ad5fca05ee4577b9a971342dbafbef335dca5f06742aabcb1bef9334c",
+    "portable": "2a85f6df2b0b65180e03db83c7c2d4d6fcc5d4b9c1c18d84801412effce9bcb6",
+}
 # sha256 of the other outputs of the same grids: the summary and the plot data.
 SMOKE_OUTPUT_SHA256 = {
-    "summary.csv": "630018203e7f7bf2573c88e417c71f2ff5ddf4a7b9722abe9bd0f2c443dbc1fe",
-    "plot_test_err_unclamped.csv": "fbd50681deb6b0dd8541ff3988dd58615023c064e0236ecc5532ff6ea765cc39",
-    "plot_test_err_clamped.csv": "4e12a909191698a24b0d542e210756363b62e7c00d0357a5a3567d765c7f71b2",
-    "plot_min_codensity.csv": "29275fa978738df0787adc0b0843d94b11828765893308116a323e71ef59b052",
-    "plot_max_codensity.csv": "718d00740d2d71e0df1606d987a0ed96fa181d4fee8836c1c034ee3978c6c56c",
+    "avx512": {
+        "summary.csv": "630018203e7f7bf2573c88e417c71f2ff5ddf4a7b9722abe9bd0f2c443dbc1fe",
+        "plot_test_err_unclamped.csv": "fbd50681deb6b0dd8541ff3988dd58615023c064e0236ecc5532ff6ea765cc39",
+        "plot_test_err_clamped.csv": "4e12a909191698a24b0d542e210756363b62e7c00d0357a5a3567d765c7f71b2",
+        "plot_min_codensity.csv": "29275fa978738df0787adc0b0843d94b11828765893308116a323e71ef59b052",
+        "plot_max_codensity.csv": "718d00740d2d71e0df1606d987a0ed96fa181d4fee8836c1c034ee3978c6c56c",
+    },
 }
 CATEGORICAL_OUTPUT_SHA256 = {
-    "summary.csv": "98047f1e5010940a48b38a5051decc0d1c88afc81c0849e1d87cde05ad856128",
-    "plot_test_err_unclamped.csv": "d05eda6dfadc8fb515e6ec24249085f71b84e6c385c7a02437609d34bb67e817",
-    "plot_test_err_clamped.csv": "bfa5919e8b568ca9cf66feab62b83147a21b20dd338d6a0533d2826f82cff733",
-    "plot_min_codensity.csv": "a1639dfb2110124c0584cf60df0f43259466e87f7e848dd0a689c39a172de308",
-    "plot_max_codensity.csv": "9d698f74544e0afddddb6e2b47dafd9bd05c8d4157b166158cd381598a89b827",
+    "avx512": {
+        "summary.csv": "98047f1e5010940a48b38a5051decc0d1c88afc81c0849e1d87cde05ad856128",
+        "plot_test_err_unclamped.csv": "d05eda6dfadc8fb515e6ec24249085f71b84e6c385c7a02437609d34bb67e817",
+        "plot_test_err_clamped.csv": "bfa5919e8b568ca9cf66feab62b83147a21b20dd338d6a0533d2826f82cff733",
+        "plot_min_codensity.csv": "a1639dfb2110124c0584cf60df0f43259466e87f7e848dd0a689c39a172de308",
+        "plot_max_codensity.csv": "9d698f74544e0afddddb6e2b47dafd9bd05c8d4157b166158cd381598a89b827",
+    },
+}
+# on the portable path only the co-density plots move
+SMOKE_OUTPUT_SHA256["portable"] = {
+    **SMOKE_OUTPUT_SHA256["avx512"],
+    "plot_min_codensity.csv": "40e9d3d235c1b677769e038743a82afc22010fede98f7e694c77c7d71c7b1fd9",
+    "plot_max_codensity.csv": "0f7ce84b3d700771553548f93b80d7f1727e835f7f762712c0baf9c3e6ee32ab",
+}
+CATEGORICAL_OUTPUT_SHA256["portable"] = {
+    **CATEGORICAL_OUTPUT_SHA256["avx512"],
+    "plot_max_codensity.csv": "73d5a26bb3966b67615a15fe5008df1fd8533ef1e52c26e10f506b2aa8f14836",
 }
 
 
@@ -71,8 +95,28 @@ def test_smoke_grid_trace_is_pinned(tmp_path):
     )
     assert result.failed_cells == 0
     assert len(result.rows) == 3 * 2 * 2
-    assert digest == SMOKE_TRACE_SHA256
-    assert output_digests(result.out_dir, SMOKE_OUTPUT_SHA256) == SMOKE_OUTPUT_SHA256
+    assert digest == SMOKE_TRACE_SHA256[SIMD_FAMILY]
+    pins = SMOKE_OUTPUT_SHA256[SIMD_FAMILY]
+    assert output_digests(result.out_dir, pins) == pins
+
+
+def test_smoke_grid_is_pinned_without_avx512_too(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES sends numpy on an AVX-512 x86 host down the
+    # portable path; it acts only at numpy's import, so a child runs the test
+    code = (
+        "import pathlib, sys, test_experiment as t\n"
+        "t.test_smoke_grid_trace_is_pinned(pathlib.Path(sys.argv[1]))\n"
+        "print(t.SIMD_FAMILY)\n"
+    )
+    paths = (Path(experiment.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "portable"
 
 
 def test_categorical_grid_trace_is_pinned(tmp_path):
@@ -84,8 +128,9 @@ def test_categorical_grid_trace_is_pinned(tmp_path):
     )
     assert result.failed_cells == 0
     assert len(result.rows) == 3 * 2 * 3
-    assert digest == CATEGORICAL_TRACE_SHA256
-    assert output_digests(result.out_dir, CATEGORICAL_OUTPUT_SHA256) == CATEGORICAL_OUTPUT_SHA256
+    assert digest == CATEGORICAL_TRACE_SHA256[SIMD_FAMILY]
+    pins = CATEGORICAL_OUTPUT_SHA256[SIMD_FAMILY]
+    assert output_digests(result.out_dir, pins) == pins
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])

@@ -12,14 +12,10 @@ from tempboost.experiment import RunSpec, main, run
 from tempboost.synthetic import make_mixed_table, make_wideband
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tempboost"
-OFF = "no small grid switches a weight off"
 # (function, the first line of a statement, or None for all of the function):
 # why no grid runs it.  Exempting a compound statement exempts the ones in it.
 EXEMPT = {
     ("booster.Ensemble.decision_scores", None): "perfbench's tracer wraps it",
-    ("booster.confidence_bounds", "if math.isinf(weights.cfg.clamp_delta):"): OFF,
-    ("booster.confidence_bounds", "top = float(np.max(np.abs(u[dagger])))"): OFF,
-    ("booster.confidence_bounds", "return r_max, (top / r_max) ** (1.0 / (1.0 - t))"): OFF,
     ("experiment._pin_malloc_thresholds", "return"): "off Linux, or without mallopt",
     ("experiment._init_worker", None): "runs in a pool worker",
     ("experiment._worker_cell", None): "runs in a pool worker",

@@ -812,9 +812,9 @@ class TestBoosterIntegration:
         tree, predictions = learner(weights, data)
         assert predictions is tree.fitted
         margins = data.labels * predictions
-        r_max, q_dagger = confidence_bounds(weights, margins)
+        r_max = confidence_bounds(weights, margins)
         assert math.isfinite(r_max) and r_max > 0
-        rho = edge_fn(weights, margins, r_max, q_dagger)
+        rho = edge_fn(weights, margins, r_max)
         assert -1.0 <= rho <= 1.0
 
     def test_percolated_predictions_classify_like_scores(self):

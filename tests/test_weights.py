@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_projection, grid_min_normalizer, reference_divergence
-from paper_math import CollinearError, NoMixedSignsError, solve_projection
-from tempboost.errors import AllZeroError, WeightOverflowError, ZeroWeightError
+from paper_math import CollinearError, NoMixedSignsError, clamped_update, solve_projection
+from tempboost.errors import WeightOverflowError, WeightUnderflowError
 from tempboost.talgebra import TemperConfig
 from tempboost.weights import TemWeights, co_density, tempered_update, uniform_init
 
 
-def random_weights(rng, m, t, strictly_positive=True):
-    raw = rng.uniform(0.2 if strictly_positive else 0.0, 1.0, m)
-    if not strictly_positive and m > 2:
-        raw[rng.integers(m)] = 0.0
+def random_weights(rng, m, t):
+    raw = rng.uniform(0.2, 1.0, m)
     q = raw / (raw ** (2 - t)).sum() ** (1.0 / (2 - t))
     return TemWeights(q, TemperConfig(t))
 
@@ -50,11 +48,9 @@ class TestTemWeights:
             TemWeights(np.array([0.9, 0.9]), TemperConfig(0.5))
         with pytest.raises(ValueError):
             TemWeights(np.array([-0.1, 1.0]), TemperConfig(0.5))
-
-    def test_dagger_set_derived(self):
-        q = np.array([0.0, 1.0])
-        w = TemWeights(q, TemperConfig(0.5))
-        assert w.dagger.tolist() == [0]
+        for t in (0.0, 0.5, 1.5):  # every weight is positive, at every t
+            with pytest.raises(ValueError, match="positive"):
+                TemWeights(np.array([0.0, 1.0]), TemperConfig(t))
 
     def test_vector_is_read_only(self):
         w = uniform_init(3, TemperConfig(0.5))
@@ -62,18 +58,11 @@ class TestTemWeights:
             w.q[0] = 2.0
         with pytest.raises(ValueError):
             w.q_om[0] = 2.0
-        with pytest.raises(ValueError):
-            TemWeights(np.array([0.0, 1.0]), TemperConfig(0.5)).dagger[0] = 1
 
     @pytest.mark.parametrize("t", (0.0, 0.3, 0.5, 1.0, 1.1, 1.5))
     def test_q_om_is_the_power_computed_once(self, t):
-        rng = np.random.default_rng(2306)
-        for strictly_positive in (True, False):  # zero weights at t = 1.5: inf, no warning
-            w = random_weights(rng, 50, t, strictly_positive)
-            with np.errstate(divide="ignore"):
-                want = w.q ** (1.0 - t)
-            assert w.q_om.tobytes() == want.tobytes()
-        assert w.q_om[w.dagger].tolist() == [0.0 if t < 1 else 1.0 if t == 1 else np.inf]
+        w = random_weights(np.random.default_rng(2306), 50, t)
+        assert w.q_om.tobytes() == (w.q ** (1.0 - t)).tobytes()
 
 
 class TestCoDensity:
@@ -154,21 +143,30 @@ class TestTemperedUpdate:
                 m = int(rng.integers(2, 30))
                 w = random_weights(rng, m, t)
                 u = rng.uniform(-1, 1, m)
-                w2, _ = tempered_update(w, u, float(rng.uniform(-1.5, 1.5)))
+                radius = 1.5
+                if t < 1:  # inside leveraging's bound |mu| < 1 / (R (1-t)), as in boost
+                    radius = min(radius, 1.0 / (np.max(np.abs(u) / w.q_om) * (1.0 - t)))
+                w2, _ = tempered_update(w, u, float(rng.uniform(-radius, radius)))
                 assert abs((w2.q ** (2 - t)).sum() - 1.0) <= 1e-9
 
-    def test_switch_off_and_dagger_tracking(self):
-        # drive the first component to the clamp: bracket <= 0
-        cfg = TemperConfig(0.5)
-        w = uniform_init(2, cfg)
-        u = np.array([1.0, -1.0])
-        mu = 10.0  # q^(1-t) - (1-t) mu u goes negative for u=+1
-        w2, _ = tempered_update(w, u, mu)
-        assert w2.q[0] == 0.0
-        assert w2.dagger.tolist() == [0]
-        # a later update with opposite margin revives the weight
-        w3, _ = tempered_update(w2, np.array([-1.0, 1.0]), 1.0)
-        assert w3.q[0] > 0.0
+    def test_clamped_weight_is_a_typed_failure(self):
+        # beyond leveraging's bound: q^(1-t) - (1-t) mu u <= 0 for u = +1,
+        # where exp_t would clamp the weight to 0
+        w = uniform_init(2, TemperConfig(0.5))
+        message = r"^1 weight\(s\) became 0 before normalization$"
+        with pytest.raises(WeightUnderflowError, match=message):
+            tempered_update(w, np.array([1.0, -1.0]), 10.0)
+
+    @pytest.mark.parametrize("t", (1.0, 0.99))
+    def test_underflow_is_a_typed_failure(self, t):
+        # at t = 1, exp(-800) is 0; at t = 0.99 a bracket of 1e-4 inside
+        # leveraging's bound gives (1e-4)^100, which is 0 too
+        w = uniform_init(2, TemperConfig(t))
+        mu = 800.0 if t == 1.0 else (w.q_om[0] - 1e-4) / (1.0 - t)
+        if t < 1:
+            assert mu < 1.0 / (np.max(1.0 / w.q_om) * (1.0 - t))
+        with pytest.raises(WeightUnderflowError, match=r"^1 weight\(s\) underflowed to 0$"):
+            tempered_update(w, np.array([1.0, 0.0]), mu)
 
     def test_misclassified_never_lose_mass_before_normalization(self):
         rng = np.random.default_rng(7)
@@ -181,24 +179,29 @@ class TestTemperedUpdate:
             wrong = u < 0
             assert np.all(unnormalized[wrong] >= w.q[wrong] - 1e-12)
 
-    def test_zero_weight_rejected_at_classic(self):
-        w = TemWeights(np.array([0.0, 1.0]), TemperConfig(1.0))
-        with pytest.raises(ZeroWeightError) as raised:
-            tempered_update(w, np.array([1.0, -1.0]), 0.1)
-        assert isinstance(raised.value, ValueError)
-
     def test_overflow_above_one(self):
         cfg = TemperConfig(1.5)
         w = uniform_init(2, cfg)
         message = r"^1 weight\(s\) became infinite before normalization$"
         with pytest.raises(WeightOverflowError, match=message):
             tempered_update(w, np.array([-1.0, 1.0]), 50.0)
+        # a positive bracket of 1e-4 at t = 1.01 gives (1e-4)^-100, which overflows
+        w = uniform_init(2, TemperConfig(1.01))
+        with pytest.raises(WeightOverflowError, match=message):
+            tempered_update(w, np.array([-1.0, 0.0]), (w.q_om[0] - 1e-4) / 0.01)
 
     def test_all_zero_error(self):
-        cfg = TemperConfig(0.0)
-        w = uniform_init(2, cfg)
-        with pytest.raises(AllZeroError):
+        # every bracket q^(1-t) - (1-t) mu u is negative: no weight is left
+        w = uniform_init(2, TemperConfig(0.0))
+        message = r"^2 weight\(s\) became 0 before normalization$"
+        with pytest.raises(WeightUnderflowError, match=message):
             tempered_update(w, np.array([1.0, 1.0]), 10.0)
+
+    def test_zero_weight_rejected_at_classic(self):
+        # at t = 1 too no weight is 0: exp underflow is the only way there,
+        # and tempered_update raises WeightUnderflowError on it
+        with pytest.raises(ValueError, match="positive"):
+            TemWeights(np.array([0.0, 1.0]), TemperConfig(1.0))
 
 
 class TestSolveProjection:
@@ -207,14 +210,14 @@ class TestSolveProjection:
         u = np.array([0.7, -0.7, 0.7, -0.7])
         mu, projected = solve_projection(w, u)
         assert mu == 0.0
-        np.testing.assert_allclose(projected.q, w.q, rtol=1e-12)
+        np.testing.assert_allclose(projected, w.q, rtol=1e-12)
 
     def test_two_point_closed_form_at_t_zero(self):
         a, b = 0.8, 0.6
         w = TemWeights(np.array([a, b]), TemperConfig(0.0))
         mu, projected = solve_projection(w, np.array([1.0, -1.0]))
         assert mu == pytest.approx((a - b) / 2, abs=1e-10)
-        np.testing.assert_allclose(projected.q, [1 / math.sqrt(2)] * 2, rtol=1e-9)
+        np.testing.assert_allclose(projected, [1 / math.sqrt(2)] * 2, rtol=1e-9)
 
     def test_constraint_satisfied(self):
         rng = np.random.default_rng(8)
@@ -224,7 +227,8 @@ class TestSolveProjection:
                 w = random_weights(rng, m, t)
                 u = mixed_margin(rng, m)
                 _, projected = solve_projection(w, u)
-                assert abs(np.dot(projected.q, u)) <= 1e-10
+                assert abs(np.dot(projected, u)) <= 1e-10
+                assert abs((projected ** (2 - t)).sum() - 1.0) <= 1e-9
 
     def test_minimality_against_dense_normalizer_scan(self):
         rng = np.random.default_rng(9)
@@ -234,7 +238,7 @@ class TestSolveProjection:
             mu, projected = solve_projection(w, u)
             radius = max(2.0 * abs(mu), 1.0)
             _, z_grid = grid_min_normalizer(w.q, u, t, radius, n=100_000)
-            _, z_solver = tempered_update(w, u, mu)
+            _, z_solver = clamped_update(w, u, mu)
             assert z_solver <= z_grid + 1e-9
 
     def test_kkt_zero_characterization(self):
@@ -247,7 +251,7 @@ class TestSolveProjection:
             u = mixed_margin(rng, m)
             mu, projected = solve_projection(w, u)
             bracket = w.q ** (1 - t) - (1 - t) * mu * u
-            np.testing.assert_array_equal(bracket <= 0, projected.q == 0.0)
+            np.testing.assert_array_equal(bracket <= 0, projected == 0.0)
 
     def test_composition_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -255,7 +259,7 @@ class TestSolveProjection:
             w = random_weights(rng, m, t)
             u = mixed_margin(rng, m)
             _, projected = solve_projection(w, u)
-            solver_div = reference_divergence(projected.q, w.q, t)
+            solver_div = reference_divergence(projected, w.q, t)
             oracle_div, _ = brute_force_projection(w.q, u, t, grid=40)
             assert solver_div <= oracle_div + 1e-6
 
