@@ -90,8 +90,7 @@ class Dataset:
     The tables that tree growth reads are built on first use and cached:
     ``category_codes``, ``column_block`` and its ``root_runs`` read only the
     columns, ``positive`` only the labels.  ``take`` returns a Dataset that
-    builds all of them anew; ``with_labels`` keeps the column tables and
-    builds ``positive`` for its own labels.
+    builds all of them anew.
     """
 
     columns: tuple
@@ -127,13 +126,6 @@ class Dataset:
         )
         return Dataset(columns, self.labels[indices], self.label_name)
 
-    def with_labels(self, labels) -> "Dataset":
-        """Same columns, new labels; the column tables built so far are kept."""
-        relabelled = Dataset(self.columns, labels, self.label_name)
-        kept = ("column_block", "root_runs", "category_codes")  # none reads labels
-        relabelled.__dict__.update({k: v for k, v in self.__dict__.items() if k in kept})
-        return relabelled
-
     def row(self, i: int) -> tuple:
         return tuple(column.values[i] for column in self.columns)
 
@@ -151,7 +143,7 @@ class Dataset:
         ``category_codes`` codes, which are its bins, however many levels
         it has: every level keeps a bin of its own.  Built on first use
         and reused by every tree grown on this Dataset; ``take`` returns a
-        Dataset with its own block, ``with_labels`` shares it.
+        Dataset with its own block.
         """
         codes = self.category_codes
         values = np.array(
@@ -179,7 +171,7 @@ class Dataset:
     @cached_property
     def root_runs(self) -> RunLayout:
         """The ``run_layout`` of ``column_block``'s bins, which every root
-        split of a tree grown on this Dataset reads; shared like the block."""
+        split of a tree grown on this Dataset reads; built like the block."""
         return run_layout(self.column_block[1])
 
     @cached_property
@@ -188,8 +180,7 @@ class Dataset:
 
         Weights times this indicator are bitwise the weights of the +1 rows
         with zeros elsewhere, and the weights minus that product those of
-        the -1 rows, for finite weights that are positive or +0.0.  Built
-        for each Dataset's own labels, never shared by ``with_labels``.
+        the -1 rows, for finite weights that are positive or +0.0.
         """
         positive = (self.labels > 0).astype(float)
         positive.setflags(write=False)
@@ -363,4 +354,4 @@ def inject_label_noise(data: Dataset, eta: float, seed) -> Dataset:
         return data
     rng = np.random.default_rng(seed)
     flips = rng.random(data.m) < eta
-    return data.with_labels(np.where(flips, -data.labels, data.labels))
+    return Dataset(data.columns, np.where(flips, -data.labels, data.labels), data.label_name)

@@ -5,7 +5,10 @@ the training split only, boosts tempered-loss trees, and evaluates the
 plain and the clamped model on the untouched test fold after every round.
 It emits a flat ``trace.csv``, a per-temperature ``summary.csv`` with
 paired t-test verdicts against t=1, tidy per-panel plot data, and a
-``manifest.json`` recording enough to rerun the whole thing bit for bit.
+``manifest.json`` recording the run's settings and what decides its bits:
+the input file's sha256, the Python and numpy versions, the SIMD
+extensions numpy found, and each cell's status.  The same options on the
+same file and environment rerun it.
 The t-test's p-value is the closed-form Student-t tail for integer
 degrees of freedom (Abramowitz & Stegun 26.7.3 and 26.7.4), so the
 harness needs numpy alone.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import hashlib
 import json
 import math
 import os
@@ -387,14 +391,30 @@ def emit_plots(rows, out_dir: Path) -> None:
         _write_csv(out_dir / f"plot_{panel}.csv", ("t", "j", "mean"), means)
 
 
+def _file_sha256(path) -> str:
+    """The file's sha256, read in chunks so that no copy of the whole file is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:
     manifest = {
         "library_version": __version__,
         "spec": asdict(spec),
-        "dataset": {"path": spec.data_path, "m": data.m, "d": data.d},
+        "dataset": {
+            "path": spec.data_path,
+            "sha256": _file_sha256(spec.data_path),
+            "m": data.m,
+            "d": data.d,
+        },
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            # numpy picks its loops by CPU at run time, and their last bits differ
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"],
             "cpu_count": os.cpu_count(),
         },
         "cells": [asdict(cell) for cell in cells],
@@ -402,20 +422,6 @@ def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def spec_from_manifest(path) -> RunSpec:
-    """Rebuild the RunSpec recorded in a manifest (for exact reruns)."""
-    with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    raw = dict(manifest["spec"])
-    if "split_cap" in raw:  # a sampled split search, removed since
-        raise ValueError(f"{path} predates the binned split search; its trees cannot be rerun")
-    # "both" and "on" evaluated the clamped model exactly when t < 1, as every run does now
-    if raw.pop("clamped", "both") == "off":
-        raise ValueError(f"{path} has spec.clamped = 'off'; every run evaluates the clamped model")
-    raw["t_values"] = tuple(raw["t_values"])
-    return RunSpec(**raw)
 
 
 def _temperatures(text: str) -> tuple:

@@ -350,7 +350,7 @@ class TestBoostLoop:
 
     def test_rejects_single_class_labels(self):
         data = make_mixed_table(m=30, seed=0)
-        one_class = data.with_labels(np.ones(data.m, dtype=np.int64))
+        one_class = Dataset(data.columns, np.ones(data.m, dtype=np.int64))
         with pytest.raises(SingleClassError) as raised:
             boost(one_class, TreeWeakLearner(3), 3, TemperConfig(0.5))
         assert isinstance(raised.value, ValueError)

@@ -1,4 +1,4 @@
-"""CSV round trip, categorical level codes, the presorted block and stratified folds."""
+"""CSV round trip, level codes, the presorted block, stratified folds and label noise."""
 
 import csv
 import re
@@ -11,6 +11,7 @@ from tempboost.dataio import (
     NUMERIC,
     Column,
     Dataset,
+    inject_label_noise,
     load_csv,
     save_csv,
     stratified_folds,
@@ -44,21 +45,15 @@ def test_category_codes_rebuild_each_categorical_column():
         assert np.array_equal(levels[row_codes], data.columns[j].values)
 
 
-def test_with_labels_keeps_the_column_tables():
+def test_label_noise_flips_the_class_indicator_with_the_labels():
     data = make_mixed_table(m=80, seed=3)
-    block, codes, runs, positive = (
-        data.column_block, data.category_codes, data.root_runs, data.positive
-    )
-    flipped = data.with_labels(-data.labels)
-    assert flipped.column_block is block and flipped.category_codes is codes
-    assert flipped.root_runs is runs
-    assert np.array_equal(flipped.labels, -data.labels)
-    # the class indicator follows the labels: noisy labels train on their own split
-    assert positive.tolist() == (data.labels > 0).tolist()
-    assert flipped.positive.tolist() == (1.0 - positive).tolist()
-    fresh = make_mixed_table(m=80, seed=3).with_labels(data.labels)
-    assert "column_block" not in fresh.__dict__  # nothing built, nothing shared
-    assert np.array_equal(fresh.column_block[1], block[1])
+    noisy = inject_label_noise(data, 0.3, 7)
+    flipped = noisy.labels != data.labels
+    assert 0 < flipped.sum() < data.m
+    # noisy labels train on their own split of the masses
+    assert data.positive.tolist() == (data.labels > 0).tolist()
+    assert noisy.positive.tolist() == np.where(flipped, 1.0 - data.positive, data.positive).tolist()
+    assert inject_label_noise(data, 0.0, 7) is data
 
 
 def test_take_builds_its_own_category_codes():

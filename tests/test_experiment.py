@@ -21,7 +21,7 @@ from tempboost import booster, experiment, tree
 from tempboost.booster import Ensemble
 from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
 from tempboost.errors import BoundViolatedError
-from tempboost.experiment import RunSpec, _two_sided_p, main, paired_ttest, run, spec_from_manifest
+from tempboost.experiment import RunSpec, _two_sided_p, main, paired_ttest, run
 from tempboost.synthetic import make_mixed_table, make_wideband
 from tempboost.tree import DecisionTree
 
@@ -81,6 +81,15 @@ def run_grid(tmp_path, data, **grid):
     result = run(spec)
     trace = (tmp_path / "out" / "trace.csv").read_bytes()
     return result, hashlib.sha256(trace).hexdigest()
+
+
+def read_manifest(out_dir) -> dict:
+    return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+
+
+def as_json(spec: RunSpec) -> dict:
+    """The spec as its manifest block reads back: tuples become lists."""
+    return json.loads(json.dumps(dataclasses.asdict(spec)))
 
 
 def output_digests(out_dir, names) -> dict:
@@ -266,7 +275,7 @@ def test_every_temperature_of_a_fold_trains_on_the_same_noisy_labels(tmp_path, m
             assert np.array_equal(other, first)
 
 
-def test_traces_do_not_depend_on_jobs_and_rerun_from_the_manifest(tmp_path):
+def test_traces_do_not_depend_on_jobs_and_the_manifest_records_the_spec(tmp_path):
     # 2 folds of 600 rows: the numeric training columns hold 300 distinct
     # values, above MAX_BINS, so the binned candidates run, with label noise.
     grid = dict(t_values=(0.0, 0.6, 1.0), rounds=2, folds=2, noise=0.1)
@@ -280,11 +289,8 @@ def test_traces_do_not_depend_on_jobs_and_rerun_from_the_manifest(tmp_path):
     two = tmp_path / "jobs2"
     two.mkdir()
     assert run_grid(two, data, jobs=2, **grid)[1] == digest
-    spec = spec_from_manifest(one / "out" / "manifest.json")
-    rerun = run(dataclasses.replace(spec, out_dir=str(tmp_path / "rerun")))
-    assert rerun.failed_cells == 0
-    trace = (tmp_path / "rerun" / "trace.csv").read_bytes()
-    assert trace == (one / "out" / "trace.csv").read_bytes()
+    expected = RunSpec(str(one / "data.csv"), seed=3, out_dir=str(one / "out"), **grid)
+    assert read_manifest(one / "out")["spec"] == as_json(expected)
 
 
 def test_a_pool_worker_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(monkeypatch):
@@ -329,20 +335,6 @@ def test_a_grid_with_fewer_cells_than_jobs_starts_one_worker_per_cell(tmp_path, 
     assert started == [2]
 
 
-@pytest.mark.parametrize("clamped", ["both", "on", "off"])
-def test_manifest_from_before_the_clamped_option_was_removed(tmp_path, clamped):
-    # "both" and "on" ran what every run runs now; "off" skipped the clamped model
-    path = tmp_path / "manifest.json"
-    spec = RunSpec(data_path="data.csv", t_values=(0.5, 1.0), rounds=3)
-    raw = {**dataclasses.asdict(spec), "clamped": clamped}
-    path.write_text(json.dumps({"spec": raw}), encoding="utf-8")
-    if clamped == "off":
-        with pytest.raises(ValueError, match="spec.clamped"):
-            spec_from_manifest(path)
-    else:
-        assert spec_from_manifest(path) == spec
-
-
 def test_every_cli_flag_sets_its_run_spec_field(tmp_path):
     path = tmp_path / "data.csv"
     data = make_mixed_table(m=80, seed=1)
@@ -364,7 +356,7 @@ def test_every_cli_flag_sets_its_run_spec_field(tmp_path):
         jobs=2,
         out_dir=str(out),
     )
-    assert spec_from_manifest(out / "manifest.json") == expected
+    assert read_manifest(out)["spec"] == as_json(expected)
     defaults = RunSpec(data_path=str(path))
     for name in (f.name for f in dataclasses.fields(RunSpec) if f.name != "data_path"):
         assert getattr(expected, name) != getattr(defaults, name), name
@@ -380,14 +372,6 @@ def test_cli_defaults_are_the_run_spec_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "run", fake_run)
     assert main(["--data", "data.csv"]) == 0
     assert specs == [RunSpec(data_path="data.csv")]
-
-
-def test_manifest_from_before_the_binned_search_is_refused(tmp_path):
-    path = tmp_path / "manifest.json"
-    spec = dataclasses.asdict(RunSpec(data_path="data.csv"))
-    path.write_text(json.dumps({"spec": {**spec, "split_cap": 2000}}), encoding="utf-8")
-    with pytest.raises(ValueError, match="predates the binned split search"):
-        spec_from_manifest(path)
 
 
 def test_a_programming_error_propagates_out_of_the_run(tmp_path, monkeypatch):
@@ -433,28 +417,27 @@ def test_a_run_whose_every_cell_fails_still_writes_every_output(tmp_path, capsys
     assert [line.split(",")[:2] for line in summary[1:]] == [["0.5", "0"], ["1.0", "0"]]
     for panel in experiment.PLOT_PANELS:
         assert (out / f"plot_{panel}.csv").read_text().splitlines() == ["t,j,mean"]
-    cells = json.loads((out / "manifest.json").read_text())["cells"]
+    cells = read_manifest(out)["cells"]
     assert len(cells) == 4 and all(cell["status"] == "failed" for cell in cells)
     assert all(cell["error"].startswith("DegenerateHypothesisError") for cell in cells)
 
 
 def test_manifest_records_the_environment_and_rebuilds_the_spec(tmp_path):
     result, _ = run_grid(tmp_path, make_wideband(seed=11), t_values=(1.0,), rounds=1, folds=2)
-    path = result.out_dir / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest = read_manifest(result.out_dir)
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "simd": np.show_config(mode="dicts")["SIMD Extensions"],
         "cpu_count": os.cpu_count(),
     }
-    assert spec_from_manifest(path) == RunSpec(
-        data_path=str(tmp_path / "data.csv"),
-        t_values=(1.0,),
-        rounds=1,
-        folds=2,
-        seed=3,
-        out_dir=str(tmp_path / "out"),
+    data = tmp_path / "data.csv"
+    assert manifest["dataset"]["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    expected = RunSpec(
+        str(data), t_values=(1.0,), rounds=1, folds=2, seed=3, out_dir=str(result.out_dir)
     )
+    assert manifest["spec"] == as_json(expected)
+    assert RunSpec(**manifest["spec"]) == expected
 
 
 def test_importing_the_harness_loads_no_scipy():

@@ -19,12 +19,8 @@ EXEMPT = {
     ("experiment._pin_malloc_thresholds", "return"): "off Linux, or without mallopt",
     ("experiment._init_worker", None): "runs in a pool worker",
     ("experiment._worker_cell", None): "runs in a pool worker",
-    ("experiment.paired_ttest", 'return "better" if mean < 0 else "worse"'): "no significant gap",
-    ("experiment.spec_from_manifest", None): "the rerun API",
     ("experiment.main", "if result.failed_cells:"): "no cell of these grids fails",
     ("synthetic.make_margin_blobs", None): "generates the tall benchmark's data",
-    ("tree._best_split", "sums = sums.copy()"): "a categorical leaf of single-entry runs",
-    ("tree._best_split", "threshold = above"): "a midpoint that rounds onto the value below",
 }
 
 
@@ -123,6 +119,7 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
     files = {importlib.import_module(f"tempboost.{name}").__file__: name for name in names}
     grid = dict(folds=2, t_values=(0.0, 0.6, 0.995, 1.0, 1.1), rounds=5, tree_nodes=7)
     wideband, mixed = tmp_path / "wideband.csv", tmp_path / "mixed.csv"
+    small, doubles = tmp_path / "small.csv", tmp_path / "doubles.csv"
 
     def grids():
         save_csv(make_wideband(m=120), wideband)
@@ -139,6 +136,20 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         for folds in (5, 6):
             tiny = dict(folds=folds, t_values=(0.0, 1.0), rounds=1, tree_nodes=3)
             run(RunSpec(str(wideband), out_dir=str(tmp_path / f"f{folds}"), **tiny))
+        # test folds of 8 rows: t=0 errs by 1/8 more than t=1 in every fold,
+        # a gap without spread, and t=0.6 by gaps whose p-value is below TTEST_ALPHA
+        save_csv(make_wideband(m=32, seed=0), small)
+        verdicts = dict(folds=4, t_values=(0.0, 0.6, 1.0), rounds=3, tree_nodes=3, seed=1)
+        run(RunSpec(str(small), out_dir=str(tmp_path / "verdicts"), **verdicts))
+        # each value and level once, so that every root run is a single entry;
+        # on a training fold holding both, x's best cut lies between 1.0 and
+        # the next double, and their midpoint rounds onto 1.0
+        x = [0.1, 0.2, 0.97, 0.98, 0.99, 1.0, 1.0000000000000002, 1.01, 1.02, 1.03, 5.0, 6.0]
+        y = [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1]
+        rows = (f"{v!r},{level},{label}\n" for v, level, label in zip(x, "abcdefghijkl", y))
+        doubles.write_text("x,c,y\n" + "".join(rows), encoding="utf-8")
+        tiny = dict(folds=3, t_values=(1.0,), rounds=1, tree_nodes=3)
+        run(RunSpec(str(doubles), out_dir=str(tmp_path / "doubles"), **tiny))
         # the command line and the pool's side of run; the workers run their
         # cells in processes that this trace does not see
         pool = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]

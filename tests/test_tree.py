@@ -353,7 +353,7 @@ class TestInduceTree:
 
     def test_single_class_rejected(self):
         data, w = weighted_mixed_dataset()
-        bad = data.with_labels(np.ones(data.m, dtype=np.int64))
+        bad = Dataset(data.columns, np.ones(data.m, dtype=np.int64))
         with pytest.raises(ValueError):
             induce_tree(bad, w, 3, TemperConfig(0.5))
         # every positive weight switched off (t < 1): a typed failure
