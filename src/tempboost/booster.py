@@ -129,7 +129,8 @@ class ScoreFold:
 
 def zero_one_error(scores: np.ndarray, labels: np.ndarray) -> float:
     """Empirical 0/1 risk of sign(scores) against +/-1 labels, sign(0)=+1."""
-    return float(np.mean((np.asarray(scores) >= 0) != (np.asarray(labels) > 0)))
+    wrong = (np.asarray(scores) >= 0) != (np.asarray(labels) > 0)
+    return float(np.count_nonzero(wrong) / wrong.size)
 
 
 def confidence_bounds(weights: TemWeights, u) -> float:

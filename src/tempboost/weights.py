@@ -38,7 +38,7 @@ class TemWeights:
         q = np.array(self.q, dtype=float)
         if q.ndim != 1 or q.size == 0:
             raise ValueError("weights must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(q)) or np.any(q <= 0):
+        if not (q.min() > 0 and q.max() < math.inf):  # a nan fails too
             raise ValueError("weights must be finite and positive")
         p = q ** (2.0 - self.cfg.t)
         residual = abs(np.sum(p) - 1.0)
@@ -78,7 +78,7 @@ def _margins(u, m: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (m,):
         raise ValueError("margin vector length must match the weights")
-    if not np.all(np.isfinite(u)):
+    if not (u.min() > -math.inf and u.max() < math.inf):  # a nan fails too
         raise ValueError("margins must be finite")
     return u
 
@@ -107,23 +107,25 @@ def tempered_update(weights: TemWeights, u, mu: float):
         om, co = 1.0 - t, 2.0 - t
         # exp_t(log_t q - mu u) fused: (q^(1-t) - (1-t) mu u)^(1/(1-t))
         bracket = weights.q_om - om * mu * u
-        nonpositive = bracket <= 0  # exp_t diverges there for t > 1, and clamps to 0 for t < 1
-        if t > 1 and np.any(nonpositive):
+        # exp_t diverges at a bracket <= 0 for t > 1, and clamps it to 0 for t < 1
+        lowest = bracket.min()
+        if t > 1 and lowest <= 0:
             raise WeightOverflowError(
-                f"{nonpositive.sum()} weight(s) became infinite before normalization"
+                f"{np.count_nonzero(bracket <= 0)} weight(s) became infinite before normalization"
             )
-        if np.any(nonpositive):
-            raise WeightUnderflowError(f"{nonpositive.sum()} weight(s) became 0 before normalization")
+        if lowest <= 0:
+            raise WeightUnderflowError(
+                f"{np.count_nonzero(bracket <= 0)} weight(s) became 0 before normalization"
+            )
         with np.errstate(over="ignore"):
             w, w_pow = bracket ** (1.0 / om), bracket ** (co / om)
-    infinite = ~(np.isfinite(w) & np.isfinite(w_pow))
-    if np.any(infinite):
+    if not (w.max() < math.inf and w_pow.max() < math.inf):  # a nan fails too
         raise WeightOverflowError(
-            f"{infinite.sum()} weight(s) became infinite before normalization"
+            f"{np.count_nonzero(~(np.isfinite(w) & np.isfinite(w_pow)))} weight(s)"
+            " became infinite before normalization"
         )
     z = w_pow.sum() ** (1.0 / co)
     q = w / z
-    vanished = q == 0.0
-    if np.any(vanished):
-        raise WeightUnderflowError(f"{vanished.sum()} weight(s) underflowed to 0")
+    if q.min() == 0.0:  # q >= 0, and holds no nan beside a 0
+        raise WeightUnderflowError(f"{np.count_nonzero(q == 0.0)} weight(s) underflowed to 0")
     return TemWeights(q, cfg), float(z)

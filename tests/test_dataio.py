@@ -1,11 +1,14 @@
 """CSV round trip, level codes, the presorted block, stratified folds and label noise."""
 
 import csv
+import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tempboost import dataio
 from tempboost.dataio import (
     CATEGORICAL,
     NUMERIC,
@@ -25,7 +28,7 @@ def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
     data = make_mixed_table(m=120, seed=4)
     path = tmp_path / "mixed.csv"
     save_csv(data, path)
-    loaded = load_csv(path)
+    loaded = load(path)
     assert loaded.label_name == data.label_name
     assert np.array_equal(loaded.labels, data.labels)
     assert [(c.name, c.kind) for c in loaded.columns] == [
@@ -119,6 +122,25 @@ def describe(data):
     return data.label_name, data.labels.tobytes(), columns
 
 
+def load(path, **kwargs):
+    """``load_csv`` read in blocks of one line and in blocks of the default
+    size, which must agree: the same Dataset, bit for bit, or the same error."""
+    outcomes = []
+    for chars in (1, dataio.BLOCK_CHARS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "BLOCK_CHARS", chars)
+            try:
+                outcomes.append(load_csv(path, **kwargs))
+            except (ValueError, csv.Error) as error:
+                outcomes.append(error)
+    one_line, default = outcomes
+    if isinstance(default, Exception):
+        assert (type(one_line), str(one_line)) == (type(default), str(default))
+        raise default
+    assert describe(one_line) == describe(default)
+    return default
+
+
 @pytest.mark.parametrize("newline, final", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
 def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newline, final):
     # Quoting the header's names sends the file to csv.reader, which reads
@@ -134,8 +156,8 @@ def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newli
     loaded = []
     for head in (header, quoted):
         path.write_text(newline.join([head, *lines]) + final, encoding="utf-8", newline="")
-        loaded.append(describe(load_csv(path)))
-    assert len(readers) == 1  # the quoted file's
+        loaded.append(describe(load(path)))
+    assert len(readers) == 2  # the quoted file's, at each block size
     assert loaded[0] == loaded[1] == describe(data)
 
 
@@ -145,6 +167,8 @@ def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newli
         ('x,c,y\n1,"a,b",p\n2,c,q\n', ["a,b", "c"]),
         ('x,c,y\r\n1,"a\r\nb",p\r\n2,c,q\r\n', ["a\r\nb", "c"]),
         ("x,c,y\r1,a,p\n2,c,q\r", ["a", "c"]),
+        # unquoted, CRLF reads as LF first: a CR before a CRLF ends no line
+        ("x,c,y\r\r\n1,a,p\r\r\n2,c,q\r\r\n", ["a", "c"]),
         ("x,c,y\n1,a\rb,p\n2,c,q\n", "row 2 has 2 cells, expected 3"),
         ("x,c,y\n1,a,p\n\n2,c,q\n", "row 3 has 0 cells, expected 3"),
         ("x,c,y\r\n1,a,p\r\n2,c,q\r\n\r\n", "row 4 has 0 cells, expected 3"),
@@ -155,24 +179,32 @@ def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, tex
     path.write_text(text, encoding="utf-8", newline="")
     if isinstance(outcome, str):
         with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
-            load_csv(path)
+            load(path)
     else:
-        assert load_csv(path).columns[1].values.tolist() == outcome
+        assert load(path).columns[1].values.tolist() == outcome
 
 
 def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path):
     long = "v" * (csv.field_size_limit() + 1)
     rows = [["1", long, "a"], ["2", "w", "b"]]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    data = load(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
     assert data.columns[1].values.tolist() == [long, "w"]
     with pytest.raises(csv.Error):  # a quote sends the file to csv.reader
-        load_csv(write_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
+        load(write_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
+
+
+def test_csv_reader_parses_the_rows_after_a_ragged_one_too(tmp_path):
+    # a cell beyond the field limit raises csv.Error wherever it lies
+    long = "v" * (csv.field_size_limit() + 1)
+    rows = [["1", "a"], ["2", "b", "c"], ["3", "b"], [long, "a"]]
+    with pytest.raises(csv.Error):
+        load(write_csv(tmp_path / "x.csv", ['"x"', "y"], rows))
 
 
 def test_numeric_cells_parse_as_python_floats(tmp_path):
     cells = ["0.1", "-0", "1e-300", "5e-324", " 2.5 ", "1_000", "3.141592653589793", "-7"]
     rows = [[cell, "a" if i % 2 else "b"] for i, cell in enumerate(cells)]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    data = load(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == NUMERIC
     expected = np.array([float(cell) for cell in cells])
@@ -182,7 +214,7 @@ def test_numeric_cells_parse_as_python_floats(tmp_path):
 @pytest.mark.parametrize("odd", ["nan", "NaN", "inf", "-inf", "1e999", "x"])
 def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path, odd):
     rows = [["1.5", "a"], [odd, "b"], ["2", "a"], ["1.5", "b"]]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    data = load(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == CATEGORICAL
     assert column.values.tolist() == ["1.5", odd, "2", "1.5"]
@@ -204,14 +236,14 @@ def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, messa
     rows = [bad.get(i, [str(i), "ab"[i % 2]]) for i in range(8)]  # row i is line i + 2
     for newline in ("\n", "\r\n"):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            load_csv(write_csv(tmp_path / "x.csv", ["x", "y"], rows, newline))
+            load(write_csv(tmp_path / "x.csv", ["x", "y"], rows, newline))
 
 
 def test_padded_cells_load_as_their_stripped_values(tmp_path):
     # A numeric column is parsed unstripped (float ignores the padding); the
     # categorical and label columns are stripped.
     rows = [[" 1.5", " red ", " a"], ["2 ", "blue", "b  "], ["\t-3\t", " red", "a"]]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    data = load(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
     x, c = data.columns
     assert (x.kind, c.kind) == (NUMERIC, CATEGORICAL)
     assert x.values.tolist() == [1.5, 2.0, -3.0]
@@ -221,23 +253,90 @@ def test_padded_cells_load_as_their_stripped_values(tmp_path):
 
 def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
     rows = [[" b", "1.5"], ["a ", "2"], ["b", "3"]]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="y")
+    data = load(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="y")
     assert data.label_name == "y" and data.labels.tolist() == [1, -1, 1]
     assert [c.name for c in data.columns] == ["x"]
     with pytest.raises(ValueError, match="^no column named 'z'$"):
-        load_csv(tmp_path / "x.csv", label_column="z")
+        load(tmp_path / "x.csv", label_column="z")
     rows[1][1] = " "
     with pytest.raises(ValueError, match="^missing cell in row 3$"):
-        load_csv(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
+        load(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
 
 
 def test_constant_categorical_column_loads_as_a_column_without_a_cut(tmp_path):
     # as a constant numeric column does; a fold's rows can make any column constant
     rows = [["red", "2.0", str(i), "ab"[i % 2]] for i in range(4)]
-    data = load_csv(write_csv(tmp_path / "x.csv", ["c", "k", "x", "y"], rows))
+    data = load(write_csv(tmp_path / "x.csv", ["c", "k", "x", "y"], rows))
     assert [(c.name, c.kind) for c in data.columns] == [
         ("c", CATEGORICAL), ("k", NUMERIC), ("x", NUMERIC)
     ]
     assert data.category_codes[0][0].tolist() == ["red"]
     tree = induce_tree(data, np.full(4, 0.25), 3, TemperConfig(0.5))
     assert tree.root.predicate.feature == 2  # the only column with a cut
+
+
+def long_csv(tmp_path, rows, bad):
+    """A file of ``rows`` rows ``i,label`` whose rows in ``bad`` are replaced,
+    and whose last replaced row lies past the first block of the text."""
+    lines = ["x,y", *(bad.get(i, f"{i},{'ab'[i % 2]}") for i in range(rows))]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    assert len("\n".join(lines[: max(bad) + 1])) > dataio.BLOCK_CHARS
+    return path
+
+
+def test_a_column_that_turns_to_text_after_a_block_is_read_again_as_text(tmp_path):
+    rows = dataio.BLOCK_CHARS // 4
+    path = long_csv(tmp_path, rows, {3: " 3 ,b", rows - 1: f"late,{'ab'[(rows - 1) % 2]}"})
+    (column,) = load(path).columns
+    assert column.kind == CATEGORICAL
+    assert column.values.tolist() == [str(i) for i in range(rows - 1)] + ["late"]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({11000: " ,a", 11500: "1,a,b"}, "missing cell in row 11002"),
+        ({11000: "1", 11500: " ,a"}, "row 11002 has 1 cells, expected 2"),
+        ({11000: "1,a,b", 11001: "1,"}, "row 11002 has 3 cells, expected 2"),
+    ],
+)
+def test_a_malformed_row_past_the_first_block_is_named(tmp_path, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load(long_csv(tmp_path, 12000, bad))
+
+
+ODD = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # line breaks to str.splitlines, not to csv
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'a,"b{ODD}c",d{ODD}e\r\n"x\r\ny",z{ODD},"w\rv"\r1,2,3\n{ODD},"{ODD}",{ODD}',
+        f"a,b{ODD},c\r\n{ODD}1,2,3\r{ODD},{ODD},\n",
+    ],
+    ids=["quoted", "unquoted"],
+)
+@pytest.mark.parametrize("chars", [1, dataio.BLOCK_CHARS])
+def test_csv_reader_reads_the_lines_that_string_io_reads(monkeypatch, text, chars):
+    monkeypatch.setattr(dataio, "BLOCK_CHARS", chars)
+    header, *blocks = dataio._csv_blocks(text, ragged := [])
+    rows = [header] + [list(row) for block in blocks for row in zip(*block)]
+    assert rows == list(csv.reader(io.StringIO(text, newline=""))) and not ragged
+    assert len(rows) > 2 and all(len(row) == 3 for row in rows)
+
+
+def test_loading_holds_less_than_three_times_the_file(tmp_path):
+    # tall's shape: numeric columns and a label, 20000 rows, written by save_csv
+    rng = np.random.default_rng(0)
+    m = 20000
+    columns = tuple(Column(f"x{j}", NUMERIC, rng.normal(size=m)) for j in range(4))
+    path = tmp_path / "tall.csv"
+    save_csv(Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1)), path)
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.m == m and peak < 3 * path.stat().st_size

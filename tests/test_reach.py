@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tempboost import dataio
 from tempboost.dataio import Column, Dataset, save_csv
 from tempboost.experiment import RunSpec, main, run
 from tempboost.synthetic import make_mixed_table, make_wideband
@@ -120,6 +121,7 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
     grid = dict(folds=2, t_values=(0.0, 0.6, 0.995, 1.0, 1.1), rounds=5, tree_nodes=7)
     wideband, mixed = tmp_path / "wideband.csv", tmp_path / "mixed.csv"
     small, doubles = tmp_path / "small.csv", tmp_path / "doubles.csv"
+    late = tmp_path / "late.csv"
 
     def grids():
         save_csv(make_wideband(m=120), wideband)
@@ -150,6 +152,16 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         doubles.write_text("x,c,y\n" + "".join(rows), encoding="utf-8")
         tiny = dict(folds=3, t_values=(1.0,), rounds=1, tree_nodes=3)
         run(RunSpec(str(doubles), out_dir=str(tmp_path / "doubles"), **tiny))
+        # a column of numbers for more than a block of the text, then of words:
+        # load_csv reads the file again with that column read as text
+        rng = np.random.default_rng(3)
+        m = 3000
+        level = np.where(np.arange(m) < m - 100, (np.arange(m) % 5).astype(str), "late")
+        columns = (Column("x", "numeric", rng.normal(size=m)), Column("c", "categorical", level))
+        save_csv(Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1)), late)
+        assert late.read_text(encoding="utf-8").index("late") > dataio.BLOCK_CHARS
+        tiny = dict(folds=2, t_values=(1.0,), rounds=1, tree_nodes=3)
+        run(RunSpec(str(late), out_dir=str(tmp_path / "late"), **tiny))
         # the command line and the pool's side of run; the workers run their
         # cells in processes that this trace does not see
         pool = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]
