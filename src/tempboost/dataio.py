@@ -86,6 +86,9 @@ class Column:
         values = np.asarray(self.values)
         if self.kind == NUMERIC:
             values = values.astype(float)
+            # as in load_csv, where such a cell makes the column categorical
+            if not np.isfinite(values).all():
+                raise ValueError(f"numeric column {self.name!r} holds a value that is not finite")
         elif self.kind == CATEGORICAL:
             values = values.astype(str)
         else:
@@ -137,15 +140,11 @@ class Dataset:
         )
         return Dataset(columns, self.labels[indices], self.label_name)
 
-    def row(self, i: int) -> tuple:
-        return tuple(column.values[i] for column in self.columns)
-
     @cached_property
     def column_block(self) -> tuple:
         """``(orders, bins)``, row j for column j.
 
-        Row j of ``orders`` is a stable argsort of column j (whose values
-        hold no nan, as every loaded column's do), and row j of
+        Row j of ``orders`` is a stable argsort of column j, and row j of
         ``bins`` the bin code of each entry in that order.  A numeric
         value's code is its rank among at most ``MAX_BINS`` distinct
         values, else ``first * MAX_BINS // m`` for ``first`` its first
@@ -404,15 +403,14 @@ def load_csv(path, label_column: str = "last") -> Dataset:
 
 def save_csv(data: Dataset, path) -> None:
     """Serialize a Dataset back to CSV (labels written as -1/1)."""
+    cells = [
+        map(repr, c.values.tolist()) if c.kind == NUMERIC else c.values.tolist()
+        for c in data.columns
+    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([c.name for c in data.columns] + [data.label_name])
-        for i in range(data.m):
-            row = [
-                repr(float(v)) if c.kind == NUMERIC else str(v)
-                for c, v in zip(data.columns, data.row(i))
-            ]
-            writer.writerow(row + [str(int(data.labels[i]))])
+        writer.writerows(zip(*cells, data.labels.tolist()))
 
 
 def stratified_folds(data: Dataset, k: int, seed) -> list:

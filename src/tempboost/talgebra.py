@@ -1,4 +1,4 @@
-"""Scalar kernel for tempered (t-deformed) arithmetic.
+"""Tempered (t-deformed) arithmetic and the tempered Bayes risk.
 
 ``TemperConfig`` carries the temperature t and is the one check of its
 range, [0, 2).  The deformed logarithm
@@ -7,17 +7,27 @@ range, [0, 2).  The deformed logarithm
 
 recovers ln in the limit t -> 1; ``booster.leveraging`` takes the weight
 update's coefficient from it, one float at a time, away from t = 1.  The
-two-point power mean M_q underlies the Bayes risk, the per-round
-guarantee factor and the leveraging coefficient.  Its arithmetic is one
-kernel, ``_ordered_power_mean``, which assumes nonnegative operands and
-checks nothing; its two entry points each make one check before calling
-it: ``power_mean`` here, for two positive floats, and
-``cpe_loss.bayes_risk``, for two arrays of class masses.  Boosting's
-temperatures give q = 1 - t in (-1, 1].
+t = 1 limit is dispatched to the exact classical forms whenever
+|t - 1| < CLASSIC_TOLERANCE, where (z^(1-t) - 1)/(1-t) cancels.
 
-The t = 1 limit is dispatched to the exact classical forms whenever
-|t - 1| < CLASSIC_TOLERANCE, because evaluating (z^(1-t) - 1)/(1-t) there
-is catastrophically cancellative.
+The two-point power mean M_q underlies the Bayes risk, the per-round
+guarantee factor and the leveraging coefficient.  Its arithmetic is one
+kernel, ``_ordered_power_mean``, which checks nothing; its two entry
+points here each make one check before calling it: ``power_mean``, for
+two positive floats, and ``bayes_risk``, for two arrays of class masses.
+Boosting's temperatures give q = 1 - t in (-1, 1].
+
+The pointwise Bayes risk of the tempered class-probability-estimation loss
+
+    L_t(v) = 2 v (1 - v) / M_(1-t)(v, 1 - v)
+
+is Gini impurity 4v(1-v) at t=0, Matusita 2 sqrt(v(1-v)) at t=1 and the
+empirical risk 2 min(v, 1-v) at t=-inf, and it flattens to 1 as t -> 2.
+M_q is 1-homogeneous, so a mass r = P + N at posterior P / r risks
+r L_t(P / r) = 2PN / M_(1-t)(P, N), which ``bayes_risk`` computes from the
+class masses.  Trees score splits only at t in [0, 2); the losses
+themselves, and the family's t < 0, live in ``tests/paper_math.py``,
+which hands ``bayes_risk`` such a t as a ``CPETemperature``.
 """
 
 from __future__ import annotations
@@ -82,13 +92,13 @@ def log_t(z: float, cfg: TemperConfig) -> float:
 def _ordered_power_mean(lo, hi, q: float):
     """M_q(lo, hi) for 0 <= lo <= hi and a non-nan q, unchecked.
 
-    The one kernel of the power mean: ``power_mean`` checks that its two
-    floats are positive, and ``cpe_loss.bayes_risk`` that its arrays are
-    nonnegative, before calling it.  Call it under ``np.errstate`` with
-    over ignored, since at q < 0 a subnormal lo overflows hi / lo to inf,
-    whose q-th power is 0, and with divide and invalid ignored too where an
-    operand can be 0: where the operand factored out is 0 the result is 0,
-    or nan for 0/0.  An array result is computed in place in lo or hi.
+    The one kernel of the power mean, whose operands its two entry points
+    below check: ``power_mean`` two positive floats, ``bayes_risk`` two
+    nonnegative arrays.  Call it under ``np.errstate`` with over ignored,
+    since at q < 0 a subnormal lo overflows hi / lo to inf, whose q-th
+    power is 0, and with divide and invalid ignored too where an operand
+    can be 0: where the operand factored out is 0 the result is 0, or nan
+    for 0/0.  An array result is computed in place in lo or hi.
     """
     buf = lo if isinstance(lo, np.ndarray) else None  # a numpy scalar gets a new one
     if abs(q) < CLASSIC_TOLERANCE:  # the q -> 0 limit, where the forms below divide by q
@@ -128,3 +138,26 @@ def power_mean(a: float, b: float, q: float) -> float:
         raise ValueError("power_mean requires positive operands")
     with np.errstate(over="ignore"):  # at q < 0 a subnormal lo overflows hi / lo
         return float(_ordered_power_mean(lo, hi, q))
+
+
+def bayes_risk(pos, neg, cfg: TemperConfig):
+    """Bayes risk 2 pos neg / M_(1-t)(pos, neg) of the class masses pos and neg.
+
+    r L_t(pos / r) for r = pos + neg: 4 pos neg / r at t=0, 2 sqrt(pos neg)
+    at t=1, and zero whenever either mass is zero.  Concave, which makes
+    tree-splitting gains nonnegative.  Accurate while 2 pos neg is a normal
+    double.  Reads only ``cfg.t``.  ``pos`` and ``neg`` are float arrays of
+    one shape, such as the real and imaginary parts of the split search's
+    block; neither is written to.  A negative or nan mass raises
+    ``ValueError``: the one check that the kernel relies on.
+    """
+    lo = np.minimum(pos, neg)
+    if not lo.min() >= 0:  # a nan fails too
+        raise ValueError("class masses must be nonnegative")
+    numerator = np.multiply(2.0, pos)
+    numerator *= neg
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = _ordered_power_mean(lo, np.maximum(pos, neg), 1.0 - cfg.t)
+        out = np.divide(numerator, mean, out=mean)
+    # a zero numerator gives 0 over a positive mean and nan over a zero one
+    return np.fmax(out, 0.0, out=out)

@@ -76,10 +76,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cpe_loss import bayes_risk
 from .dataio import Dataset, run_layout
 from .errors import SingleClassError
-from .talgebra import TemperConfig
+from .talgebra import TemperConfig, bayes_risk
 from .weights import TemWeights, co_density
 
 

@@ -33,6 +33,11 @@ def feature_matrix(data) -> np.ndarray:
     return np.column_stack([c.values for c in data.columns])
 
 
+def row_of(data, i: int) -> tuple:
+    """Row i of a Dataset: each column's value there."""
+    return tuple(column.values[i] for column in data.columns)
+
+
 def evaluate_row(predicate, row) -> bool:
     """A tree's split predicate on one row of raw values."""
     if isinstance(predicate, CategoricalSplit):
@@ -548,10 +553,10 @@ class LookupHypothesis:
 
     def __init__(self, data, values):
         self.values = np.asarray(values, dtype=float)
-        self.table = {data.row(i): self.values[i] for i in range(data.m)}
+        self.table = {row_of(data, i): self.values[i] for i in range(data.m)}
 
     def predict(self, data):
-        return np.array([self.table[data.row(i)] for i in range(data.m)])
+        return np.array([self.table[row_of(data, i)] for i in range(data.m)])
 
     def predict_row(self, row):
         return self.table[tuple(row)]

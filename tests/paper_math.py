@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tempboost.cpe_loss import bayes_risk
 from tempboost.errors import TempBoostError
-from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, _ordered_power_mean
+from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, _ordered_power_mean, bayes_risk
 from tempboost.weights import TemWeights, _margins
 
 

@@ -15,6 +15,7 @@ from oracles import (
     StumpLearner,
     clamped_sum,
     predict,
+    row_of,
     textbook_adaboost,
 )
 from paper_math import exp_t, tempered_exp_loss
@@ -316,37 +317,30 @@ class TestBoostLoop:
         assert gamma >= 0.2
         assert hit[0] <= math.ceil(2 * cfg.t_star / gamma**2 * math.log(m))
 
+    @staticmethod
+    def _saturate_after_one_round(second, t):
+        """Boost for up to 5 rounds: round 1 has an edge, and from round 2 the
+        learner returns ``second(y, weights)``, which saturates it."""
+        y = np.array([1, 1, -1, -1])
+        data = numeric_dataset(np.arange(8.0).reshape(4, 2), y)
+        calls = []
+
+        def learner(weights, data):
+            calls.append(1)
+            if len(calls) == 1:
+                return constant(y * np.array([0.5, -0.5, 0.5, 0.5]))
+            return constant(second(y, weights))
+
+        ens, trace = boost(data, learner, 5, TemperConfig(t))
+        assert len(trace) == 1
+        assert len(ens.members) == 1
+
     def test_saturation_returns_partial_ensemble(self):
         # |rho| = 1 needs margins aligned with q^(1-t), not mere correctness
-        y = np.array([1, 1, -1, -1])
-        data = numeric_dataset(np.arange(8.0).reshape(4, 2), y)
-        calls = []
-
-        def learner(weights, data):
-            calls.append(1)
-            if len(calls) == 1:
-                return constant(y * np.array([0.5, -0.5, 0.5, 0.5]))
-            t = weights.cfg.t
-            return constant(y * weights.q ** (1.0 - t))
-
-        ens, trace = boost(data, learner, 5, TemperConfig(0.5))
-        assert len(trace) == 1
-        assert len(ens.members) == 1
+        self._saturate_after_one_round(lambda y, w: y * w.q ** (1.0 - w.cfg.t), 0.5)
 
     def test_saturation_classic_perfect_hypothesis(self):
-        y = np.array([1, 1, -1, -1])
-        data = numeric_dataset(np.arange(8.0).reshape(4, 2), y)
-        calls = []
-
-        def learner(weights, data):
-            calls.append(1)
-            if len(calls) == 1:
-                return constant(y * np.array([0.5, -0.5, 0.5, 0.5]))
-            return constant(y.astype(float))  # perfect at t=1
-
-        ens, trace = boost(data, learner, 5, TemperConfig(1.0))
-        assert len(trace) == 1
-        assert len(ens.members) == 1
+        self._saturate_after_one_round(lambda y, w: y.astype(float), 1.0)  # perfect at t=1
 
     def test_rejects_single_class_labels(self):
         data = make_mixed_table(m=30, seed=0)
@@ -539,7 +533,7 @@ class TestPrediction:
         for clamped in (False, True):
             scores = ens.decision_scores(data, clamped=clamped)
             for i in range(0, data.m, 7):
-                score, _ = predict(ens, data.row(i), clamped=clamped)
+                score, _ = predict(ens, row_of(data, i), clamped=clamped)
                 assert score == pytest.approx(scores[i], rel=1e-12, abs=1e-12)
 
 

@@ -8,7 +8,7 @@ import pytest
 from oracles import reference_bayes_risk
 from paper_math import CPETemperature, bayes_risk_coverage, check_strict_properness
 from paper_math import partial_loss_pos, pointwise_risk, scalar_bayes_risk
-from tempboost.cpe_loss import bayes_risk
+from tempboost.talgebra import bayes_risk
 
 T_SPAN = [-5.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9]
 NEG_INF = CPETemperature(-math.inf)

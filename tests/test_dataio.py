@@ -218,6 +218,9 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
     (column,) = data.columns
     assert column.kind == CATEGORICAL
     assert column.values.tolist() == ["1.5", odd, "2", "1.5"]
+    if odd != "x":  # a numeric Column refuses it too: nan sorts last, yet fails x >= cut
+        with pytest.raises(ValueError, match="numeric column 'x' holds a value that is not"):
+            Column("x", NUMERIC, [1.5, float(odd), 2.0, 1.5])
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import predict
+from oracles import predict, row_of
 from tempboost import booster, experiment, tree
 from tempboost.booster import Ensemble
 from tempboost.dataio import CATEGORICAL, MAX_BINS, Column, Dataset, save_csv
@@ -161,7 +161,7 @@ def test_per_round_test_errors_are_those_of_the_rowwise_prefix_ensembles(t, monk
     (ensemble,) = ensembles
 
     def rowwise_error(prefix, clamped):
-        labels = [predict(prefix, test.row(i), clamped)[1] for i in range(test.m)]
+        labels = [predict(prefix, row_of(test, i), clamped)[1] for i in range(test.m)]
         return float(np.mean(np.array(labels) != test.labels))
 
     for row in rows:

@@ -20,7 +20,6 @@ EXEMPT = {
     ("experiment._pin_malloc_thresholds", "return"): "off Linux, or without mallopt",
     ("experiment._init_worker", None): "runs in a pool worker",
     ("experiment._worker_cell", None): "runs in a pool worker",
-    ("experiment.main", "if result.failed_cells:"): "no cell of these grids fails",
     ("synthetic.make_margin_blobs", None): "generates the tall benchmark's data",
 }
 
@@ -166,6 +165,9 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         # cells in processes that this trace does not see
         pool = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]
         main(["--data", str(wideband), *pool, "--out", str(tmp_path / "c")])
+        # a 1-node tree predicts 0 once the classes balance: a cell fails, main exits 2
+        stump = ["--folds", "2", "--t", "1", "--iters", "2", "--tree-nodes", "1"]
+        assert main(["--data", str(small), *stump, "--out", str(tmp_path / "d")]) == 2
 
     ran = lines_run(grids, files)
     missed = []

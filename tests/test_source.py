@@ -32,13 +32,40 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(1, "os"), (3, "inf")]
 
 
-def test_no_module_imports_a_name_it_does_not_use():
-    found = {
-        str(path.relative_to(SRC)): unused
+def by_module(check, exempt=()) -> dict:
+    """``check``'s findings in each package module not in ``exempt``, by path."""
+    return {
+        name: found
         for path in sorted(SRC.rglob("*.py"))
-        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+        if (name := path.relative_to(SRC).as_posix()) not in exempt
+        if (found := check(path.read_text(encoding="utf-8")))
     }
-    assert not found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert not by_module(unused_imports)
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of every ``_``-prefixed name, dunders aside, that the
+    module imports from the package, by a relative or a ``tempboost`` import."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "tempboost")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_private_imports_are_found():
+    source = "from .a import b, _c\nfrom . import _d, __all__\nfrom tempboost.e import _f\n"
+    assert private_imports(source + "from numpy import _g\n") == [(1, "_c"), (2, "_d"), (3, "_f")]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert not by_module(private_imports)
 
 
 def _names_read(nodes) -> set:
@@ -126,10 +153,4 @@ def test_blas_uses_are_found():
 
 
 def test_no_module_outside_the_generators_calls_blas():
-    found = {
-        name: uses
-        for path in sorted(SRC.rglob("*.py"))
-        if (name := path.relative_to(SRC).as_posix()) not in BLAS_EXEMPT
-        if (uses := blas_uses(path.read_text(encoding="utf-8")))
-    }
-    assert not found
+    assert not by_module(blas_uses, BLAS_EXEMPT)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, leaf_of, naive_tree, predict_row, split_gain
+from oracles import describe_tree, leaf_of, naive_tree, predict_row, row_of, split_gain
 from paper_math import exp_t, leaves, scalar_bayes_risk
 from tempboost import dataio
 from tempboost import tree as tree_module
@@ -30,7 +30,7 @@ def assert_fitted_is_predict(tree, data):
     """``predict`` on the training rows equals the row-wise oracle, and the
     read-only ``tree.fitted`` that growth filled is ``predict`` bit for bit."""
     predicted = tree.predict(data)
-    assert np.array_equal(predicted, [predict_row(tree, data.row(i)) for i in range(data.m)])
+    assert np.array_equal(predicted, [predict_row(tree, row_of(data, i)) for i in range(data.m)])
     assert not tree.fitted.flags.writeable
     assert tree.fitted.tobytes() == predicted.tobytes()
 
@@ -202,7 +202,7 @@ class TestInduceTree:
         assert_fitted_is_predict(tree, data)
         leaf = leaves(tree)[0]
         p = leaf.stats.p
-        assert predict_row(tree, data.row(0)) == pytest.approx(
+        assert predict_row(tree, row_of(data, 0)) == pytest.approx(
             leaf_prediction(p, data.m ** (-TemperConfig(0.5).t_star), TemperConfig(0.5))
         )
 
@@ -335,7 +335,7 @@ class TestInduceTree:
         neg = np.where(data.labels < 0, w, 0.0)
         reached = {}
         for i in range(data.m):
-            reached.setdefault(id(leaf_of(tree, data.row(i))), []).append(i)
+            reached.setdefault(id(leaf_of(tree, row_of(data, i))), []).append(i)
         assert set(reached) == {id(leaf) for leaf in leaves(tree)}
         for leaf in leaves(tree):
             rows = np.array(reached[id(leaf)])
@@ -796,7 +796,7 @@ class TestCategoricalSplits:
         unseen = Dataset((data.columns[0], renamed), data.labels)
         keep = np.flatnonzero(grade != "b")
         for other in (unseen, data.take(keep)):
-            rowwise = [predict_row(tree, other.row(i)) for i in range(other.m)]
+            rowwise = [predict_row(tree, row_of(other, i)) for i in range(other.m)]
             assert np.array_equal(tree.predict(other), rowwise)
         # "z" rows were "a" rows: an unseen level takes the false branch
         in_subset = CategoricalSplit(1, ("a", "b")).evaluate(unseen, np.arange(unseen.m))
@@ -830,4 +830,4 @@ class TestBoosterIntegration:
         tree = ens.members[0].hypothesis
         leaf_values = {id(leaf): leaf.prediction for leaf in leaves(tree)}
         for i in range(data.m):
-            assert predict_row(tree, data.row(i)) in leaf_values.values()
+            assert predict_row(tree, row_of(data, i)) in leaf_values.values()
