@@ -7,12 +7,19 @@ leaf (largest co-density mass) with the split that maximizes
 
 B(P, N) = 2PN / M_(1-t)(P, N) = r L_t(P / r) the tempered Bayes risk of a
 node's class masses P and N, r = P + N; concavity makes the gain >= 0.
-Splits creating a pure leaf are inadmissible, which keeps every leaf
-posterior strictly inside (0, 1) and every leaf prediction
+A split is admissible only if each child's posterior p = P / (P + N),
+computed from the masses the split search summed, lies strictly inside
+(0, 1) (see ``_admissible``): no child is pure, and in none is the
+negative mass lost in rounding P + N, as it can be once boosting has
+spread the weights over many orders of magnitude.  That keeps every leaf
+prediction
 
     H = (q1^(1-t) / (1-t)) (p^(1-t) - (1-p)^(1-t)) / (p^(1-t) + (1-p)^(1-t))
 
-finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  Leaf
+finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  A leaf's
+stats are summed again over its rows, in another order, so only a child
+within rounding error of that boundary can still raise
+``SingleClassError`` in ``leaf_prediction``.  Leaf
 masses come from the booster's co-density weights, so at uniform weights
 they reduce to example counts over m.
 
@@ -174,8 +181,8 @@ def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
 
     ``q1`` is the initial uniform weight 1/m^(1/(2-t)); at t=1 the weight
     drops out and the prediction is the half log-odds.  A posterior that
-    rounds to 0 or 1, as it can after a split of a leaf with very uneven
-    weights, raises ``SingleClassError``.
+    rounds to 0 or 1, as a root's can under very uneven weights (the split
+    search admits no child whose posterior does), raises ``SingleClassError``.
     """
     if not 0.0 < p < 1.0:
         raise SingleClassError("leaf posterior must lie strictly inside (0, 1)")
@@ -205,6 +212,23 @@ def _run_sums(layout, masses):
     sums.real[layout.slot] = np.add.reduceat(flat.real, layout.first)
     sums.imag[layout.slot] = np.add.reduceat(flat.imag, layout.first)
     return sums.reshape(layout.runs.size, layout.width)
+
+
+def _admissible(sides):
+    """Which cuts are admissible, from ``sides``, the complex masses on the
+    prefix side of every cut and then on the suffix side.
+
+    A cut is admissible when on both sides the posterior P / (P + N), as
+    ``LeafStats.p`` computes it, lies strictly inside (0, 1).  Every mass is
+    below 2, as the weights sum to 1, so that holds iff P > 0 and P + N rounds
+    above P: iff P and (P + N) - P, the negative mass that the sum keeps, are
+    both positive.  No side is pure or empty, and on none does the negative
+    mass round away.
+    """
+    pos = sides.real
+    kept = pos + sides.imag
+    kept -= pos
+    return np.minimum(*np.minimum(kept, pos, out=kept).reshape(2, -1)) > 0
 
 
 def _best_split(data, rows, masses, cfg, parent):
@@ -254,9 +278,7 @@ def _best_split(data, rows, masses, cfg, parent):
     # the suffixes summed from the far end, not as total - prefix: sums
     # of nonnegative terms stay nonnegative, so zero means an empty side
     np.add.accumulate(sums[:, :0:-1], axis=1, out=sides[1, :, ::-1])
-    # minima over the side, then the class, of the (side, cut, class) real view:
-    # elementwise, many times faster than a reduction over those short axes
-    admissible = np.minimum(*np.minimum(*sides.view(float).reshape(2, cuts, 2)).T) > 0
+    admissible = _admissible(block[:-1])
     if not admissible.any():
         return None
     terms = bayes_risk(block.real, block.imag, cfg)

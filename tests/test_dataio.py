@@ -11,6 +11,7 @@ import pytest
 from tempboost import dataio
 from tempboost.dataio import (
     CATEGORICAL,
+    MAX_BINS,
     NUMERIC,
     Column,
     Dataset,
@@ -90,6 +91,38 @@ def test_column_block_orders_are_a_stable_argsort(m):
     for j, column in enumerate(columns):
         keys = codes[j][1] if j in codes else column.values
         assert np.array_equal(orders[j], np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("m", (7, 300, 4000))
+def test_column_block_bins_are_ranks_equal_count_codes_or_level_codes(m):
+    # ties everywhere, numeric columns on both sides of MAX_BINS distinct values,
+    # and categorical columns with few levels and with more than MAX_BINS
+    rng = np.random.default_rng(m + 1)
+    columns = (
+        Column("rounded", NUMERIC, rng.normal(size=m).round(2)),
+        Column("real", NUMERIC, rng.normal(size=m)),
+        Column("few", NUMERIC, rng.integers(0, MAX_BINS, size=m) * 1.0),
+        Column("one_more", NUMERIC, np.arange(m) % (MAX_BINS + 1) * 1.0),
+        Column("zero", NUMERIC, rng.choice([0.0, -0.0, 1.0], size=m)),
+        Column("constant", NUMERIC, np.full(m, 2.5)),
+        Column("grade", CATEGORICAL, rng.choice(list("abcd"), size=m)),
+        Column("tag", CATEGORICAL, [f"t{k}" for k in rng.integers(0, 2 * MAX_BINS, size=m)]),
+    )
+    data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
+    orders, bins = data.column_block
+    codes = data.category_codes
+    for j, column in enumerate(columns):
+        if j in codes:  # a categorical entry's bin is its level's code
+            want = codes[j][1]
+        else:  # the value's rank among the distinct values, else its equal-count bin
+            distinct, rank = np.unique(column.values, return_inverse=True)
+            first = np.searchsorted(np.sort(column.values), column.values)
+            want = rank if distinct.size <= MAX_BINS else first * MAX_BINS // m
+        assert np.array_equal(bins[j], want[orders[j]])
+    assert bins.dtype == np.min_scalar_type(bins.max())
+    if m == 4000:  # every kind of column above occurs
+        assert np.unique(columns[3].values).size > MAX_BINS >= np.unique(columns[2].values).size
+        assert codes[7][0].size > MAX_BINS
 
 
 @pytest.mark.parametrize("k", (2, 3, 7))
@@ -343,3 +376,25 @@ def test_loading_holds_less_than_three_times_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert data.m == m and peak < 3 * path.stat().st_size
+
+
+@pytest.mark.parametrize("table", ("numeric", "mixed"))
+def test_building_the_column_block_holds_less_than_five_copies_of_the_table(table):
+    # the block is built in place: numeric columns above MAX_BINS distinct values,
+    # which are binned, and a mixed table whose level codes are built beforehand
+    rng = np.random.default_rng(2)
+    m = 20000
+    if table == "numeric":
+        columns = tuple(Column(f"x{j}", NUMERIC, rng.normal(size=m)) for j in range(4))
+        data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
+    else:
+        data = make_mixed_table(m=m, seed=2)
+    data.category_codes
+    tracemalloc.start()
+    try:
+        orders, bins = data.column_block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orders.shape == bins.shape == (data.d, m) and bins.max() >= MAX_BINS - 1
+    assert peak <= 5 * data.d * m * 8

@@ -360,14 +360,45 @@ class TestInduceTree:
         off = np.where(data.labels > 0, 0.0, w)
         with pytest.raises(SingleClassError):
             induce_tree(data, off / off.sum(), 3, TemperConfig(0.5))
-        # an admissible cut whose left posterior 0.5 / (0.5 + 1e-18) rounds to 1
+
+    @pytest.mark.parametrize("t", (0.0, 0.6, 1.0, 1.5))
+    def test_a_cut_whose_child_posterior_rounds_to_one_is_inadmissible(self, t):
+        # the one cut's left posterior 0.5 / (0.5 + 1e-18) rounds to 1, with
+        # both masses positive: the cut is inadmissible and the root retires
         x = np.array([0.0, 0.0, 1.0, 1.0])
         labels = np.array([1, -1, 1, -1], dtype=np.int64)
         w = np.array([0.5, 1e-18, 0.25, 0.25])
         data = Dataset((Column("x", NUMERIC, x),), labels)
-        for t in (0.0, 0.5, 1.0):
-            with pytest.raises(SingleClassError):
-                induce_tree(data, w / w.sum(), 3, TemperConfig(t))
+        tree = induce_tree(data, w / w.sum(), 3, TemperConfig(t))
+        assert tree.n_nodes == 1 and tree.root.predicate is None
+        assert math.isfinite(tree.root.prediction) and 0 < tree.root.stats.p < 1
+        # beside a second cut, that one is taken: the best whose children are inside
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        labels = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
+        w = np.array([0.5, 1e-18, 0.25, 0.25, 0.1, 0.3])
+        data = Dataset((Column("x", NUMERIC, x),), labels)
+        tree = induce_tree(data, w / w.sum(), 3, TemperConfig(t))
+        assert tree.root.predicate == NumericSplit(0, 1.5)
+        for leaf in leaves(tree):
+            assert 0 < leaf.stats.p < 1 and math.isfinite(leaf.prediction)
+
+    def test_weights_spread_over_twenty_orders_leave_every_posterior_inside(self):
+        # as after a long boosting run: a child's minority mass can fall below its
+        # majority's rounding, which no admitted cut allows
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m = 24
+            x = rng.integers(0, 6, size=m).astype(float)
+            grade = rng.choice(list("abc"), size=m)
+            labels = np.where(rng.random(m) < 0.5, 1, -1)
+            labels[:2] = (1, -1)
+            data = Dataset((Column("x", NUMERIC, x), Column("g", CATEGORICAL, grade)), labels)
+            w = 10.0 ** rng.uniform(-22, 0, size=m)
+            w[:2] = 1.0  # both classes carry mass at the root
+            for t in (0.0, 1.0, 1.5):
+                tree = induce_tree(data, w / w.sum(), 7, TemperConfig(t))
+                for leaf in leaves(tree):
+                    assert 0 < leaf.stats.p < 1 and math.isfinite(leaf.prediction)
 
     @pytest.mark.parametrize(
         "x, labels, w",
