@@ -389,10 +389,12 @@ def split_gain(parent, left, right, cfg) -> float:
 
     The scalar form of the gain ``tree._best_split`` scores over a block:
     parent term minus the left (false) term minus the right (true) term;
-    -inf marks a rejected split, one with an empty or pure child.
+    -inf marks a rejected split, one with an empty child or a child whose
+    posterior is not strictly inside (0, 1): a pure one, or one whose
+    negative mass is lost in rounding the posterior.
     """
     for child in (left, right):
-        if child.r <= 0 or child.m_pos <= 0 or child.m_neg <= 0:
+        if child.r <= 0 or not 0 < child.p < 1:
             return -math.inf
     parent_term = parent.r * scalar_bayes_risk(parent.p, 1.0 - parent.p, cfg)
     left_term = left.r * scalar_bayes_risk(left.p, 1.0 - left.p, cfg)
@@ -478,11 +480,9 @@ def naive_tree(data, weights, max_nodes: int, t: float, max_bins=None):
                     continue
                 right = leaf(right_rows)
                 left = leaf(left_rows)
-                if (
-                    right["m_pos"] <= 0
-                    or right["m_neg"] <= 0
-                    or left["m_pos"] <= 0
-                    or left["m_neg"] <= 0
+                if not all(
+                    child["m_pos"] + child["m_neg"] > 0 and 0 < stats(child)[1] < 1
+                    for child in (left, right)
                 ):
                     continue
                 r_r, p_r = stats(right)
