@@ -106,10 +106,9 @@ class Column:
 class Dataset:
     """Immutable feature columns plus -1/+1 labels.
 
-    The tables that tree growth reads are built on first use and cached:
-    ``category_codes``, ``column_block`` and its ``root_runs`` read only the
-    columns, ``positive`` only the labels.  ``take`` returns a Dataset that
-    builds all of them anew.
+    The tables that tree growth reads, ``category_codes``, ``column_block``
+    and its ``root_runs``, read only the columns; they are built on first use
+    and cached.  ``take`` returns a Dataset that builds all of them anew.
     """
 
     columns: tuple
@@ -205,18 +204,6 @@ class Dataset:
         """The ``run_layout`` of ``column_block``'s bins, which every root
         split of a tree grown on this Dataset reads; built like the block."""
         return run_layout(self.column_block[1])
-
-    @cached_property
-    def positive(self) -> np.ndarray:
-        """1.0 on the rows labelled +1 and 0.0 on the others, read-only.
-
-        Weights times this indicator are bitwise the weights of the +1 rows
-        with zeros elsewhere, and the weights minus that product those of
-        the -1 rows, for finite weights that are positive or +0.0.
-        """
-        positive = (self.labels > 0).astype(float)
-        positive.setflags(write=False)
-        return positive
 
     @cached_property
     def category_codes(self) -> dict:
@@ -439,31 +426,20 @@ def stratified_folds(data: Dataset, k: int, seed) -> list:
     """k disjoint test folds with per-class counts within 1 of proportional.
 
     Deterministic for a given seed: each class's indices are shuffled once
-    and dealt into k nearly equal chunks.  Returns [(train, test), ...],
-    each an ascending int array; train is every row that test lacks.
+    and dealt into k nearly equal chunks, larger first, one per fold.  Returns
+    [(train, test), ...], ascending int arrays; train is every row test lacks.
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
     rng = np.random.default_rng(seed)
-    test_folds = [[] for _ in range(k)]
+    fold = np.empty(data.m, dtype=int)
     for cls in (-1, 1):
         idx = np.flatnonzero(data.labels == cls)
         if idx.size < k:
             raise ValueError(f"class {cls} has fewer than {k} examples")
-        perm = rng.permutation(idx)
-        base, extra = divmod(idx.size, k)
-        start = 0
-        for f in range(k):
-            size = base + (1 if f < extra else 0)
-            test_folds[f].extend(perm[start : start + size].tolist())
-            start += size
-    out = []
-    for f in range(k):
-        test = np.sort(np.array(test_folds[f], dtype=int))
-        in_train = np.ones(data.m, dtype=bool)
-        in_train[test] = False
-        out.append((np.flatnonzero(in_train), test))
-    return out
+        for f, chunk in enumerate(np.array_split(rng.permutation(idx), k)):
+            fold[chunk] = f
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 def inject_label_noise(data: Dataset, eta: float, seed) -> Dataset:

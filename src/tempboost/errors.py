@@ -12,7 +12,8 @@ class WeightOverflowError(TempBoostError):
 
 class WeightUnderflowError(TempBoostError):
     """An updated weight is not positive: clamped to 0 by the deformed
-    exponential (t < 1), or rounded to 0."""
+    exponential (t < 1), or rounded to 0.  Or, as t -> 2, the initial
+    weight m^(-1/(2-t)) rounds to 0 or its (1-t)-th power overflows."""
 
 
 class EdgeSaturatedError(TempBoostError):

@@ -6,9 +6,9 @@ range, [0, 2).  The deformed logarithm
     log_t(z) = (z^(1-t) - 1) / (1 - t)
 
 recovers ln in the limit t -> 1; ``booster.leveraging`` takes the weight
-update's coefficient from it, one float at a time, away from t = 1.  The
-t = 1 limit is dispatched to the exact classical forms whenever
-|t - 1| < CLASSIC_TOLERANCE, where (z^(1-t) - 1)/(1-t) cancels.
+update's coefficient from it, one float at a time, away from t = 1.  Near
+1, where (z^(1-t) - 1)/(1-t) cancels, ``TemperConfig`` stores a t within
+CLASSIC_TOLERANCE of 1 as 1, and every layer uses the exact classical forms.
 
 The two-point power mean M_q underlies the Bayes risk, the per-round
 guarantee factor and the leveraging coefficient.  Its arithmetic is one
@@ -47,8 +47,9 @@ class TemperConfig:
     """Temperature parameter driving every deformed operation.
 
     ``t`` must lie in [0, 2), where boosting is defined; this is the one
-    range check, and a nan fails it.  The CPE-loss family's t < 0 is paper
-    mathematics that only the tests run (``tests/paper_math.py``).
+    range check, and a nan fails it.  A t within ``CLASSIC_TOLERANCE`` of 1
+    is stored as 1.0: every layer then agrees on which runs are classic.  The
+    CPE-loss family's t < 0 is paper mathematics only the tests run.
     """
 
     t: float
@@ -57,7 +58,7 @@ class TemperConfig:
         t = float(self.t)
         if not 0.0 <= t < 2.0:  # a nan fails too
             raise ValueError(f"temperature must lie in [0, 2), got {self.t}")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", 1.0 if abs(t - 1.0) < CLASSIC_TOLERANCE else t)
 
     @property
     def t_star(self) -> float:
@@ -65,13 +66,13 @@ class TemperConfig:
         return 1.0 / (2.0 - self.t)
 
     def is_classic(self) -> bool:
-        """True when t is (numerically) 1 and ops use exact ln/exp forms."""
-        return abs(self.t - 1.0) < CLASSIC_TOLERANCE
+        """True when t is 1 and ops use exact ln/exp forms."""
+        return self.t == 1.0
 
     @property
     def clamp_delta(self) -> float:
         """Clamp 1/(1-t) of the clamped model for t < 1; +inf otherwise."""
-        if self.t < 1.0 and not self.is_classic():
+        if self.t < 1.0:
             return 1.0 / (1.0 - self.t)
         return math.inf
 

@@ -18,10 +18,9 @@ prediction
 
 finite (at t=1 the limit is the half log-odds ln(p/(1-p)) / 2).  A leaf's
 stats are summed again over its rows, in another order, so only a child
-within rounding error of that boundary can still raise
-``SingleClassError`` in ``leaf_prediction``.  Leaf
-masses come from the booster's co-density weights, so at uniform weights
-they reduce to example counts over m.
+within rounding error of that boundary can still raise ``SingleClassError``
+in ``leaf_prediction``.  Leaf masses come from the booster's co-density
+weights, so at uniform weights they reduce to example counts over m.
 
 Candidates come from the presorted column block of XGBoost (Chen &
 Guestrin, KDD 2016): ``Dataset.column_block`` sorts every column once per
@@ -319,9 +318,9 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
         raise ValueError("need one nonnegative weight per example")
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("weights must sum to 1 (a co-density)")
-    # pos + 1j * neg, bitwise np.where(labels > 0, weights, 0.0) and its mirror: weights are finite
+    # pos + 1j * neg: weights * (labels > 0) is bitwise np.where(labels > 0, weights, 0.0)
     masses = np.empty(data.m, dtype=complex)
-    np.multiply(weights, data.positive, out=masses.real)
+    np.multiply(weights, data.labels > 0, out=masses.real)
     np.subtract(weights, masses.real, out=masses.imag)
     pos_total, neg_total = masses.real.sum(), masses.imag.sum()
     if pos_total <= 0 or neg_total <= 0:

@@ -59,11 +59,15 @@ class TemWeights:
 
 
 def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
-    """Uniform co-simplex weights q_i = 1/m^(1/(2-t))."""
+    """Uniform co-simplex weights q_i = 1/m^(1/(2-t)), or, as t -> 2, a
+    ``WeightUnderflowError`` once q_i rounds to 0 or q_i^(1-t) overflows."""
     if m < 1:
         raise ValueError("need at least one example")
-    q = np.full(m, m ** (-cfg.t_star))
-    return TemWeights(q, cfg)
+    q = np.float64(m ** (-cfg.t_star))
+    with np.errstate(over="ignore"):  # q > 0 first: 0.0 ** (1 - t) would divide by zero
+        if not (q > 0 and np.isfinite(q ** (1.0 - cfg.t))):
+            raise WeightUnderflowError(f"the initial weight of {m} rows leaves the doubles")
+    return TemWeights(np.full(m, q), cfg)
 
 
 def co_density(weights: TemWeights) -> np.ndarray:

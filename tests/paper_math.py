@@ -3,7 +3,8 @@
 The deformed exponential, product and subtraction, the tempered
 exponential loss, the exact entropy projection onto q~.u = 0, the partial
 losses of the tempered CPE family with their properness and coverage
-checks, and the leaves of a tree.  Private helpers come from the package.
+checks, the t = 1 split rate, and the leaves of a tree.  Private helpers
+come from the package.
 """
 
 from __future__ import annotations
@@ -378,6 +379,24 @@ def bayes_risk_coverage(u: float, z: float, tol: float = 1e-9) -> float:
 
 # ---------------------------------------------------------------------------
 # trees
+
+
+def matusita_split_ratio(left, right) -> float:
+    """The children's Bayes risks at t = 1 over sqrt(1 - rho^2) times the parent's.
+
+    ``left`` and ``right`` are the children's class masses (P, N), all
+    positive, the parent's their sums, and rho = |P_l/P - N_l/N| the split's
+    edge under the parent's class-balanced weights.  The ratio is at most 1:
+    the children's Matusita risks shrink the parent's by sqrt(1 - rho^2) or
+    more.  1 - rho^2 is taken as (P_l/P + N_r/N)(P_r/P + N_l/N), a product of
+    sums of positive terms, since 1 - rho cancels as rho -> 1.  Other t have
+    no such rate: at t = 0 random splits exceed it.
+    """
+    (p_l, n_l), (p_r, n_r) = left, right
+    p, n = p_l + p_r, n_l + n_r
+    risks = bayes_risk(np.array([p_l, p_r, p]), np.array([n_l, n_r, n]), TemperConfig(1.0))
+    rate = math.sqrt((p_l / p + n_r / n) * (p_r / p + n_l / n))
+    return float((risks[0] + risks[1]) / (rate * risks[2]))
 
 
 def leaves(tree) -> list:

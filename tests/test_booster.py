@@ -235,6 +235,18 @@ class TestKtBound:
 
 
 class TestBoostLoop:
+    @pytest.mark.parametrize("gap", [-1.1e-9, -9e-10, -5e-10, 5e-10, 9e-10, 1.1e-9])
+    def test_a_t_within_the_tolerance_of_one_boosts_as_t_one(self, gap):
+        # the co-simplex check and the guarantee take such a t as 1 too;
+        # just past the tolerance the deformed forms run
+        data = make_wideband(m=120)
+        _, trace = boost(data, TreeWeakLearner(7), 4, TemperConfig(1 + gap))
+        _, classic = boost(data, TreeWeakLearner(7), 4, TemperConfig(1.0))
+        steps = [[(r.rho, r.mu, r.alpha, r.z) for r in run] for run in (trace, classic)]
+        assert len(steps[0]) == 4
+        assert (steps[0] == steps[1]) == (abs(gap) < CLASSIC_TOLERANCE)
+        assert np.allclose(*steps, rtol=1e-6, atol=0)
+
     def test_single_round_fixed_hypothesis(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 1))

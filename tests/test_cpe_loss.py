@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import reference_bayes_risk
 from paper_math import CPETemperature, bayes_risk_coverage, check_strict_properness
+from paper_math import matusita_split_ratio
 from paper_math import partial_loss_pos, pointwise_risk, scalar_bayes_risk
 from tempboost.talgebra import bayes_risk
 
@@ -116,6 +118,16 @@ class TestBayesRisk:
         np.testing.assert_allclose(
             bayes_risk(v, 1 - v, cfg), 2 * np.sqrt(v * (1 - v)), rtol=0, atol=1e-12
         )
+
+    @given(masses=st.tuples(*[st.floats(1e-100, 1e100)] * 4))
+    @settings(max_examples=500, deadline=None)
+    def test_a_split_shrinks_the_classic_risk_by_the_square_root_rate(self, masses):
+        # at t = 1: B(P_l, N_l) + B(P_r, N_r) <= sqrt(1 - rho^2) B(P, N),
+        # rho = |P_l/P - N_l/N|, with equality where P_l/P = N_l/N or N_r/N
+        p_l, n_l, p_r, n_r = masses
+        assert matusita_split_ratio((p_l, n_l), (p_r, n_r)) <= 1.0 + 1e-12
+        for right in ((p_l, n_l), (n_l, p_l)):  # one posterior, or the classes swapped
+            assert matusita_split_ratio((p_l, n_l), right) == pytest.approx(1.0, rel=1e-12)
 
     def test_min_class_mass_at_minus_infinity(self):
         v = np.linspace(0, 1, 101)  # the limit, approached at a finite t

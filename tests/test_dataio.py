@@ -54,9 +54,6 @@ def test_label_noise_flips_the_class_indicator_with_the_labels():
     noisy = inject_label_noise(data, 0.3, 7)
     flipped = noisy.labels != data.labels
     assert 0 < flipped.sum() < data.m
-    # noisy labels train on their own split of the masses
-    assert data.positive.tolist() == (data.labels > 0).tolist()
-    assert noisy.positive.tolist() == np.where(flipped, 1.0 - data.positive, data.positive).tolist()
     assert inject_label_noise(data, 0.0, 7) is data
 
 
@@ -125,6 +122,20 @@ def test_column_block_bins_are_ranks_equal_count_codes_or_level_codes(m):
         assert codes[7][0].size > MAX_BINS
 
 
+def dealt_test_folds(labels, k, seed) -> list:
+    """The reference dealing, by hand: each class's permutation cut into k
+    chunks in order, the first ``size % k`` one row longer."""
+    rng = np.random.default_rng(seed)
+    tests = [[] for _ in range(k)]
+    for cls in (-1, 1):
+        perm = rng.permutation(np.flatnonzero(labels == cls))
+        base, extra = divmod(perm.size, k)
+        bounds = np.cumsum([0] + [base + (f < extra) for f in range(k)])
+        for f in range(k):
+            tests[f] += perm[bounds[f] : bounds[f + 1]].tolist()
+    return [sorted(test) for test in tests]
+
+
 @pytest.mark.parametrize("k", (2, 3, 7))
 def test_stratified_folds_partition_rows_in_proportion(k):
     data = make_mixed_table(m=101, seed=7)
@@ -141,6 +152,10 @@ def test_stratified_folds_partition_rows_in_proportion(k):
             share = np.sum(data.labels == cls) / k
             assert abs(np.sum(data.labels[test] == cls) - share) < 1
     assert stratified_folds(data, k, seed=9)[0][1].tolist() == tests[0].tolist()
+    assert [test.tolist() for test in tests] == dealt_test_folds(data.labels, k, 9)
+    seed = np.random.SeedSequence(entropy=(k, 5))  # as the experiment seeds the folds
+    got = [test.tolist() for _, test in stratified_folds(data, k, seed)]
+    assert got == dealt_test_folds(data.labels, k, seed)
 
 
 def write_csv(path, header, rows, newline="\n"):

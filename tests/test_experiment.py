@@ -221,6 +221,7 @@ def test_each_tree_predicts_the_test_fold_once(tmp_path, monkeypatch):
         ("tree_nodes", -1),
         ("t_values", (0.5, 0.5)),
         ("t_values", (0.0, -0.0)),
+        ("t_values", (0.9999999995, 1.0)),  # within CLASSIC_TOLERANCE, stored as 1.0
     ],
 )
 def test_run_spec_rejects_bad_settings(field, value):
@@ -399,6 +400,38 @@ def test_a_typed_failure_fails_only_its_cells(tmp_path, monkeypatch):
     assert [cell.t for cell in failed] == [0.5, 0.5]
     assert all(cell.error.startswith("BoundViolatedError: leveraging") for cell in failed)
     assert {row.t for row in result.rows} == {1.0}
+
+
+OUTPUTS = ("trace.csv", "summary.csv", *(f"plot_{panel}.csv" for panel in experiment.PLOT_PANELS))
+
+
+def test_a_t_within_the_tolerance_of_one_runs_as_t_one(tmp_path):
+    path, out = tmp_path / "data.csv", tmp_path / "out"
+    save_csv(make_wideband(m=120), path)
+    argv = ["--data", str(path), "--folds", "2", "--t", "0.9999999995,0.5", "--iters", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in OUTPUTS)
+    summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    # t is 1 in every output, and the summary compares t = 0.5 against it
+    assert [row[0] for row in summary] == ["1.0", "0.5"] and summary[1][-2] != ""
+    assert [cell["t"] for cell in read_manifest(out)["cells"]] == [1.0, 0.5] * 2
+
+
+def test_a_t_near_two_fails_only_its_cells_once_the_initial_weight_leaves_the_doubles(
+    tmp_path, capsys
+):
+    # at t = 1.99 the initial weight m^(-100) is 0 from about m = 1900 rows on
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    save_csv(make_wideband(m=4000, d=5, seed=1), big)  # two training folds of 2000 rows
+    save_csv(make_wideband(m=1000, d=5, seed=1), small)
+    argv = ["--folds", "2", "--t", "1.99,0.5", "--iters", "3", "--tree-nodes", "3"]
+    assert main(["--data", str(big), *argv, "--out", str(tmp_path / "big")]) == 2
+    assert "2 cell(s) failed" in capsys.readouterr().err
+    assert all((tmp_path / "big" / name).exists() for name in OUTPUTS)
+    cells = read_manifest(tmp_path / "big")["cells"]
+    assert [(cell["t"], cell["status"]) for cell in cells] == [(1.99, "failed"), (0.5, "ok")] * 2
+    assert all(cell["error"].startswith("WeightUnderflowError") for cell in cells[::2])
+    assert main(["--data", str(small), *argv, "--out", str(tmp_path / "small")]) == 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

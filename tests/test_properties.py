@@ -2,8 +2,8 @@
 
 Tables mix normal, few-valued, constant and extreme numeric columns
 (±1e308, the least subnormal, ±0.0) with categorical columns of up to 300
-levels, under random temperatures (1 ± 1e-7 among them), tree sizes,
-folds and label noise.
+levels, under random temperatures (1 ± 1e-7, 1 ± 5e-10 and 1.999 among
+them), tree sizes, folds and label noise.
 """
 
 import tempfile
@@ -17,9 +17,14 @@ from paper_math import leaves
 from tempboost import errors, tree as tree_module
 from tempboost.dataio import CATEGORICAL, NUMERIC, Column, Dataset, save_csv
 from tempboost.experiment import RunSpec, run
+from tempboost.talgebra import TemperConfig
 
 EXTREMES = np.array([1e308, -1e308, 5e-324, 0.0, -0.0, 1.0])
-TEMPERATURES = (0.0, 0.3, 0.9, 1 - 1e-7, 1.0, 1 + 1e-7, 1.1, 1.5, 1.9)
+# both edges of the range: t within CLASSIC_TOLERANCE of 1, which counts as 1,
+# and t near 2, whose initial weight m^(-1/(2-t)) leaves the doubles
+TEMPERATURES = (
+    0.0, 0.3, 0.9, 1 - 1e-7, 1 - 5e-10, 1.0, 1 + 5e-10, 1 + 1e-7, 1.1, 1.5, 1.9, 1.999
+)
 KINDS = ("normal", "few", "constant", "extreme", "categorical")
 TYPED = {
     name
@@ -50,8 +55,12 @@ def grids(draw):
     columns = tuple(random_column(k, m, levels, rng, f"c{j}") for j, k in enumerate(kinds))
     labels = np.where(rng.random(m) < draw(st.floats(0.2, 0.8)), 1, -1)
     labels[: 2 * folds] = [1, -1] * folds  # each class fills every fold
+    # distinct as TemperConfig stores them, or RunSpec rejects the repeat
+    stored = st.lists(
+        st.sampled_from(TEMPERATURES), min_size=1, max_size=3, unique_by=lambda t: TemperConfig(t).t
+    )
     spec = dict(
-        t_values=tuple(draw(st.sets(st.sampled_from(TEMPERATURES), min_size=1, max_size=3))),
+        t_values=tuple(draw(stored)),
         rounds=draw(st.integers(1, 3)),
         tree_nodes=draw(st.sampled_from((1, 3, 7, 15))),
         folds=folds,

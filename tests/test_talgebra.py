@@ -41,6 +41,9 @@ class TestTemperConfig:
         assert TemperConfig(1.0).is_classic()
         assert TemperConfig(1.0 + 0.5 * CLASSIC_TOLERANCE).is_classic()
         assert not TemperConfig(1.0 + 10 * CLASSIC_TOLERANCE).is_classic()
+        # stored as 1 within the tolerance, so that every layer agrees; kept past it
+        for t in (1 - 9e-10, 1 - 5e-10, 1 + 5e-10, 1 + 9e-10, 1 - 1.1e-9, 1 + 1.1e-9):
+            assert TemperConfig(t).t == (1.0 if abs(t - 1) < CLASSIC_TOLERANCE else t)
 
 
 class TestLogExp:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import describe_tree, leaf_of, naive_tree, predict_row, row_of, split_gain
-from paper_math import exp_t, leaves, scalar_bayes_risk
+from paper_math import exp_t, leaves, matusita_split_ratio, scalar_bayes_risk
 from tempboost import dataio
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
@@ -321,6 +321,17 @@ class TestInduceTree:
                 risks.append(sum(scalar_bayes_risk(*leaf.stats, cfg) for leaf in leaves(tree)))
             assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_split_keeps_the_classic_square_root_rate(self, seed):
+        # the children's risks at t = 1 are at most sqrt(1 - rho^2) times the parent's
+        data, w = random_mixed_table(seed)
+        tree = induce_tree(data, w, 15, TemperConfig(1.0))
+        splits = [tree.root] if tree.root.predicate is not None else []
+        for node in splits:
+            assert matusita_split_ratio(node.left.stats, node.right.stats) <= 1.0 + 1e-12
+            splits += [child for child in (node.left, node.right) if child.predicate is not None]
+        assert len(splits) == (tree.n_nodes - 1) // 2 > 0
+
     def test_leaf_masses_partition_unit(self):
         data, w = weighted_mixed_dataset(m=50, seed=11)
         tree = induce_tree(data, w, 9, TemperConfig(0.4))
@@ -547,7 +558,7 @@ class TestInduceTree:
         assert data.root_runs.slot is None
         w = rng.uniform(0.5, 2.0, size=m)
         w /= w.sum()
-        masses = pack(w * data.positive, w - w * data.positive)
+        masses = pack(w * (labels > 0), w - w * (labels > 0))
         block = masses.take(data.column_block[0])
         kept = block.copy()
         stats = LeafStats(masses.real.sum(), masses.imag.sum())
