@@ -15,9 +15,10 @@ The paper's bound has one more factor per round, for the weights that the
 update switches off at 0; it is 1 here, because ``leveraging``'s bound on
 mu keeps every weight positive.
 
-Each round yields an ``IterationRecord``: the edge rho, the confidence
-bound R, mu, alpha, Z, the co-density range, and the training 0/1 errors
-of the plain and the clamped model.  Those errors come from running training
+Each round yields one ``IterationRecord``: the weak hypothesis, the edge
+rho, the confidence bound R, mu, alpha, Z, the co-density range, and the
+training 0/1 errors of the plain and the clamped model.  The records are
+also the ensemble's members.  Those errors come from running training
 scores built from the training predictions each round receives, and
 ``boost`` checks the guarantee on exit from the last of them.
 
@@ -46,17 +47,17 @@ RHO_CAP = 1e-12
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything one boosting round produces, for traces and the bound.
+    """One boosting round: its hypothesis, which makes the record an
+    ``Ensemble`` member, and the figures for traces and the bound.
 
-    The bound prod_j K_t(rho_j) needs only rho: no weight is switched off,
-    so the paper's per-round factor for such weights is 1.
-
-    ``alpha`` is also the coefficient under which the weights unravel into
-    a clamped sum of margins, m^(1-t*) (prod Z)^(1-t) mu.  ``train_err`` and
-    ``train_err_clamped`` are the training 0/1 errors of the plain and the
-    clamped model after this round (the latter nan unless t < 1).
+    ``alpha`` is the member's leveraging coefficient, under which the
+    weights unravel into a clamped sum of margins, m^(1-t*) (prod Z)^(1-t)
+    mu.  ``train_err`` and ``train_err_clamped`` are the training 0/1
+    errors of the plain and the clamped model after this round (the latter
+    nan unless t < 1).
     """
 
+    hypothesis: object
     rho: float
     r_max: float
     mu: float
@@ -69,18 +70,14 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
-class EnsembleMember:
-    hypothesis: object
-    alpha: float
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Ordered weak hypotheses with leveraging coefficients.
 
-    Member order is part of the contract: the clamped score folds the
-    members in training order through a doubly clamped running sum at
-    delta = 1/(1-t), so permuting members changes clamped predictions.
+    A member is any object with ``hypothesis`` and ``alpha``, such as
+    ``boost``'s round records.  Member order is part of the contract: the
+    clamped score folds the members in training order through a doubly
+    clamped running sum at delta = 1/(1-t), so permuting them changes
+    clamped predictions.
     """
 
     members: tuple
@@ -187,11 +184,7 @@ def kt_bound(rho: float, cfg: TemperConfig) -> float:
 
 
 def risk_bound(trace, cfg: TemperConfig) -> float:
-    """Guaranteed training-risk bound prod_j K_t(rho_j).
-
-    The paper's factor for switched-off weights is 1: ``leveraging`` keeps
-    every weight positive.
-    """
+    """Guaranteed training-risk bound prod_j K_t(rho_j)."""
     return math.prod(kt_bound(record.rho, cfg) for record in trace)
 
 
@@ -201,12 +194,13 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     Starts from uniform co-simplex weights; per round requests a weak
     hypothesis with its predictions h(x_i) on ``data``, computes margins
     u_i = y_i h(x_i), the confidence bound, the edge, the closed-form
-    coefficients, and the weight update.  Returns
-    (ensemble, trace).  A saturated edge (a perfect hypothesis) stops the
+    coefficients, and the weight update.  Returns (ensemble, trace): the
+    trace lists the rounds' records, and the ensemble's members are those
+    same records.  A saturated edge (a perfect hypothesis) stops the
     loop and returns the partial ensemble; weak-learner failures propagate.
 
-    ``on_round(member, record, weights)``, when given, runs after every
-    round with the freshly updated weights.
+    ``on_round(record, weights)``, when given, runs after every round with
+    its record and the freshly updated weights.
     For t <= 1 the training-risk guarantee is checked on exit against
     the last round's training errors.
     """
@@ -218,7 +212,6 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
 
     weights = uniform_init(data.m, cfg)
     z_product = 1.0
-    members = []
     trace = []
     fold = ScoreFold(data.m, cfg)
     for _ in range(rounds):
@@ -236,8 +229,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         p = co_density(weights)
         fold.add(alpha * h)
         train_err, train_err_clamped = fold.errors(labels)
-        member = EnsembleMember(hypothesis, alpha)
         record = IterationRecord(
+            hypothesis=hypothesis,
             rho=rho,
             r_max=r_max,
             mu=mu,
@@ -248,14 +241,13 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
             train_err=train_err,
             train_err_clamped=train_err_clamped,
         )
-        members.append(member)
         trace.append(record)
         if on_round is not None:
-            on_round(member, record, weights)
+            on_round(record, weights)
 
     if trace and cfg.t <= 1.0:
         _check_guarantee(trace, cfg)
-    return Ensemble(tuple(members), cfg), trace
+    return Ensemble(tuple(trace), cfg), trace
 
 
 def _check_guarantee(trace, cfg: TemperConfig):

@@ -86,6 +86,8 @@ class RunSpec:
             raise ValueError("noise rate must lie in [0, 1)")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.tree_nodes < 1 or self.tree_nodes % 2 == 0:
             raise ValueError(f"tree_nodes must be odd and at least 1, got {self.tree_nodes}")
 
@@ -136,26 +138,13 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
     cfg = TemperConfig(t)
     test_fold = ScoreFold(test.m, cfg)
 
-    def on_round(member, record, weights):
-        # the training errors are boost's: record.train_err
-        test_fold.add(member.alpha * member.hypothesis.predict(test))
-        test_err, test_err_clamped = test_fold.errors(test.labels)
-        rows.append(
-            TraceRow(
-                fold=fold,
-                t=t,
-                j=len(rows) + 1,
-                train_err=record.train_err,
-                test_err_unclamped=test_err,
-                test_err_clamped=test_err_clamped,
-                min_codensity=record.min_codensity,
-                max_codensity=record.max_codensity,
-                rho=record.rho,
-                mu=record.mu,
-                alpha=record.alpha,
-                z=record.z,
-            )
-        )
+    def on_round(record, weights):
+        # the record's fields by name, the training errors among them
+        row = {k: v for k, v in vars(record).items() if k in TRACE_FIELDS}
+        row.update(fold=fold, t=t, j=len(rows) + 1)
+        test_fold.add(record.alpha * record.hypothesis.predict(test))
+        row["test_err_unclamped"], row["test_err_clamped"] = test_fold.errors(test.labels)
+        rows.append(TraceRow(**row))
 
     try:
         boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg, on_round=on_round)

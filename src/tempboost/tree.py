@@ -85,7 +85,7 @@ import numpy as np
 from .dataio import Dataset, run_layout
 from .errors import SingleClassError
 from .talgebra import TemperConfig, bayes_risk
-from .weights import TemWeights, co_density
+from .weights import TemWeights, co_density, initial_weight
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class DecisionTree:
 def leaf_prediction(p: float, q1: float, cfg: TemperConfig) -> float:
     """Real prediction the boosting projection assigns to a leaf.
 
-    ``q1`` is the initial uniform weight 1/m^(1/(2-t)); at t=1 the weight
+    ``q1`` is ``initial_weight``, 1/m^(1/(2-t)); at t=1 the weight
     drops out and the prediction is the half log-odds.  A posterior that
     rounds to 0 or 1, as a root's can under very uneven weights (the split
     search admits no child whose posterior does), raises ``SingleClassError``.
@@ -326,7 +326,7 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
     if pos_total <= 0 or neg_total <= 0:
         raise SingleClassError("training rows must carry weighted mass of both classes")
 
-    q1 = data.m ** (-cfg.t_star)
+    q1 = initial_weight(data.m, cfg)
 
     def make_leaf(m_pos, m_neg):
         stats = LeafStats(float(m_pos), float(m_neg))

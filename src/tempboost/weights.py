@@ -58,16 +58,22 @@ class TemWeights:
         return self.q.size
 
 
-def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
-    """Uniform co-simplex weights q_i = 1/m^(1/(2-t)), or, as t -> 2, a
-    ``WeightUnderflowError`` once q_i rounds to 0 or q_i^(1-t) overflows."""
+def initial_weight(m: int, cfg: TemperConfig) -> float:
+    """The uniform co-simplex weight 1/m^(1/(2-t)) of ``m`` rows, or, as
+    t -> 2, a ``WeightUnderflowError`` once it rounds to 0 or its (1-t)-th
+    power overflows."""
     if m < 1:
         raise ValueError("need at least one example")
     q = np.float64(m ** (-cfg.t_star))
     with np.errstate(over="ignore"):  # q > 0 first: 0.0 ** (1 - t) would divide by zero
         if not (q > 0 and np.isfinite(q ** (1.0 - cfg.t))):
             raise WeightUnderflowError(f"the initial weight of {m} rows leaves the doubles")
-    return TemWeights(np.full(m, q), cfg)
+    return float(q)
+
+
+def uniform_init(m: int, cfg: TemperConfig) -> TemWeights:
+    """Uniform co-simplex weights q_i = ``initial_weight(m, cfg)``."""
+    return TemWeights(np.full(m, initial_weight(m, cfg)), cfg)
 
 
 def co_density(weights: TemWeights) -> np.ndarray:

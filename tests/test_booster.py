@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from tempboost import booster
 from tempboost.booster import (
     RHO_CAP,
     Ensemble,
-    EnsembleMember,
     ScoreFold,
     boost,
     confidence_bounds,
@@ -280,7 +280,7 @@ class TestBoostLoop:
             StumpLearner(),
             10,
             TemperConfig(1.0),
-            on_round=lambda member, record, weights: seen_weights.append(weights.q),
+            on_round=lambda record, weights: seen_weights.append(weights.q),
         )
         assert len(trace) == 10
         for j, ref in enumerate(reference):
@@ -315,9 +315,9 @@ class TestBoostLoop:
         rounds = []
         hit = []  # the first round after which no training row is misclassified
 
-        def on_round(member, record, weights):
+        def on_round(record, weights):
             nonlocal scores
-            scores = scores + member.alpha * member.hypothesis.predict(data)
+            scores = scores + record.alpha * record.hypothesis.predict(data)
             rounds.append(record)
             if not hit and zero_one_error(scores, data.labels) == 0.0:
                 hit.append(len(rounds))
@@ -467,7 +467,7 @@ class TestWeightUnravel:
                 TreeWeakLearner(max_nodes=5),
                 6,
                 cfg,
-                on_round=lambda member, record, weights: logged.append(weights.q.copy()),
+                on_round=lambda record, weights: logged.append(weights.q.copy()),
             )
             labels = data.labels.astype(float)
             margins = np.stack([labels * mm.hypothesis.predict(data) for mm in ens.members])
@@ -496,7 +496,7 @@ class TestPrediction:
             def predict_row(self, row):
                 return self.c
 
-        members = tuple(EnsembleMember(RowHypothesis(c), 1.0) for c in contributions)
+        members = tuple(SimpleNamespace(hypothesis=RowHypothesis(c), alpha=1.0) for c in contributions)
         return Ensemble(members, TemperConfig(t))
 
     def test_single_member_clamp_base_case(self):

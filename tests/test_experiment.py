@@ -222,6 +222,7 @@ def test_each_tree_predicts_the_test_fold_once(tmp_path, monkeypatch):
         ("t_values", (0.5, 0.5)),
         ("t_values", (0.0, -0.0)),
         ("t_values", (0.9999999995, 1.0)),  # within CLASSIC_TOLERANCE, stored as 1.0
+        ("seed", -1),  # SeedSequence takes no negative entropy
     ],
 )
 def test_run_spec_rejects_bad_settings(field, value):
@@ -237,8 +238,8 @@ def test_run_spec_rejects_a_temperature_outside_zero_to_two(t_values):
 
 @pytest.mark.parametrize(
     "option, value, msg",
-    [("--tree-nodes", "4", "tree_nodes"), ("--t", "-0.5", "[0, 2)")],
-    ids=["tree_nodes", "t_values"],
+    [("--tree-nodes", "4", "tree_nodes"), ("--t", "-0.5", "[0, 2)"), ("--seed", "-1", "seed")],
+    ids=["tree_nodes", "t_values", "seed"],
 )
 def test_cli_rejects_a_bad_setting_before_any_cell(tmp_path, monkeypatch, capsys, option, value, msg):
     path = tmp_path / "data.csv"

@@ -11,7 +11,7 @@ from tempboost import dataio
 from tempboost import tree as tree_module
 from tempboost.booster import boost, confidence_bounds, edge as edge_fn
 from tempboost.dataio import CATEGORICAL, MAX_BINS, NUMERIC, Column, Dataset, run_layout
-from tempboost.errors import SingleClassError
+from tempboost.errors import SingleClassError, WeightUnderflowError
 from tempboost.synthetic import make_mixed_table
 from tempboost.talgebra import TemperConfig, log_t
 from tempboost.tree import (
@@ -205,6 +205,21 @@ class TestInduceTree:
         assert predict_row(tree, row_of(data, 0)) == pytest.approx(
             leaf_prediction(p, data.m ** (-TemperConfig(0.5).t_star), TemperConfig(0.5))
         )
+
+    # at t = 1.99 the initial weight m^(-100) is subnormal at 1250 rows; its
+    # (1-t)-th power overflows at 1300 rows, and it rounds to 0 at 2000
+    @pytest.mark.parametrize("m", [1300, 2000])
+    def test_an_initial_weight_that_leaves_the_doubles_raises_typed(self, m):
+        data = make_mixed_table(m=m, seed=1)
+        with pytest.raises(WeightUnderflowError, match=f"{m} rows"):
+            induce_tree(data, np.full(m, 1.0 / m), 3, TemperConfig(1.99))
+
+    def test_a_subnormal_initial_weight_still_grows_a_tree(self):
+        m, cfg = 1250, TemperConfig(1.99)
+        tree = induce_tree(make_mixed_table(m=m, seed=1), np.full(m, 1.0 / m), 3, cfg)
+        assert tree.n_nodes == 3
+        for leaf in leaves(tree):  # the power in Python floats, which initial_weight keeps
+            assert leaf.prediction == leaf_prediction(leaf.stats.p, m ** -cfg.t_star, cfg)
 
     def test_xor_stalls_at_one_split_under_purity_constraint(self):
         # Exhaustive view of the 4-point parity set: both axis splits have
