@@ -1,4 +1,4 @@
-"""CSV ingestion, stratified folding and label-noise injection.
+"""Reading and writing every CSV, stratified folding and label-noise injection.
 
 Input files are RFC-4180-style CSV, UTF-8, with a mandatory header row and
 no missing cells.  A column is numeric iff every cell parses as a finite
@@ -46,6 +46,7 @@ CATEGORICAL = "categorical"
 MAX_BINS = 256
 # CSV text is read in blocks of whole lines of at least this many characters
 BLOCK_CHARS = 1 << 16
+TABLE_ERRORS = (OSError, ValueError, csv.Error)  # a missing or malformed table's errors
 
 
 class RunLayout(NamedTuple):
@@ -116,7 +117,7 @@ class Dataset:
     label_name: str = "label"
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)  # a copy, as Column's values are
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must form a nonempty vector")
         if not np.all(np.isin(labels, (-1, 1))):
@@ -410,16 +411,19 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     return Dataset(tuple(columns), labels, header[label_idx])
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Serialize a Dataset back to CSV (labels written as -1/1)."""
-    cells = [
-        map(repr, c.values.tolist()) if c.kind == NUMERIC else c.values.tolist()
-        for c in data.columns
-    ]
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then the rows, each value as ``csv.writer`` writes it,
+    a float as its ``repr``, but nan, the one value unequal to itself, as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([c.name for c in data.columns] + [data.label_name])
-        writer.writerows(zip(*cells, data.labels.tolist()))
+        writer.writerow(header)
+        writer.writerows(["" if value != value else value for value in row] for row in rows)
+
+
+def save_csv(data: Dataset, path) -> None:
+    """Serialize a Dataset back to CSV (labels written as -1/1)."""
+    header = [c.name for c in data.columns] + [data.label_name]
+    write_csv(path, header, zip(*(c.values.tolist() for c in data.columns), data.labels.tolist()))
 
 
 def stratified_folds(data: Dataset, k: int, seed) -> list:

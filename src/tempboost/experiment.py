@@ -27,7 +27,6 @@ column block at most once, for its first cell of that fold.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import hashlib
 import json
@@ -35,16 +34,16 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .booster import ScoreFold, boost
 from .booster import zero_one_error  # noqa: F401  perfbench wraps experiment.zero_one_error
-from .dataio import Dataset, inject_label_noise, load_csv, stratified_folds
+from .dataio import TABLE_ERRORS, Dataset, inject_label_noise, load_csv, stratified_folds, write_csv
 from .errors import TempBoostError
 from .talgebra import TemperConfig
 from .tree import TreeWeakLearner
@@ -92,14 +91,13 @@ class RunSpec:
             raise ValueError(f"tree_nodes must be odd and at least 1, got {self.tree_nodes}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     fold: int
     t: float
     j: int
     train_err: float
     test_err_unclamped: float
-    test_err_clamped: float  # nan when the clamped model is unavailable
+    test_err_clamped: float  # nan, written as an empty cell, at t >= 1: no clamped model
     min_codensity: float
     max_codensity: float
     rho: float
@@ -108,16 +106,15 @@ class TraceRow:
     z: float
 
 
-TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
+TRACE_FIELDS = TraceRow._fields
 
 
-@dataclass
-class CellStatus:
+class CellStatus(NamedTuple):
     fold: int
     t: float
-    status: str = "ok"
-    error: str = ""
-    noise_flips: int = 0
+    status: str
+    error: str
+    noise_flips: int
 
 
 @dataclass
@@ -133,7 +130,6 @@ class RunResult:
 
 def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: float, spec: RunSpec):
     """One (fold, temperature) cell on the fold's shared Datasets; returns (rows, status)."""
-    status = CellStatus(fold=fold, t=t, noise_flips=noise_flips)
     rows: list = []
     cfg = TemperConfig(t)
     test_fold = ScoreFold(test.m, cfg)
@@ -149,25 +145,25 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
     try:
         boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg, on_round=on_round)
     except TempBoostError as exc:  # anything else is a programming error: it propagates
-        status.status = "failed"
-        status.error = f"{type(exc).__name__}: {exc}"
-    return rows, status
+        return rows, CellStatus(fold, t, "failed", f"{type(exc).__name__}: {exc}", noise_flips)
+    return rows, CellStatus(fold, t, "ok", "", noise_flips)
 
 
 _FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from the (seed, fold) noise streams
 
 
 def _folds(data: Dataset, spec: RunSpec):
-    """``(fold, train, test, noise_flips)`` per fold, noise drawn from (seed, fold)."""
-    folds = stratified_folds(
-        data, spec.folds, np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
-    )
-    for fold, (train_idx, test_idx) in enumerate(folds):
-        train = data.take(train_idx)
-        stream = np.random.SeedSequence(entropy=(spec.seed, fold))
-        noisy = inject_label_noise(train, spec.noise, stream)
-        flips = int(np.sum(noisy.labels != train.labels))
-        yield fold, noisy, data.take(test_idx), flips
+    """``(fold, train, test, noise_flips)`` per fold, noise drawn from (seed, fold).
+    The rows are split now; a fold's Datasets are taken when the fold is reached."""
+    stream = np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
+    splits = enumerate(stratified_folds(data, spec.folds, stream))
+    return (_take_fold(data, spec, fold, *split) for fold, split in splits)
+
+
+def _take_fold(data: Dataset, spec: RunSpec, fold: int, train_idx, test_idx):
+    train = data.take(train_idx)
+    noisy = inject_label_noise(train, spec.noise, np.random.SeedSequence(entropy=(spec.seed, fold)))
+    return fold, noisy, data.take(test_idx), int(np.sum(noisy.labels != train.labels))
 
 
 # glibc <malloc.h>: M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at 64 MiB
@@ -202,8 +198,15 @@ def _worker_cell(fold: int, t: float):
     return _run_cell(*_worker["folds"][fold], t, _worker["spec"])
 
 
+class RunInputError(Exception):
+    """The table would not load or split into folds, or the output directory not be made."""
+
+
 def run(spec: RunSpec) -> RunResult:
     """Execute the whole grid and write results under ``spec.out_dir``.
+
+    In order: load the table, split its folds, make the output directory and
+    run the cells.  ``TABLE_ERRORS`` in the first three raise a ``RunInputError``.
 
     With one job the cells run in this process, fold by fold, and only the
     current fold's Datasets are alive.  With more, ``_folds`` runs here in
@@ -223,8 +226,13 @@ def run(spec: RunSpec) -> RunResult:
     next.  Up to 64 MiB of freed heap may stay resident instead.
     """
     _pin_malloc_thresholds()
-    data = load_csv(spec.data_path, spec.label_column)
-    folds = _folds(data, spec)
+    out_dir = Path(spec.out_dir)
+    try:
+        data = load_csv(spec.data_path, spec.label_column)
+        folds = _folds(data, spec)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except TABLE_ERRORS as exc:  # a mkdir's OSError and a fold's ValueError too
+        raise RunInputError(exc) from exc
     if spec.jobs == 1:  # lazily: one fold's Datasets alive at a time
         outcomes = [_run_cell(*fold, t, spec) for fold in folds for t in spec.t_values]
     else:
@@ -235,35 +243,14 @@ def run(spec: RunSpec) -> RunResult:
         with pool:
             outcomes = list(pool.map(_worker_cell, *zip(*tasks)))
 
-    rows: list = []
-    cells: list = []
-    for cell_rows, status in outcomes:
-        rows.extend(cell_rows)
-        cells.append(status)
-    rows.sort(key=lambda r: (r.fold, r.t, r.j))
-
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "trace.csv", TRACE_FIELDS, map(attrgetter(*TRACE_FIELDS), rows))
+    # sorted by (fold, t, j), the leading fields, which no two rows share
+    rows = sorted(row for cell_rows, _ in outcomes for row in cell_rows)
+    cells = [status for _, status in outcomes]
+    write_csv(out_dir / "trace.csv", TRACE_FIELDS, rows)
     _write_summary(out_dir / "summary.csv", rows, spec)
     emit_plots(rows, out_dir)
     _write_manifest(out_dir / "manifest.json", spec, data, cells)
     return RunResult(out_dir=out_dir, rows=rows, cells=cells)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([_format_value(value) for value in row] for row in rows)
 
 
 def _two_sided_p(statistic: float, df: int) -> float:
@@ -360,7 +347,7 @@ def _write_summary(path: Path, rows, spec: RunSpec) -> None:
             if clamped:
                 verdicts[1] = paired_ttest([cells[f].test_err_clamped for f in shared], ref_errs)
         lines.append([t, len(plain), *_mean_std(plain), *_mean_std(clamped), *verdicts])
-    _write_csv(path, SUMMARY_FIELDS, lines)
+    write_csv(path, SUMMARY_FIELDS, lines)
 
 
 def emit_plots(rows, out_dir: Path) -> None:
@@ -373,11 +360,10 @@ def emit_plots(rows, out_dir: Path) -> None:
         groups: dict = {}
         for row in rows:
             value = getattr(row, panel)
-            if isinstance(value, float) and math.isnan(value):
-                continue
-            groups.setdefault((row.t, row.j), []).append(value)
+            if not math.isnan(value):
+                groups.setdefault((row.t, row.j), []).append(value)
         means = ((t, j, float(np.mean(groups[(t, j)]))) for (t, j) in sorted(groups))
-        _write_csv(out_dir / f"plot_{panel}.csv", ("t", "j", "mean"), means)
+        write_csv(out_dir / f"plot_{panel}.csv", ("t", "j", "mean"), means)
 
 
 def _file_sha256(path) -> str:
@@ -406,7 +392,7 @@ def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:
             "simd": np.show_config(mode="dicts")["SIMD Extensions"],
             "cpu_count": os.cpu_count(),
         },
-        "cells": [asdict(cell) for cell in cells],
+        "cells": [cell._asdict() for cell in cells],
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -440,7 +426,10 @@ def main(argv=None) -> int:
         spec = RunSpec(**vars(parser.parse_args(argv)))
     except ValueError as exc:  # an invalid setting: exit 2 before any cell runs
         parser.error(str(exc))
-    result = run(spec)
+    try:
+        result = run(spec)
+    except RunInputError as exc:  # a bad setting's exit and error line, without the usage
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote {result.out_dir / 'trace.csv'} ({len(result.rows)} rows)")
     if result.failed_cells:
         print(f"{result.failed_cells} cell(s) failed; see manifest.json", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import re
 import tracemalloc
 
@@ -37,6 +38,34 @@ def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
     ]
     for got, want in zip(loaded.columns, data.columns):
         assert np.array_equal(got.values, want.values)  # repr() keeps floats exact
+
+
+def test_write_csv_writes_floats_as_their_repr_and_nan_as_an_empty_cell(tmp_path):
+    path = tmp_path / "table.csv"
+    floats = [0.1, 5e-324, -0.0, 1e16, 1 / 3]
+    rows = [floats, [7, "x", math.nan, np.float64(0.5), -1]]
+    dataio.write_csv(path, ["a", "b", "c", "d", "e"], rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["a,b,c,d,e", ",".join(map(repr, floats)), "7,x,,0.5,-1"]
+    assert lines[1].split(",")[1:4] == ["5e-324", "-0.0", "1e+16"]
+    assert b"np.float64(" not in path.read_bytes()
+
+
+def test_write_csv_quotes_a_cell_holding_a_comma_a_quote_or_a_newline(tmp_path):
+    path = tmp_path / "levels.csv"
+    levels = ["a,b", 'say "hi"', "two\nlines", "plain"]
+    dataio.write_csv(path, ["level"], [[level] for level in levels])
+    with open(path, newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [["level"], *([level] for level in levels)]
+    assert path.read_bytes() == b'level\r\n"a,b"\r\n"say ""hi"""\r\n"two\nlines"\r\nplain\r\n'
+
+
+def test_a_dataset_copies_the_labels_it_is_given():
+    y = np.array([-1, 1, -1, 1], dtype=np.int64)
+    data = Dataset((Column("x", NUMERIC, [1.0, 2.0, 3.0, 4.0]),), y)
+    assert y.flags.writeable and data.labels is not y
+    y[0] = 1
+    assert data.labels.tolist() == [-1, 1, -1, 1]
 
 
 def test_category_codes_rebuild_each_categorical_column():

@@ -253,6 +253,29 @@ def test_cli_rejects_a_bad_setting_before_any_cell(tmp_path, monkeypatch, capsys
     assert not started and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["out_is_a_file", "too_many_folds", "no_label", "no_data"])
+def test_cli_rejects_bad_input_or_output_before_any_cell(tmp_path, monkeypatch, capsys, case):
+    path, out = tmp_path / "data.csv", tmp_path / "out"
+    save_csv(make_mixed_table(m=32, seed=1), path)
+    if case == "out_is_a_file":
+        out.write_text("")
+    options, msg = {
+        "out_is_a_file": ([], "File exists"),
+        "too_many_folds": (["--folds", "40"], "fewer than 40 examples"),
+        "no_label": (["--label-col", "nope"], "no column named 'nope'"),
+        "no_data": (["--data", str(tmp_path / "missing.csv")], "No such file or directory"),
+    }[case]
+    boosted = []
+    monkeypatch.setattr(experiment, "boost", lambda *args, **kwargs: boosted.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--data", str(path), "--out", str(out), *options])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    # one line, as argparse words a bad setting, and nothing made or run
+    assert err.startswith("tempboost-experiment: error: ") and err.count("\n") == 1
+    assert msg in err and not boosted and not out.is_dir()
+
+
 def test_every_temperature_of_a_fold_trains_on_the_same_noisy_labels(tmp_path, monkeypatch):
     labels = []
     real_boost = experiment.boost

@@ -114,6 +114,25 @@ def test_the_program_reads_every_definition_in_the_package():
     assert unread_definitions(sources, readers) == []
 
 
+def csv_imports(source: str) -> list:
+    """Lines that import the ``csv`` module, whole or by name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv")
+    ]
+
+
+def test_csv_imports_are_found():
+    source = "import csv\nimport os, csv as c\nfrom csv import writer\nfrom .csvish import csv\n"
+    assert csv_imports(source) == [1, 2, 3]
+
+
+def test_only_dataio_reads_or_writes_csv():
+    assert not by_module(csv_imports, {"tempboost/dataio.py"})
+
+
 # numpy names backed by BLAS, whose sum order depends on the BLAS library
 # and its thread count, so that their bits do not reproduce from the seed
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
