@@ -24,8 +24,10 @@ file's size, which is reading the text: its bytes and its decoded string.
 ``Dataset.column_block`` is built in place: on the benchmark tables its
 ``tracemalloc`` peak is 3.2-3.5 times the table's d * m * 8 bytes, below
 what a boosting cell holds, so a run's peak does not come from it.  On the
-tall table the first cell of a fold, which builds the fold's block, peaks
-at 5.9 MiB traced, as the fold's other cells do.
+tall table every cell peaks at 5.3-5.5 MiB traced, the first of a fold,
+which builds the fold's block, as its others do.  ``stratified_folds``
+keeps one fold label per row and makes a fold's index arrays only when
+the fold is reached, so a run that goes fold by fold holds one fold's.
 """
 
 from __future__ import annotations
@@ -426,12 +428,14 @@ def save_csv(data: Dataset, path) -> None:
     write_csv(path, header, zip(*(c.values.tolist() for c in data.columns), data.labels.tolist()))
 
 
-def stratified_folds(data: Dataset, k: int, seed) -> list:
+def stratified_folds(data: Dataset, k: int, seed):
     """k disjoint test folds with per-class counts within 1 of proportional.
 
     Deterministic for a given seed: each class's indices are shuffled once
-    and dealt into k nearly equal chunks, larger first, one per fold.  Returns
-    [(train, test), ...], ascending int arrays; train is every row test lacks.
+    and dealt into k nearly equal chunks, larger first, one per fold.  The
+    call checks its arguments and draws every shuffle; the iterator it
+    returns makes each fold's (train, test), ascending int arrays, only when
+    it is reached.  train is every row test lacks.
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
@@ -443,7 +447,7 @@ def stratified_folds(data: Dataset, k: int, seed) -> list:
             raise ValueError(f"class {cls} has fewer than {k} examples")
         for f, chunk in enumerate(np.array_split(rng.permutation(idx), k)):
             fold[chunk] = f
-    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
+    return ((np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k))
 
 
 def inject_label_noise(data: Dataset, eta: float, seed) -> Dataset:

@@ -154,7 +154,8 @@ _FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from the (seed, fold) 
 
 def _folds(data: Dataset, spec: RunSpec):
     """``(fold, train, test, noise_flips)`` per fold, noise drawn from (seed, fold).
-    The rows are split now; a fold's Datasets are taken when the fold is reached."""
+    Every row's fold is drawn now, and a bad fold count raises here; a fold's
+    index arrays and Datasets are made when the fold is reached."""
     stream = np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
     splits = enumerate(stratified_folds(data, spec.folds, stream))
     return (_take_fold(data, spec, fold, *split) for fold, split in splits)
@@ -208,11 +209,13 @@ def run(spec: RunSpec) -> RunResult:
     In order: load the table, split its folds, make the output directory and
     run the cells.  ``TABLE_ERRORS`` in the first three raise a ``RunInputError``.
 
-    With one job the cells run in this process, fold by fold, and only the
-    current fold's Datasets are alive.  With more, ``_folds`` runs here in
-    full and each of ``min(jobs, cells)`` pool workers receives the RunSpec
-    and every fold's Datasets once, when it starts: inherited under the
-    ``fork`` start method, pickled once per worker under ``spawn`` or
+    With one job the cells run in this process, fold by fold: besides the
+    table and its fold labels, only the current fold's index arrays,
+    Datasets and column block are alive, and a cell keeps a tree and a trace
+    row per round, no array of the fold's rows.  With more, ``_folds`` runs
+    here in full and each of ``min(jobs, cells)`` pool workers receives the
+    RunSpec and every fold's Datasets once, when it starts: inherited under
+    the ``fork`` start method, pickled once per worker under ``spawn`` or
     ``forkserver``.  A task is then a (fold, t) pair.  A worker builds a
     fold's presorted ``column_block`` at its first cell of that fold and
     reuses it for the fold's later cells.

@@ -70,8 +70,9 @@ A tree has one node type, ``Node``, split in place; ``Node.route`` sends
 rows down a split both while the tree grows and when it predicts.  Growth
 keeps the rows of every final leaf, retired ones included, and writes the
 leaf's prediction to them: ``DecisionTree.fitted`` holds the tree's
-predictions on its training rows, which ``TreeWeakLearner`` hands to the
-booster with the tree, so that no row is routed through the tree twice.
+predictions on its training rows, which ``TreeWeakLearner`` takes from the
+tree and hands to the booster: no row is routed through the tree twice, and
+no ensemble member keeps an array of one value per training row.
 """
 
 from __future__ import annotations
@@ -153,12 +154,13 @@ class DecisionTree:
 
     ``fitted`` is the read-only prediction of every training row, filled
     from the rows growth left in each final leaf: bitwise ``predict`` on
-    the Dataset the tree was grown on.
+    the Dataset the tree was grown on.  ``TreeWeakLearner`` takes it and
+    leaves None, so the hypothesis it returns keeps no training predictions.
     """
 
     root: Node
     n_nodes: int
-    fitted: np.ndarray
+    fitted: np.ndarray | None
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Leaf prediction per row; each row is tested only along its path."""
@@ -332,6 +334,10 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
         stats = LeafStats(float(m_pos), float(m_neg))
         return Node(stats, leaf_prediction(stats.p, q1, cfg))
 
+    def make_child(rows):  # one child's masses gathered at a time
+        mass = masses[rows]
+        return make_leaf(mass.real.sum(), mass.imag.sum())
+
     root = make_leaf(pos_total, neg_total)
     n_nodes = 1
     live = [(root, np.arange(data.m))]  # (leaf, its training rows)
@@ -347,10 +353,7 @@ def induce_tree(data: Dataset, weights, max_nodes: int, cfg: TemperConfig) -> De
             continue
         node.predicate = predicate
         false_rows, true_rows = node.route(data, rows)
-        node.left, node.right = (
-            make_leaf(mass.real.sum(), mass.imag.sum())
-            for mass in (masses[false_rows], masses[true_rows])
-        )
+        node.left, node.right = make_child(false_rows), make_child(true_rows)
         live.append((node.left, false_rows))
         live.append((node.right, true_rows))
         n_nodes += 2
@@ -368,6 +371,9 @@ class TreeWeakLearner:
         self.max_nodes = max_nodes
 
     def __call__(self, weights: TemWeights, data: Dataset):
-        """The tree grown on ``data`` and its predictions there, ``tree.fitted``."""
+        """The tree grown on ``data`` and its predictions there, taken from
+        ``tree.fitted``, which is left None: the booster keeps the tree for
+        every round, and the predictions only for this one."""
         tree = induce_tree(data, co_density(weights), self.max_nodes, weights.cfg)
-        return tree, tree.fitted
+        fitted, tree.fitted = tree.fitted, None
+        return tree, fitted

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -360,6 +361,22 @@ class TestBoostLoop:
         with pytest.raises(SingleClassError) as raised:
             boost(one_class, TreeWeakLearner(3), 3, TemperConfig(0.5))
         assert isinstance(raised.value, ValueError)
+
+    def test_memory_does_not_grow_with_the_rounds(self):
+        # every round's record is an ensemble member, and none may keep an
+        # array of the training rows: 35 more rounds add less than 4 m floats
+        data = make_mixed_table(m=3000, seed=2)
+        data.root_runs  # the Dataset's tables, built once for every tree on it
+        peaks = []
+        for rounds in (5, 40):
+            tracemalloc.start()
+            try:
+                _, trace = boost(data, TreeWeakLearner(3), rounds, TemperConfig(0.5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == rounds
+        assert peaks[1] - peaks[0] <= 4 * data.m * 8
 
 
 class TestRunningTrainingScores:

@@ -168,7 +168,7 @@ def dealt_test_folds(labels, k, seed) -> list:
 @pytest.mark.parametrize("k", (2, 3, 7))
 def test_stratified_folds_partition_rows_in_proportion(k):
     data = make_mixed_table(m=101, seed=7)
-    folds = stratified_folds(data, k, seed=9)
+    folds = list(stratified_folds(data, k, seed=9))
     assert len(folds) == k
     tests = [test for _, test in folds]
     assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(data.m))
@@ -180,14 +180,26 @@ def test_stratified_folds_partition_rows_in_proportion(k):
         for cls in (-1, 1):
             share = np.sum(data.labels == cls) / k
             assert abs(np.sum(data.labels[test] == cls) - share) < 1
-    assert stratified_folds(data, k, seed=9)[0][1].tolist() == tests[0].tolist()
+    assert next(stratified_folds(data, k, seed=9))[1].tolist() == tests[0].tolist()
     assert [test.tolist() for test in tests] == dealt_test_folds(data.labels, k, 9)
     seed = np.random.SeedSequence(entropy=(k, 5))  # as the experiment seeds the folds
     got = [test.tolist() for _, test in stratified_folds(data, k, seed)]
     assert got == dealt_test_folds(data.labels, k, seed)
 
 
-def write_csv(path, header, rows, newline="\n"):
+def test_stratified_folds_check_and_draw_in_the_call_then_make_each_fold_lazily():
+    data = make_mixed_table(m=101, seed=7)
+    for k, message in ((1, "at least 2 folds"), (60, "fewer than 60 examples")):
+        with pytest.raises(ValueError, match=message):
+            stratified_folds(data, k, seed=9)  # the call raises, before any fold
+    rng = np.random.default_rng(9)
+    folds = stratified_folds(data, 3, rng)
+    assert iter(folds) is folds  # an iterator, not a list of every fold's arrays
+    rng.random()  # the shuffles were drawn in the call: a later draw moves no fold
+    assert [test.tolist() for _, test in folds] == dealt_test_folds(data.labels, 3, 9)
+
+
+def write_raw_csv(path, header, rows, newline="\n"):
     text = newline.join(",".join(row) for row in [header, *rows]) + newline
     path.write_text(text, encoding="utf-8", newline="")
     return path
@@ -264,10 +276,10 @@ def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, tex
 def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path):
     long = "v" * (csv.field_size_limit() + 1)
     rows = [["1", long, "a"], ["2", "w", "b"]]
-    data = load(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
     assert data.columns[1].values.tolist() == [long, "w"]
     with pytest.raises(csv.Error):  # a quote sends the file to csv.reader
-        load(write_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
+        load(write_raw_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
 
 
 def test_csv_reader_parses_the_rows_after_a_ragged_one_too(tmp_path):
@@ -275,13 +287,13 @@ def test_csv_reader_parses_the_rows_after_a_ragged_one_too(tmp_path):
     long = "v" * (csv.field_size_limit() + 1)
     rows = [["1", "a"], ["2", "b", "c"], ["3", "b"], [long, "a"]]
     with pytest.raises(csv.Error):
-        load(write_csv(tmp_path / "x.csv", ['"x"', "y"], rows))
+        load(write_raw_csv(tmp_path / "x.csv", ['"x"', "y"], rows))
 
 
 def test_numeric_cells_parse_as_python_floats(tmp_path):
     cells = ["0.1", "-0", "1e-300", "5e-324", " 2.5 ", "1_000", "3.141592653589793", "-7"]
     rows = [[cell, "a" if i % 2 else "b"] for i, cell in enumerate(cells)]
-    data = load(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == NUMERIC
     expected = np.array([float(cell) for cell in cells])
@@ -291,7 +303,7 @@ def test_numeric_cells_parse_as_python_floats(tmp_path):
 @pytest.mark.parametrize("odd", ["nan", "NaN", "inf", "-inf", "1e999", "x"])
 def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path, odd):
     rows = [["1.5", "a"], [odd, "b"], ["2", "a"], ["1.5", "b"]]
-    data = load(write_csv(tmp_path / "x.csv", ["x", "y"], rows))
+    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == CATEGORICAL
     assert column.values.tolist() == ["1.5", odd, "2", "1.5"]
@@ -316,14 +328,14 @@ def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, messa
     rows = [bad.get(i, [str(i), "ab"[i % 2]]) for i in range(8)]  # row i is line i + 2
     for newline in ("\n", "\r\n"):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            load(write_csv(tmp_path / "x.csv", ["x", "y"], rows, newline))
+            load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows, newline))
 
 
 def test_padded_cells_load_as_their_stripped_values(tmp_path):
     # A numeric column is parsed unstripped (float ignores the padding); the
     # categorical and label columns are stripped.
     rows = [[" 1.5", " red ", " a"], ["2 ", "blue", "b  "], ["\t-3\t", " red", "a"]]
-    data = load(write_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
+    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
     x, c = data.columns
     assert (x.kind, c.kind) == (NUMERIC, CATEGORICAL)
     assert x.values.tolist() == [1.5, 2.0, -3.0]
@@ -333,20 +345,20 @@ def test_padded_cells_load_as_their_stripped_values(tmp_path):
 
 def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
     rows = [[" b", "1.5"], ["a ", "2"], ["b", "3"]]
-    data = load(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="y")
+    data = load(write_raw_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="y")
     assert data.label_name == "y" and data.labels.tolist() == [1, -1, 1]
     assert [c.name for c in data.columns] == ["x"]
     with pytest.raises(ValueError, match="^no column named 'z'$"):
         load(tmp_path / "x.csv", label_column="z")
     rows[1][1] = " "
     with pytest.raises(ValueError, match="^missing cell in row 3$"):
-        load(write_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
+        load(write_raw_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")
 
 
 def test_constant_categorical_column_loads_as_a_column_without_a_cut(tmp_path):
     # as a constant numeric column does; a fold's rows can make any column constant
     rows = [["red", "2.0", str(i), "ab"[i % 2]] for i in range(4)]
-    data = load(write_csv(tmp_path / "x.csv", ["c", "k", "x", "y"], rows))
+    data = load(write_raw_csv(tmp_path / "x.csv", ["c", "k", "x", "y"], rows))
     assert [(c.name, c.kind) for c in data.columns] == [
         ("c", CATEGORICAL), ("k", NUMERIC), ("x", NUMERIC)
     ]

@@ -867,7 +867,8 @@ class TestBoosterIntegration:
         weights = uniform_init(data.m, cfg)
         learner = TreeWeakLearner(max_nodes=7)
         tree, predictions = learner(weights, data)
-        assert predictions is tree.fitted
+        assert tree.fitted is None  # the hypothesis keeps no training predictions
+        assert predictions.tobytes() == tree.predict(data).tobytes()
         margins = data.labels * predictions
         r_max = confidence_bounds(weights, margins)
         assert math.isfinite(r_max) and r_max > 0
