@@ -14,11 +14,13 @@ split.  Any other file, quoted, ragged or with a blank line, is parsed by
 ``csv.reader`` in blocks of rows; it parses the first kind the same way.
 Both readers feed one consumer, which does the type inference: each block's
 numbers go into a float array per column, and a text column's stripped cells
-into codes of its distinct values, each value kept as one string.
+into codes of its distinct values, each kept as one string; once read, those
+are sorted into the column's ``levels`` and the codes remapped to them.
 
-Memory: a load holds the text, the columns it builds (8 bytes a cell) and
-the Python objects of one block's lines and cells, about 1 MiB at the
-default block size, never one object per line or cell of the whole file.
+Memory: a load holds the text, the columns it builds (8 bytes a cell, a float
+or a code, and a text column's levels once) and the Python objects of one
+block's lines and cells, about 1 MiB at the default block size, never one
+object per line or cell of the whole file.
 On a numeric file of 20000 rows (1.6 MB) ``tracemalloc`` peaks at twice the
 file's size, which is reading the text: its bytes and its decoded string.
 ``Dataset.column_block`` is built in place: on the benchmark tables its
@@ -86,19 +88,32 @@ def run_layout(bins: np.ndarray) -> RunLayout:
 
 @dataclass(frozen=True)
 class Column:
+    """A numeric column's floats, or a categorical one's integer codes into
+    ``levels``, its table's distinct values as ``np.unique`` sorts them (which
+    codes the values when no levels are given), read-only, shared by ``take``."""
+
     name: str
     kind: str
     values: np.ndarray
+    levels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        values, levels = np.asarray(self.values), self.levels
         if self.kind == NUMERIC:
+            if levels is not None:
+                raise ValueError(f"numeric column {self.name!r} has no levels")
             values = values.astype(float)
             # as in load_csv, where such a cell makes the column categorical
             if not np.isfinite(values).all():
                 raise ValueError(f"numeric column {self.name!r} holds a value that is not finite")
         elif self.kind == CATEGORICAL:
-            values = values.astype(str)
+            if levels is None:
+                levels, values = np.unique(values.astype(str), return_inverse=True)
+            elif values.dtype.kind not in "iu" or np.any((values < 0) | (values >= len(levels))):
+                raise ValueError(f"column {self.name!r} holds a code outside [0, {len(levels)})")
+            values, levels = values.astype(np.intp), np.asarray(levels)
+            levels.setflags(write=False)
+            object.__setattr__(self, "levels", levels)
         else:
             raise ValueError(f"unknown column kind {self.kind!r}")
         values.setflags(write=False)
@@ -109,9 +124,9 @@ class Column:
 class Dataset:
     """Immutable feature columns plus -1/+1 labels.
 
-    The tables that tree growth reads, ``category_codes``, ``column_block``
-    and its ``root_runs``, read only the columns; they are built on first use
-    and cached.  ``take`` returns a Dataset that builds all of them anew.
+    The tables that tree growth reads, ``column_block`` and its
+    ``root_runs``, read only the columns; they are built on first use and
+    cached.  ``take`` returns a Dataset that builds both anew.
     """
 
     columns: tuple
@@ -140,11 +155,9 @@ class Dataset:
         return len(self.columns)
 
     def take(self, indices) -> "Dataset":
-        """Row subset (used for folds); shares no mutable state."""
+        """Row subset (used for folds); shares no mutable state, only read-only ``levels``."""
         indices = np.asarray(indices, dtype=int)
-        columns = tuple(
-            Column(c.name, c.kind, c.values[indices]) for c in self.columns
-        )
+        columns = tuple(Column(c.name, c.kind, c.values[indices], c.levels) for c in self.columns)
         return Dataset(columns, self.labels[indices], self.label_name)
 
     @cached_property
@@ -156,11 +169,11 @@ class Dataset:
         value's code is its rank among at most ``MAX_BINS`` distinct
         values, else ``first * MAX_BINS // m`` for ``first`` its first
         sorted position, so that equal values share a bin and bins hold
-        nearly equal counts.  A categorical column is sorted by its
-        ``category_codes`` codes, which are its bins, however many levels
-        it has: every level keeps a bin of its own.  Built on first use
-        and reused by every tree grown on this Dataset; ``take`` returns a
-        Dataset with its own block.
+        nearly equal counts.  Every column is sorted by its ``values``, a
+        categorical one by its level codes, whose ranks are its bins,
+        however many levels it has: every level in this Dataset keeps a bin
+        of its own.  Built on first use and reused by every tree grown on
+        this Dataset; ``take`` returns a Dataset with its own block.
 
         Built in place: the argsort, the ranks and the sort keys, d * m * 8
         bytes each, are the most alive at once, beside the run starts (d * m
@@ -168,11 +181,7 @@ class Dataset:
         are freed.  The transient peak so stays near 3.5 times the table as
         floats, and the block keeps ``orders`` and the 1- or 2-byte ``bins``.
         """
-        codes = self.category_codes
-        values = np.array(
-            [codes[j][1] if j in codes else c.values for j, c in enumerate(self.columns)],
-            dtype=float,
-        ).reshape(self.d, self.m)
+        values = np.array([c.values for c in self.columns], dtype=float).reshape(self.d, self.m)
         orders = np.argsort(values, axis=1)  # numpy's SIMD sort, which may reorder ties
         # sorted in place: the values in ``orders``' order but for the order of
         # -0.0 and 0.0, which compare equal, so the run starts are the same
@@ -207,21 +216,6 @@ class Dataset:
         """The ``run_layout`` of ``column_block``'s bins, which every root
         split of a tree grown on this Dataset reads; built like the block."""
         return run_layout(self.column_block[1])
-
-    @cached_property
-    def category_codes(self) -> dict:
-        """Categorical column index -> ``(levels, codes)``.
-
-        ``levels`` holds the column's distinct values, sorted, and
-        ``codes[i]`` is row i's position in it, so that
-        ``levels[codes]`` is the column.  Built on first use, like
-        ``column_block``; a Dataset from ``take`` has its own table.
-        """
-        return {
-            j: np.unique(c.values, return_inverse=True)
-            for j, c in enumerate(self.columns)
-            if c.kind == CATEGORICAL
-        }
 
 
 def _parse_numeric(cells):
@@ -406,8 +400,9 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         if j == label_idx:
             continue
         values = np.concatenate(parts[j])
-        if j in as_text:
-            columns.append(Column(name, CATEGORICAL, np.array(list(levels[j]), dtype=str)[values]))
+        if j in as_text:  # the levels sorted once, and the codes remapped to them
+            names, rank = np.unique(np.array(list(levels[j]), dtype=str), return_inverse=True)
+            columns.append(Column(name, CATEGORICAL, rank[values], names))
         else:
             columns.append(Column(name, NUMERIC, values))
     return Dataset(tuple(columns), labels, header[label_idx])
@@ -425,7 +420,8 @@ def write_csv(path, header, rows) -> None:
 def save_csv(data: Dataset, path) -> None:
     """Serialize a Dataset back to CSV (labels written as -1/1)."""
     header = [c.name for c in data.columns] + [data.label_name]
-    write_csv(path, header, zip(*(c.values.tolist() for c in data.columns), data.labels.tolist()))
+    cells = (c.values if c.levels is None else c.levels[c.values] for c in data.columns)
+    write_csv(path, header, zip(*(column.tolist() for column in cells), data.labels.tolist()))
 
 
 def stratified_folds(data: Dataset, k: int, seed):

@@ -27,30 +27,31 @@ Guestrin, KDD 2016): ``Dataset.column_block`` sorts every column once per
 Dataset and codes each entry with its bin.  A numeric column gets every
 midpoint when it has at most ``dataio.MAX_BINS`` distinct values, else
 equal-count bins that never split equal values (the global proposal of
-XGBoost's approximate split finding, section 3.2); a categorical column
-is sorted by its level codes, one bin per level.  A row's two class
-masses travel as one complex number, positive + 1j * negative, so that a
-gather, a prefix sum or a reordering moves both in one numpy call;
-complex addition adds each part on its own, so every sum has the bits of
-its per-class twin.  ``induce_tree`` gathers those masses into block order
-once per tree.  A leaf below the root finds its entries of the block, in
-order, as one flat index and takes its bins and masses with it.  Each
-leaf sums the masses of each run of equal codes in every column, so a
-numeric and a categorical column with the same runs get bitwise equal
-run masses.  Where the runs lie
-(``dataio.run_layout``) depends only on the rows, not the weights: a leaf
-below the root computes it, and the root reads ``Dataset.root_runs``,
-built once per Dataset for every tree, and so every boosting round, grown
-on it.  A numeric threshold is the midpoint of the leaf values a < b on
-either side of a cut between runs, taken as a/2 + b/2 so that it cannot
-overflow, or b itself when the midpoint rounds onto a: ``x >= threshold``
-then routes exactly the rows the cut scored.  A categorical column's runs
-are its levels in the leaf; ranked by posterior, their k-1 prefixes are
-its candidates: for two classes and a concave impurity such as L_t, the
-best subset is one of them (Breiman et al., CART 1984, section 9.4).  The
-admissibility rule makes that scan exact only when every level in the
-leaf holds both classes; a single-class level can make the best
-admissible subset a non-prefix one, which the scan misses.
+XGBoost's approximate split finding, section 3.2); a categorical column is
+sorted by its codes into its table's ``levels``, one bin per level the
+Dataset holds.  A row's two class masses travel as one complex number,
+positive + 1j * negative, so that a gather, a prefix sum or a reordering
+moves both in one numpy call; complex addition adds each part on its own,
+so every sum has the bits of its per-class twin.  ``induce_tree`` gathers
+those masses into block order once per tree.  A leaf below the root finds
+its entries of the block, in order, as one flat index and takes its bins
+and masses with it.  Each leaf sums the masses of each run of equal codes
+in every column, so a numeric and a categorical column with the same runs
+get bitwise equal run masses.  Where the runs lie (``dataio.run_layout``)
+depends only on the rows, not the weights: a leaf below the root computes
+it, and the root reads ``Dataset.root_runs``, built once per Dataset for
+every tree, and so every boosting round, grown on it.  A numeric threshold
+is the midpoint of the leaf values a < b on either side of a cut between
+runs, taken as a/2 + b/2 so that it cannot overflow, or b itself when the
+midpoint rounds onto a: ``x >= threshold`` then routes exactly the rows
+the cut scored.  A categorical column's runs are its levels in the leaf;
+ranked by posterior, their k-1 prefixes are its candidates, a chosen one
+named through the column's ``levels`` by the codes at its runs' first
+entries: for two classes and a concave impurity such as L_t, the best
+subset is one of them (Breiman et al., CART 1984, section 9.4).  The
+admissibility rule makes that scan exact only when every level in the leaf
+holds both classes; a single-class level can make the best admissible
+subset a non-prefix one, which the scan misses.
 
 Each leaf scores all candidates and itself in one block: row j holds
 column j's class masses on both sides of its cuts, from complex prefix
@@ -83,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import Dataset, run_layout
+from .dataio import CATEGORICAL, Dataset, run_layout
 from .errors import SingleClassError
 from .talgebra import TemperConfig, bayes_risk
 from .weights import TemWeights, co_density, initial_weight
@@ -102,17 +103,16 @@ class NumericSplit:
 
 @dataclass(frozen=True)
 class CategoricalSplit:
-    """Test x[feature] in subset; other levels, even unseen ones, test false."""
+    """Test x[feature] in subset, sorted level names; other levels, even unseen ones, test false."""
 
     feature: int
     subset: tuple
 
     def evaluate(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
-        levels, codes = data.category_codes[self.feature]
-        # a set lookup per level of ``data``: several times faster than np.isin on strings
-        chosen = set(self.subset)
-        in_subset = np.fromiter(map(chosen.__contains__, levels.tolist()), bool, levels.size)
-        return in_subset[codes[rows]]
+        """The subset mapped onto ``data``'s own levels, as a mask that the codes index."""
+        column, chosen = data.columns[self.feature], set(self.subset)
+        in_subset = np.fromiter(map(chosen.__contains__, column.levels.tolist()), bool)
+        return in_subset[column.values[rows]]
 
 
 class LeafStats(NamedTuple):
@@ -243,7 +243,9 @@ def _best_split(data, rows, masses, cfg, parent):
     of equal bin codes in code order, those of a categorical column (its
     levels in the leaf) reordered by posterior.  The row-major argmax over
     the masked gains breaks ties to the lowest feature, then the lowest
-    threshold or the shortest prefix.
+    threshold or the shortest prefix.  The chosen cut is read off the column
+    at entries of the leaf: the values either side of it, or the codes of
+    its runs' first entries.
     """
     order, bins = data.column_block
     leaf = None
@@ -257,8 +259,7 @@ def _best_split(data, rows, masses, cfg, parent):
     else:  # the root's layout is the same in every tree grown on data
         layout = data.root_runs
     sums = _run_sums(layout, masses)
-    codes = data.category_codes
-    categorical = list(codes)
+    categorical = [j for j, column in enumerate(data.columns) if column.kind == CATEGORICAL]
     if categorical:  # rank the levels by posterior, runs without mass and padding last
         if layout.slot is None:  # the sums are the block, which the tree's leaves share
             sums = sums.copy()
@@ -286,13 +287,16 @@ def _best_split(data, rows, masses, cfg, parent):
     gains = terms[-1] - (terms[:cuts] + terms[cuts:-1])  # the sum commutes: mirrors tie
     best = int(np.where(admissible, gains, -np.inf).argmax())
     j, at = divmod(best, width - 1)  # block row j is column j
-    starts = np.flatnonzero(layout.run_start[j])
-    if j in codes:  # a run's level code is the bin at its start
-        prefix = np.sort(bins[j, starts[ranked[categorical.index(j), : at + 1]]])
-        return CategoricalSplit(j, tuple(codes[j][0][prefix].tolist()))
-    right = j * rows.size + starts[at + 1]  # the leaf's first entry right of the cut
-    around = [right - 1, right] if leaf is None else leaf[right - 1 : right + 1]
-    below, above = data.columns[j].values[order.take(around)].tolist()
+    column = data.columns[j]
+    starts = j * rows.size + np.flatnonzero(layout.run_start[j])  # row j's runs, as leaf entries
+    if j in categorical:  # each chosen run's first entry, whose code is its level's
+        entries = starts[ranked[categorical.index(j), : at + 1]]
+    else:  # the leaf's entries on either side of the cut
+        entries = starts[at + 1] - np.array([1, 0])
+    values = np.sort(column.values[order.take(entries if leaf is None else leaf[entries])])
+    if j in categorical:
+        return CategoricalSplit(j, tuple(column.levels[values].tolist()))
+    below, above = values.tolist()
     threshold = below / 2 + above / 2  # cannot overflow, unlike (below + above) / 2
     if not below < threshold <= above:  # rounded onto below: adjacent doubles
         threshold = above

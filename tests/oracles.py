@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,16 +27,22 @@ from tempboost.weights import co_density
 # row-wise references for the vectorised prediction paths
 
 
+def cells(column, rows=slice(None)):
+    """A column's cells at ``rows``: a categorical column's levels, decoded."""
+    values = column.values[rows]
+    return values if column.kind == NUMERIC else column.levels[values]
+
+
 def feature_matrix(data) -> np.ndarray:
     """Dense float matrix; only defined when all columns are numeric."""
     if any(c.kind != NUMERIC for c in data.columns):
         raise ValueError("feature_matrix requires all-numeric columns")
-    return np.column_stack([c.values for c in data.columns])
+    return np.column_stack([cells(c) for c in data.columns])
 
 
 def row_of(data, i: int) -> tuple:
     """Row i of a Dataset: each column's value there."""
-    return tuple(column.values[i] for column in data.columns)
+    return tuple(cells(column, i) for column in data.columns)
 
 
 def evaluate_row(predicate, row) -> bool:
@@ -448,7 +455,7 @@ def naive_tree(data, weights, max_nodes: int, t: float, max_bins=None):
         parent_term = r_par * _naive_bayes_risk(p_par, t)
         best = None
         for f, column in enumerate(data.columns):
-            values = column.values[rows]
+            values = cells(column, rows)
             if column.kind == "numeric":
                 distinct = np.unique(values)
                 candidates = [
@@ -459,16 +466,8 @@ def naive_tree(data, weights, max_nodes: int, t: float, max_bins=None):
             else:
                 # proper nonempty subsets up to complement: those with cats[0]
                 cats = sorted(set(values.tolist()))
-                candidates = []
-                for mask in range(0, 1 << (len(cats) - 1)):
-                    subset = tuple(
-                        sorted(
-                            [cats[0]]
-                            + [cats[k + 1] for k in range(len(cats) - 1) if (mask >> k) & 1]
-                        )
-                    )
-                    if len(subset) < len(cats):
-                        candidates.append(("cat", subset))
+                rests = chain.from_iterable(combinations(cats[1:], n) for n in range(len(cats) - 1))
+                candidates = [("cat", (cats[0], *rest)) for rest in rests]
             for kind, key in candidates:
                 if kind == "num":
                     mask = values >= key

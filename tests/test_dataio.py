@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import cells
 from tempboost import dataio
 from tempboost.dataio import (
     CATEGORICAL,
@@ -28,16 +29,8 @@ from tempboost.tree import induce_tree
 
 def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
     data = make_mixed_table(m=120, seed=4)
-    path = tmp_path / "mixed.csv"
-    save_csv(data, path)
-    loaded = load(path)
-    assert loaded.label_name == data.label_name
-    assert np.array_equal(loaded.labels, data.labels)
-    assert [(c.name, c.kind) for c in loaded.columns] == [
-        (c.name, c.kind) for c in data.columns
-    ]
-    for got, want in zip(loaded.columns, data.columns):
-        assert np.array_equal(got.values, want.values)  # repr() keeps floats exact
+    save_csv(data, tmp_path / "mixed.csv")
+    assert describe(load(tmp_path / "mixed.csv")) == describe(data)  # repr() keeps floats exact
 
 
 def test_write_csv_writes_floats_as_their_repr_and_nan_as_an_empty_cell(tmp_path):
@@ -68,14 +61,29 @@ def test_a_dataset_copies_the_labels_it_is_given():
     assert data.labels.tolist() == [-1, 1, -1, 1]
 
 
-def test_category_codes_rebuild_each_categorical_column():
-    data = make_mixed_table(m=80, seed=5)
-    codes = data.category_codes
-    assert sorted(codes) == [j for j, c in enumerate(data.columns) if c.kind == CATEGORICAL]
-    assert all(data.columns[j].kind == NUMERIC for j in range(data.d) if j not in codes)
-    for j, (levels, row_codes) in codes.items():
-        assert levels.tolist() == sorted(set(data.columns[j].values.tolist()))
-        assert np.array_equal(levels[row_codes], data.columns[j].values)
+def test_a_categorical_column_is_its_sorted_levels_and_one_code_per_row(tmp_path):
+    strings = ["red", "blue", "red", "Z", "é", "blue", "amber"]
+    rows = [[cell, "ab"[i % 2]] for i, cell in enumerate(strings)]
+    (loaded,) = load(write_raw_csv(tmp_path / "x.csv", ["c", "y"], rows)).columns
+    built = Column("c", CATEGORICAL, strings)
+    for column in (loaded, built):
+        assert column.levels.tolist() == sorted(set(strings)) and not column.levels.flags.writeable
+        assert column.values.tolist() == built.values.tolist()
+        assert column.levels[column.values].tolist() == strings
+    rows = np.array([1, 3, 5])  # "red" and "amber" are not among them
+    (taken,) = Dataset((loaded,), np.ones(7, dtype=np.int64)).take(rows).columns
+    assert taken.levels is loaded.levels and taken.values.dtype == np.intp
+    assert taken.values.tolist() == loaded.values[rows].tolist()
+
+
+def test_a_column_checks_the_codes_and_levels_it_is_given():
+    levels = np.array(["a", "b"])
+    for codes in ([0, 2], [-1, 1], [0.0, 1.0]):
+        with pytest.raises(ValueError, match=r"^column 'c' holds a code outside \[0, 2\)$"):
+            Column("c", CATEGORICAL, codes, levels)
+    with pytest.raises(ValueError, match="^numeric column 'x' has no levels$"):
+        Column("x", NUMERIC, [1.0, 2.0], levels)
+    assert Column("c", CATEGORICAL, [1, 0, 1], levels).levels.tolist() == ["a", "b"]
 
 
 def test_label_noise_flips_the_class_indicator_with_the_labels():
@@ -84,19 +92,6 @@ def test_label_noise_flips_the_class_indicator_with_the_labels():
     flipped = noisy.labels != data.labels
     assert 0 < flipped.sum() < data.m
     assert inject_label_noise(data, 0.0, 7) is data
-
-
-def test_take_builds_its_own_category_codes():
-    data = make_mixed_table(m=80, seed=6)
-    j = next(iter(data.category_codes))
-    values = data.columns[j].values
-    dropped = values[0]
-    rows = np.flatnonzero(values != dropped)
-    sub = data.take(rows)
-    levels, row_codes = sub.category_codes[j]
-    assert dropped not in levels.tolist()
-    assert np.array_equal(levels[row_codes], values[rows])
-    assert data.category_codes[j][0].tolist().count(dropped) == 1
 
 
 @pytest.mark.parametrize("m", (1, 2, 9, 5000))
@@ -113,10 +108,8 @@ def test_column_block_orders_are_a_stable_argsort(m):
     )
     data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
     orders, _ = data.column_block
-    codes = data.category_codes
     for j, column in enumerate(columns):
-        keys = codes[j][1] if j in codes else column.values
-        assert np.array_equal(orders[j], np.argsort(keys, kind="stable"))
+        assert np.array_equal(orders[j], np.argsort(column.values, kind="stable"))
 
 
 @pytest.mark.parametrize("m", (7, 300, 4000))
@@ -134,21 +127,21 @@ def test_column_block_bins_are_ranks_equal_count_codes_or_level_codes(m):
         Column("grade", CATEGORICAL, rng.choice(list("abcd"), size=m)),
         Column("tag", CATEGORICAL, [f"t{k}" for k in rng.integers(0, 2 * MAX_BINS, size=m)]),
     )
-    data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
-    orders, bins = data.column_block
-    codes = data.category_codes
-    for j, column in enumerate(columns):
-        if j in codes:  # a categorical entry's bin is its level's code
-            want = codes[j][1]
-        else:  # the value's rank among the distinct values, else its equal-count bin
+    table = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
+    for data in (table, table.take(np.arange(0, m, 3))):  # a fold's codes have gaps
+        orders, bins = data.column_block
+        for j, column in enumerate(data.columns):
+            # the value's rank among the distinct values, a level code's among the
+            # codes, else, numeric and above MAX_BINS distinct values, its equal-count bin
             distinct, rank = np.unique(column.values, return_inverse=True)
             first = np.searchsorted(np.sort(column.values), column.values)
-            want = rank if distinct.size <= MAX_BINS else first * MAX_BINS // m
-        assert np.array_equal(bins[j], want[orders[j]])
-    assert bins.dtype == np.min_scalar_type(bins.max())
+            binned = column.kind == NUMERIC and distinct.size > MAX_BINS
+            want = first * MAX_BINS // data.m if binned else rank
+            assert np.array_equal(bins[j], want[orders[j]])
+        assert bins.dtype == np.min_scalar_type(bins.max())
     if m == 4000:  # every kind of column above occurs
         assert np.unique(columns[3].values).size > MAX_BINS >= np.unique(columns[2].values).size
-        assert codes[7][0].size > MAX_BINS
+        assert columns[7].levels.size > MAX_BINS
 
 
 def dealt_test_folds(labels, k, seed) -> list:
@@ -208,7 +201,8 @@ def write_raw_csv(path, header, rows, newline="\n"):
 def describe(data):
     """Everything a Dataset holds, bit for bit."""
     columns = [(c.name, c.kind, c.values.dtype.str, c.values.tobytes()) for c in data.columns]
-    return data.label_name, data.labels.tobytes(), columns
+    levels = [c.levels is None or c.levels.tolist() for c in data.columns]
+    return data.label_name, data.labels.tobytes(), columns, levels
 
 
 def load(path, **kwargs):
@@ -270,14 +264,14 @@ def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, tex
         with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
             load(path)
     else:
-        assert load(path).columns[1].values.tolist() == outcome
+        assert cells(load(path).columns[1]).tolist() == outcome
 
 
 def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path):
     long = "v" * (csv.field_size_limit() + 1)
     rows = [["1", long, "a"], ["2", "w", "b"]]
     data = load(write_raw_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
-    assert data.columns[1].values.tolist() == [long, "w"]
+    assert cells(data.columns[1]).tolist() == [long, "w"]
     with pytest.raises(csv.Error):  # a quote sends the file to csv.reader
         load(write_raw_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
 
@@ -306,7 +300,7 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
     data = load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == CATEGORICAL
-    assert column.values.tolist() == ["1.5", odd, "2", "1.5"]
+    assert cells(column).tolist() == ["1.5", odd, "2", "1.5"]
     if odd != "x":  # a numeric Column refuses it too: nan sorts last, yet fails x >= cut
         with pytest.raises(ValueError, match="numeric column 'x' holds a value that is not"):
             Column("x", NUMERIC, [1.5, float(odd), 2.0, 1.5])
@@ -339,7 +333,7 @@ def test_padded_cells_load_as_their_stripped_values(tmp_path):
     x, c = data.columns
     assert (x.kind, c.kind) == (NUMERIC, CATEGORICAL)
     assert x.values.tolist() == [1.5, 2.0, -3.0]
-    assert c.values.tolist() == ["red", "blue", "red"]
+    assert cells(c).tolist() == ["red", "blue", "red"]
     assert data.labels.tolist() == [-1, 1, -1]
 
 
@@ -362,7 +356,7 @@ def test_constant_categorical_column_loads_as_a_column_without_a_cut(tmp_path):
     assert [(c.name, c.kind) for c in data.columns] == [
         ("c", CATEGORICAL), ("k", NUMERIC), ("x", NUMERIC)
     ]
-    assert data.category_codes[0][0].tolist() == ["red"]
+    assert data.columns[0].levels.tolist() == ["red"]
     tree = induce_tree(data, np.full(4, 0.25), 3, TemperConfig(0.5))
     assert tree.root.predicate.feature == 2  # the only column with a cut
 
@@ -382,7 +376,7 @@ def test_a_column_that_turns_to_text_after_a_block_is_read_again_as_text(tmp_pat
     path = long_csv(tmp_path, rows, {3: " 3 ,b", rows - 1: f"late,{'ab'[(rows - 1) % 2]}"})
     (column,) = load(path).columns
     assert column.kind == CATEGORICAL
-    assert column.values.tolist() == [str(i) for i in range(rows - 1)] + ["late"]
+    assert cells(column).tolist() == [str(i) for i in range(rows - 1)] + ["late"]
 
 
 @pytest.mark.parametrize(
@@ -437,7 +431,7 @@ def test_loading_holds_less_than_three_times_the_file(tmp_path):
 @pytest.mark.parametrize("table", ("numeric", "mixed"))
 def test_building_the_column_block_holds_less_than_five_copies_of_the_table(table):
     # the block is built in place: numeric columns above MAX_BINS distinct values,
-    # which are binned, and a mixed table whose level codes are built beforehand
+    # which are binned, and a mixed table
     rng = np.random.default_rng(2)
     m = 20000
     if table == "numeric":
@@ -445,7 +439,6 @@ def test_building_the_column_block_holds_less_than_five_copies_of_the_table(tabl
         data = Dataset(columns, np.where(rng.random(m) < 0.5, 1, -1))
     else:
         data = make_mixed_table(m=m, seed=2)
-    data.category_codes
     tracemalloc.start()
     try:
         orders, bins = data.column_block

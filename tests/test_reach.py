@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import cells
 from tempboost import dataio
 from tempboost.dataio import Column, Dataset, save_csv
 from tempboost.experiment import RunSpec, main, run
@@ -128,7 +129,7 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         # reads this file; load_csv splits the unquoted wideband one itself
         table = make_mixed_table(m=400)
         color = table.columns[0]
-        dark = np.where(color.values == "red", "red, dark", color.values)
+        dark = np.where(cells(color) == "red", "red, dark", cells(color))
         columns = (Column(color.name, color.kind, dark), *table.columns[1:])
         save_csv(Dataset(columns, table.labels, table.label_name), mixed)
         run(RunSpec(str(wideband), out_dir=str(tmp_path / "a"), **grid))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import cells
 from tempboost.dataio import CATEGORICAL, NUMERIC
 from tempboost.synthetic import make_margin_blobs, make_mixed_table, make_wideband
 
@@ -12,7 +13,7 @@ def as_tuple(data):
     return (
         data.label_name,
         data.labels.tolist(),
-        [(c.name, c.kind, c.values.tolist()) for c in data.columns],
+        [(c.name, c.kind, cells(c).tolist()) for c in data.columns],
     )
 
 
@@ -49,6 +50,6 @@ def test_mixed_table_has_two_categorical_and_two_numeric_columns():
         ("size", NUMERIC),
         ("weight", NUMERIC),
     ]
-    assert set(data.columns[0].values.tolist()) <= {"red", "green", "blue", "amber"}
-    assert set(data.columns[1].values.tolist()) <= {"disc", "ring", "rod"}
+    assert set(data.columns[0].levels.tolist()) <= {"red", "green", "blue", "amber"}
+    assert set(data.columns[1].levels.tolist()) <= {"disc", "ring", "rod"}
     assert set(data.labels.tolist()) == {-1, 1}

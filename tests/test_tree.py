@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import describe_tree, leaf_of, naive_tree, predict_row, row_of, split_gain
+from oracles import cells, describe_tree, leaf_of, naive_tree, predict_row, row_of, split_gain
 from paper_math import exp_t, leaves, matusita_split_ratio, scalar_bayes_risk
 from tempboost import dataio
 from tempboost import tree as tree_module
@@ -83,10 +83,15 @@ def tied_dataset(m=64, seed=21):
     return Dataset(columns, labels), np.full(m, 1.0 / m)
 
 
-def split_features(node):
+def split_nodes(node):
+    """The split ``Node``s of the tree under ``node``, depth first."""
     if node.predicate is None:
         return []
-    return [node.predicate.feature] + split_features(node.left) + split_features(node.right)
+    return [node] + split_nodes(node.left) + split_nodes(node.right)
+
+
+def split_features(node):
+    return [split.predicate.feature for split in split_nodes(node)]
 
 
 def root_gain(tree, data, w, cfg):
@@ -177,17 +182,11 @@ class TestSplitGain:
 
     def test_nonnegative_on_real_partitions(self):
         data, w = weighted_mixed_dataset()
-        labels = data.labels
-        wpos = np.where(labels > 0, w, 0.0)
-        wneg = np.where(labels < 0, w, 0.0)
-        parent = LeafStats(wpos.sum(), wneg.sum())
         checked = 0
         for threshold in np.quantile(data.columns[0].values, (0.25, 0.5, 0.75)):
             mask = data.columns[0].values >= threshold
-            left = LeafStats(wpos[~mask].sum(), wneg[~mask].sum())
-            right = LeafStats(wpos[mask].sum(), wneg[mask].sum())
             for t in (0.0, 0.5, 1.0):
-                gain = split_gain(parent, left, right, TemperConfig(t))
+                gain = partition_gain(data, w, mask, TemperConfig(t))
                 if gain != -math.inf:  # admissible partitions only
                     assert gain >= -1e-12
                     checked += 1
@@ -231,18 +230,9 @@ class TestInduceTree:
         w = np.full(4, 0.25)
         cfg = TemperConfig(0.0)
         # oracle: enumerate both root candidates directly
-        parent = LeafStats(0.5, 0.5)
         for feature in (0, 1):
             mask = data.columns[feature].values >= 0.5
-            left = LeafStats(
-                w[~mask][data.labels[~mask] > 0].sum(),
-                w[~mask][data.labels[~mask] < 0].sum(),
-            )
-            right = LeafStats(
-                w[mask][data.labels[mask] > 0].sum(),
-                w[mask][data.labels[mask] < 0].sum(),
-            )
-            assert split_gain(parent, left, right, cfg) == pytest.approx(0.0, abs=1e-14)
+            assert partition_gain(data, w, mask, cfg) == pytest.approx(0.0, abs=1e-14)
         # oracle: each depth-1 cell holds one example of each class, so any
         # further numeric split isolates a class and is inadmissible
         for a, b in (((0.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (1.0, 1.0))):
@@ -317,11 +307,8 @@ class TestInduceTree:
         left3, right3 = tree3.root.left, tree3.root.right
         heavier_is_left = left3.stats.r >= right3.stats.r  # a tie goes to the older, left
         heavier, lighter = (left3, right3) if heavier_is_left else (right3, left3)
-        child5, other5 = (
-            (tree5.root.left, tree5.root.right)
-            if heavier_is_left
-            else (tree5.root.right, tree5.root.left)
-        )
+        children5 = (tree5.root.left, tree5.root.right)
+        child5, other5 = children5 if heavier_is_left else children5[::-1]
         assert child5.stats == heavier.stats and other5.stats == lighter.stats
         assert child5.predicate is not None
         assert other5.predicate is None
@@ -341,10 +328,9 @@ class TestInduceTree:
         # the children's risks at t = 1 are at most sqrt(1 - rho^2) times the parent's
         data, w = random_mixed_table(seed)
         tree = induce_tree(data, w, 15, TemperConfig(1.0))
-        splits = [tree.root] if tree.root.predicate is not None else []
+        splits = split_nodes(tree.root)
         for node in splits:
             assert matusita_split_ratio(node.left.stats, node.right.stats) <= 1.0 + 1e-12
-            splits += [child for child in (node.left, node.right) if child.predicate is not None]
         assert len(splits) == (tree.n_nodes - 1) // 2 > 0
 
     def test_leaf_masses_partition_unit(self):
@@ -686,7 +672,7 @@ def oriented_like_naive(tree, data):
         left, right = walk(node.left, rows[~test]), walk(node.right, rows[test])
         if isinstance(predicate, NumericSplit):
             return ("split", predicate.feature, predicate.threshold, left, right)
-        present = sorted(set(data.columns[predicate.feature].values[rows].tolist()))
+        present = sorted(set(cells(data.columns[predicate.feature], rows).tolist()))
         if present[0] in predicate.subset:
             return ("split", predicate.feature, predicate.subset, left, right)
         rest = tuple(v for v in present if v not in predicate.subset)
@@ -759,13 +745,13 @@ def enumerated_gain(data, w, t):
     found = naive_tree(data, w, 3, t)
     if found[0] == "leaf":
         return -math.inf
-    values = data.columns[found[1]].values
+    values = cells(data.columns[found[1]])
     return partition_gain(data, w, np.isin(values, found[2]), TemperConfig(t))
 
 
 def best_prefix_gain(data, w, cfg):
     """Best admissible prefix of the levels ranked by posterior, level order on ties."""
-    values = data.columns[0].values
+    values = cells(data.columns[0])
     levels = sorted(set(values.tolist()))
     pos = {v: w[(values == v) & (data.labels > 0)].sum() for v in levels}
     neg = {v: w[(values == v) & (data.labels < 0)].sum() for v in levels}
@@ -824,16 +810,11 @@ class TestCategoricalSplits:
 
     def test_levels_without_mass_take_the_false_branch(self):
         data, w = graded_column(6, 60, seed=3, mixed=True)
-        weightless = data.columns[0].values == "v2"
+        weightless = cells(data.columns[0]) == "v2"
         w = np.where(weightless, 0.0, w) / w[~weightless].sum()
         tree = induce_tree(data, w, 7, TemperConfig(0.5))
         assert tree.n_nodes == 7
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.predicate is not None:
-                assert "v2" not in node.predicate.subset
-                stack.extend((node.left, node.right))
+        assert all("v2" not in node.predicate.subset for node in split_nodes(tree.root))
 
     def test_categorical_only_table_splits(self):
         full = make_mixed_table(m=300, seed=2)
@@ -845,19 +826,42 @@ class TestCategoricalSplits:
 
     def test_predict_handles_unseen_and_missing_levels(self):
         data, w = weighted_mixed_dataset(m=60, seed=8)
-        tree = induce_tree(data, w, 9, TemperConfig(0.5))
-        assert 1 in split_features(tree.root)
-        grade = data.columns[1].values
+        grade = cells(data.columns[1])
         # a level never seen in training, and a fold where "b" is missing
         renamed = Column("x2", CATEGORICAL, np.where(grade == "a", "z", grade))
         unseen = Dataset((data.columns[0], renamed), data.labels)
-        keep = np.flatnonzero(grade != "b")
-        for other in (unseen, data.take(keep)):
-            rowwise = [predict_row(tree, row_of(other, i)) for i in range(other.m)]
-            assert np.array_equal(tree.predict(other), rowwise)
+        missing = data.take(np.flatnonzero(grade != "b"))
+        self.predicts_like_the_oracle(data, w, 1, (unseen, missing), unseen, "z")
         # "z" rows were "a" rows: an unseen level takes the false branch
         in_subset = CategoricalSplit(1, ("a", "b")).evaluate(unseen, np.arange(unseen.m))
         assert np.array_equal(in_subset, grade == "b")
+
+    def test_a_fold_of_a_table_above_max_bins_levels_predicts_like_the_oracle(self):
+        table, w = graded_column(2 * MAX_BINS, 600, seed=16, mixed=True)
+        test = (np.arange(table.m) % 3 == 0) | (cells(table.columns[0]) == "v7")  # v7 only here
+        train, held_out = table.take(np.flatnonzero(~test)), table.take(np.flatnonzero(test))
+        assert np.unique(train.columns[0].values).size < table.columns[0].levels.size > MAX_BINS
+        assert train.columns[0].levels is held_out.columns[0].levels is table.columns[0].levels
+        w, cfg = w[~test] / w[~test].sum(), TemperConfig(0.5)
+        tree = self.predicts_like_the_oracle(train, w, 0, (held_out,), held_out, "v7")
+        gain = best_prefix_gain(train, w, cfg)  # the split scored is the split decoded
+        assert root_gain(tree, train, w, cfg) == pytest.approx(gain, rel=0, abs=1e-12)
+
+    @staticmethod
+    def predicts_like_the_oracle(data, w, feature, others, unseen, level):
+        """The tree grown on ``data`` splits on ``feature`` and predicts every
+        Dataset of ``others`` row by row as the oracle does; the rows of
+        ``unseen`` that hold ``level`` take the false branch of every split on it."""
+        tree = induce_tree(data, w, 9, TemperConfig(0.5))
+        assert feature in split_features(tree.root)
+        for other in others:
+            rowwise = [predict_row(tree, row_of(other, i)) for i in range(other.m)]
+            assert np.array_equal(tree.predict(other), rowwise)
+        rows = np.flatnonzero(cells(unseen.columns[feature]) == level)
+        for node in split_nodes(tree.root):
+            if isinstance(node.predicate, CategoricalSplit):
+                assert rows.size and not node.predicate.evaluate(unseen, rows).any()
+        return tree
 
 
 class TestBoosterIntegration:
