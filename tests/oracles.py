@@ -71,22 +71,16 @@ def clamped_sum(values, delta: float, mode: str = "double") -> float:
     """Order-sensitive running sum clamped after every addend.
 
     A strict left fold over ``values`` starting from 0: ``upper`` applies
-    min(. , delta) after each addition, ``lower`` applies max(. , -delta),
-    and ``double`` applies min then max.  The clamp runs inside the fold,
-    so the operation is non-commutative, e.g. (-1, 3) at delta=2 sums to 2
-    while (3, -1) sums to 1.  A delta of +inf recovers the plain sum.
+    min(. , delta) after each addition, and ``double`` applies min, then
+    max(. , -delta).  The clamp runs inside the fold, so the operation is
+    non-commutative, e.g. (-1, 3) at delta=2 sums to 2 while (3, -1) sums
+    to 1.  A delta of +inf recovers the plain sum.
     """
-    if mode not in ("upper", "lower", "double"):
-        raise ValueError(f"unknown clamp mode {mode!r}")
-    delta = float(delta)
-    if math.isnan(delta) or delta < 0:
-        raise ValueError("delta must be nonnegative")
+    lower = {"upper": False, "double": True}[mode]
     s = 0.0
     for v in values:
-        s += float(v)
-        if mode != "lower":
-            s = min(s, delta)
-        if mode != "upper":
+        s = min(s + float(v), delta)
+        if lower:
             s = max(s, -delta)
     return s
 
@@ -98,11 +92,7 @@ def predict(ensemble, x, clamped: bool = False):
     contributions are folded in training order, through the doubly clamped
     sum at delta = 1/(1-t) when clamped; ties in the sign go to +1.
     """
-    if not ensemble.members:
-        raise ValueError("empty ensemble")
     delta = ensemble.cfg.clamp_delta if clamped else math.inf
-    if math.isinf(delta) and clamped:
-        raise ValueError("clamped prediction requires t < 1")
     contributions = [
         member.alpha * predict_row(member.hypothesis, x) for member in ensemble.members
     ]

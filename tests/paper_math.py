@@ -1,10 +1,9 @@
 """Paper mathematics that the experiment does not run, checked against ``oracles.py``.
 
-The deformed exponential, product and subtraction, the tempered
-exponential loss, the exact entropy projection onto q~.u = 0, the partial
-losses of the tempered CPE family with their properness and coverage
-checks, the t = 1 split rate, and the leaves of a tree.  Private helpers
-come from the package.
+The deformed exponential, the tempered exponential loss, the exact
+entropy projection onto q~.u = 0, the partial losses of the tempered CPE
+family with their properness and coverage checks, the t = 1 split rate,
+and the leaves of a tree.  Private helpers come from the package.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def _finish(out, scalar, shape):
 
 
 # ---------------------------------------------------------------------------
-# deformed exponential, product and subtraction
+# deformed exponential and the tempered exponential loss
 
 
 def exp_t(z, cfg: TemperConfig):
@@ -68,44 +67,6 @@ def exp_t(z, cfg: TemperConfig):
             out[good] = np.exp(np.log1p(om * arr[good]) / om)
         out[~good] = 0.0 if t < 1 else np.inf
     return _finish(out, scalar, shape)
-
-
-def t_product(a: float, b: float, cfg: TemperConfig) -> float:
-    """Deformed product [a^(1-t) + b^(1-t) - 1]_+^(1/(1-t)) of floats a, b >= 0.
-
-    1 is the unit; the ordinary product at t=1.  Satisfies
-    exp_t(x + y) = t_product(exp_t(x), exp_t(y)).  Above t = 1 a zero
-    operand annihilates (its power diverges, and the outer negative
-    exponent sends the product to the zero limit), and a bracket at or
-    below 0 diverges.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("t_product requires nonnegative operands")
-    if cfg.is_classic():
-        return a * b
-    om = 1.0 - cfg.t
-    if om < 0 and (a == 0 or b == 0):
-        return 0.0
-    with np.errstate(over="ignore"):  # numpy scalars: an overflow is inf, not an error
-        bracket = np.float64(a) ** om + np.float64(b) ** om - 1.0
-        if bracket <= 0:
-            return 0.0 if om > 0 else math.inf
-        return float(bracket ** (1.0 / om))
-
-
-def t_minus(a: float, b: float, cfg: TemperConfig) -> float:
-    """Deformed subtraction (a - b) / (1 + (1-t) b) of floats; plain a - b at t=1.
-
-    Inverts the deformed exponential ratio:
-    exp_t(u) / exp_t(v) = exp_t(t_minus(u, v)) wherever both sides are
-    finite and positive.
-    """
-    if cfg.is_classic():
-        return a - b
-    denom = 1.0 + (1.0 - cfg.t) * b
-    if denom == 0.0:
-        raise ValueError("t_minus undefined where 1 + (1-t) b = 0")
-    return (a - b) / denom
 
 
 def tempered_exp_loss(margins, cfg: TemperConfig) -> float:

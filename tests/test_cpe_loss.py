@@ -120,7 +120,7 @@ class TestBayesRisk:
         )
 
     @given(masses=st.tuples(*[st.floats(1e-100, 1e100)] * 4))
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     def test_a_split_shrinks_the_classic_risk_by_the_square_root_rate(self, masses):
         # at t = 1: B(P_l, N_l) + B(P_r, N_r) <= sqrt(1 - rho^2) B(P, N),
         # rho = |P_l/P - N_l/N|, with equality where P_l/P = N_l/N or N_r/N

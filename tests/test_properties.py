@@ -70,13 +70,7 @@ def grids(draw):
     return Dataset(columns, labels), spec
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(grids())
 def test_every_grid_runs_and_fails_only_typed(grid):
     data, spec = grid

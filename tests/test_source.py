@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
 
 
@@ -112,6 +113,13 @@ def test_the_program_reads_every_definition_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
     readers = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.rglob("*.py"))]
     assert unread_definitions(sources, readers) == []
+
+
+def test_the_tests_read_every_test_helper():
+    names = ("oracles.py", "paper_math.py")
+    helpers = [(TESTS / name).read_text(encoding="utf-8") for name in names]
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("test_*.py"))]
+    assert unread_definitions(helpers, readers) == []
 
 
 def csv_imports(source: str) -> list:
