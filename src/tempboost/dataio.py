@@ -156,7 +156,9 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """Row subset (used for folds); shares no mutable state, only read-only ``levels``."""
-        indices = np.asarray(indices, dtype=int)
+        indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":  # a boolean mask would index rows 0 and 1
+            raise ValueError(f"row indices must be integers, not {indices.dtype}")
         columns = tuple(Column(c.name, c.kind, c.values[indices], c.levels) for c in self.columns)
         return Dataset(columns, self.labels[indices], self.label_name)
 
@@ -400,9 +402,10 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         if j == label_idx:
             continue
         values = np.concatenate(parts[j])
-        if j in as_text:  # the levels sorted once, and the codes remapped to them
-            names, rank = np.unique(np.array(list(levels[j]), dtype=str), return_inverse=True)
-            columns.append(Column(name, CATEGORICAL, rank[values], names))
+        if j in as_text:  # the levels, already distinct, sorted once, and the codes remapped
+            names = np.array(list(levels[j]), dtype=str)
+            order = names.argsort()
+            columns.append(Column(name, CATEGORICAL, order.argsort()[values], names[order]))
         else:
             columns.append(Column(name, NUMERIC, values))
     return Dataset(tuple(columns), labels, header[label_idx])

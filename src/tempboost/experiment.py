@@ -13,27 +13,30 @@ The t-test's p-value is the closed-form Student-t tail for integer
 degrees of freedom (Abramowitz & Stegun 26.7.3 and 26.7.4), so the
 harness needs numpy alone.
 
-Each fold's training and test Datasets are taken once and shared by its
-cells, so every temperature trains on the same rows and, with label noise,
-on the same noisy labels: the noise is drawn once per fold from a stream
-derived from (seed, fold).  Tree induction draws no random numbers, so a
-cell depends only on its fold and temperature; results do not depend on
-execution order, and --jobs N can fan cells out across processes.  Each
-pool worker receives the RunSpec and every fold's Datasets once, as it
-starts, and then only (fold, t) pairs; it builds a fold's presorted
-column block at most once, for its first cell of that fold.
+A process takes each fold's training and test Datasets once and shares
+them between the fold's cells that it runs, so every temperature trains on
+the same rows and, with label noise, on the same noisy labels: the noise is
+drawn once per fold from a stream derived from (seed, fold).  Tree
+induction draws no random numbers, so a cell depends only on its fold and
+temperature; results do not depend on execution order, and --jobs N runs
+the cells in N processes, this one and N - 1 forked children, each taking
+the next cell of the fold-major grid from a shared counter.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -83,8 +86,8 @@ class RunSpec:
             raise ValueError("need at least two folds")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError("noise rate must lie in [0, 1)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+        if self.jobs < 1 or (self.jobs > 1 and not hasattr(os, "fork")):
+            raise ValueError(f"jobs must be positive, and 1 where os.fork is missing: {self.jobs}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.tree_nodes < 1 or self.tree_nodes % 2 == 0:
@@ -152,19 +155,73 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
 _FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from the (seed, fold) noise streams
 
 
-def _folds(data: Dataset, spec: RunSpec):
-    """``(fold, train, test, noise_flips)`` per fold, noise drawn from (seed, fold).
-    Every row's fold is drawn now, and a bad fold count raises here; a fold's
-    index arrays and Datasets are made when the fold is reached."""
+def _splits(data: Dataset, spec: RunSpec):
+    """Each fold's ``(train_idx, test_idx)``.  Every row's fold is drawn now, and a
+    bad fold count raises here; a fold's index arrays are made when it is reached."""
     stream = np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
-    splits = enumerate(stratified_folds(data, spec.folds, stream))
-    return (_take_fold(data, spec, fold, *split) for fold, split in splits)
+    return stratified_folds(data, spec.folds, stream)
 
 
 def _take_fold(data: Dataset, spec: RunSpec, fold: int, train_idx, test_idx):
     train = data.take(train_idx)
     noisy = inject_label_noise(train, spec.noise, np.random.SeedSequence(entropy=(spec.seed, fold)))
     return fold, noisy, data.take(test_idx), int(np.sum(noisy.labels != train.labels))
+
+
+def _run_cells(data: Dataset, spec: RunSpec, splits, pull) -> dict:
+    """``{cell: (rows, status)}`` for each index ``pull()`` returns inside the fold-major
+    grid, ascending; a fold is taken from ``splits`` at its first cell."""
+    outcomes, fold = {}, (-1,)
+    while (cell := pull()) < spec.folds * len(spec.t_values):
+        f, k = divmod(cell, len(spec.t_values))
+        if f != fold[0]:  # the last fold freed, and any run by other processes skipped
+            skip, fold = f - fold[0] - 1, None
+            fold = _take_fold(data, spec, f, *next(itertools.islice(splits, skip, None)))
+        outcomes[cell] = _run_cell(*fold, spec.t_values[k], spec)
+    return outcomes
+
+
+def _pull(counter) -> int:
+    with counter:  # the next cell index, shared by the run's processes
+        counter.value += 1
+        return counter.value - 1
+
+
+def _fork(cells) -> tuple:
+    """``(pid, receiving end)`` of a child that sends ``cells()``, or what it raised,
+    and leaves through ``os._exit``, with status 1 if it sent nothing."""
+    receive, send = multiprocessing.Pipe(duplex=False)
+    if pid := os.fork():
+        send.close()  # so that the receiving end ends when the child does
+        return pid, receive
+    try:
+        try:
+            sent = cells()
+        except BaseException as exc:  # raised again in the parent
+            sent = exc
+            try:  # as itself if it survives a pickle, else by its type and message
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                sent = RuntimeError(f"{type(exc).__name__}: {exc}")
+        send.send(sent)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _reap(pid: int, receive) -> dict:
+    """What child ``pid`` sent, once it has ended; raises what it raised."""
+    with receive:
+        try:
+            sent = receive.recv()
+        except Exception:  # nothing, or less than a whole pickle
+            sent = None
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if sent is None:
+        raise ChildProcessError(f"a cell process ended with exit status {status} before reporting")
+    if isinstance(sent, BaseException):
+        raise sent
+    return sent
 
 
 # glibc <malloc.h>: M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at 64 MiB
@@ -185,20 +242,6 @@ def _pin_malloc_thresholds() -> None:
         mallopt(param, value)
 
 
-_worker: dict = {}  # a pool worker's RunSpec and ``_folds`` list, from _init_worker
-
-
-def _init_worker(spec: RunSpec, folds: list) -> None:
-    """A pool worker's initializer: pin the allocator, keep the run's folds."""
-    _pin_malloc_thresholds()
-    _worker.update(spec=spec, folds=folds)
-
-
-def _worker_cell(fold: int, t: float):
-    """Cell (fold, t) in a pool worker, on the Datasets its initializer received."""
-    return _run_cell(*_worker["folds"][fold], t, _worker["spec"])
-
-
 class RunInputError(Exception):
     """The table would not load or split into folds, or the output directory not be made."""
 
@@ -209,21 +252,21 @@ def run(spec: RunSpec) -> RunResult:
     In order: load the table, split its folds, make the output directory and
     run the cells.  ``TABLE_ERRORS`` in the first three raise a ``RunInputError``.
 
-    With one job the cells run in this process, fold by fold: besides the
-    table and its fold labels, only the current fold's index arrays,
-    Datasets and column block are alive, and a cell keeps a tree and a trace
-    row per round, no array of the fold's rows.  With more, ``_folds`` runs
-    here in full and each of ``min(jobs, cells)`` pool workers receives the
-    RunSpec and every fold's Datasets once, when it starts: inherited under
-    the ``fork`` start method, pickled once per worker under ``spawn`` or
-    ``forkserver``.  A task is then a (fold, t) pair.  A worker builds a
-    fold's presorted ``column_block`` at its first cell of that fold and
-    reuses it for the fold's later cells.
+    ``min(jobs, cells)`` processes run the cells, this one and forked
+    children, each taking the next (fold, t) of the fold-major grid from a
+    shared counter; one job counts with a plain iterator and forks nothing.
+    A process makes a fold's index arrays, Datasets and column block at its
+    first cell of that fold, from the fold draw made before any fork, and
+    frees them at its next fold; a cell keeps a tree and a trace row per
+    round, no array of the fold's rows.  A child's exception is raised
+    here, by type and message if it does not survive a pickle; a child that
+    ends without reporting raises ``ChildProcessError``; on any error every
+    child is killed and reaped first.
 
     Allocator policy: on Linux the run first pins glibc's mmap and trim
-    thresholds (``_MALLOC_THRESHOLDS``) in this process and its workers,
-    for the rest of the process.  glibc starts both at 128 KiB and raises
-    them only after freeing a large mapped block, so the split search's
+    thresholds (``_MALLOC_THRESHOLDS``) in this process, for the rest of the
+    process; forked children inherit them.  glibc starts both at 128 KiB and
+    raises them only after freeing a large mapped block, so the split search's
     per-leaf temporaries of about 130 KB would otherwise be unmapped, or
     trimmed from the heap, after each split and faulted in again at the
     next.  Up to 64 MiB of freed heap may stay resident instead.
@@ -232,19 +275,28 @@ def run(spec: RunSpec) -> RunResult:
     out_dir = Path(spec.out_dir)
     try:
         data = load_csv(spec.data_path, spec.label_column)
-        folds = _folds(data, spec)
+        splits = _splits(data, spec)
         out_dir.mkdir(parents=True, exist_ok=True)
     except TABLE_ERRORS as exc:  # a mkdir's OSError and a fold's ValueError too
         raise RunInputError(exc) from exc
-    if spec.jobs == 1:  # lazily: one fold's Datasets alive at a time
-        outcomes = [_run_cell(*fold, t, spec) for fold in folds for t in spec.t_values]
-    else:
-        folds = list(folds)
-        tasks = [(fold, t) for fold in range(len(folds)) for t in spec.t_values]
-        workers = min(spec.jobs, len(tasks))  # never a worker without a cell
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(spec, folds))
-        with pool:
-            outcomes = list(pool.map(_worker_cell, *zip(*tasks)))
+    grid = spec.folds * len(spec.t_values)
+    workers = min(spec.jobs, grid)  # never a process without a cell
+    pull = itertools.count().__next__
+    if workers > 1:
+        pull = functools.partial(_pull, multiprocessing.get_context("fork").Value("i", 0))
+    run_cells = functools.partial(_run_cells, data, spec, splits, pull)
+    children: dict = {}  # pid -> the receiving end of its pipe
+    try:
+        children.update(_fork(run_cells) for _ in range(workers - 1))
+        outcomes = run_cells()
+        while children:
+            outcomes.update(_reap(*children.popitem()))
+    except BaseException:  # no child outlives the run
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    outcomes = [outcomes[cell] for cell in range(grid)]
 
     # sorted by (fold, t, j), the leading fields, which no two rows share
     rows = sorted(row for cell_rows, _ in outcomes for row in cell_rows)

@@ -40,7 +40,7 @@ from tempboost.errors import (
     EdgeSaturatedError,
     SingleClassError,
 )
-from tempboost.experiment import RunSpec, _folds
+from tempboost.experiment import RunSpec, _splits, _take_fold
 from tempboost.synthetic import make_margin_blobs, make_mixed_table, make_wideband
 from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
 from tempboost.tree import TreeWeakLearner
@@ -163,10 +163,12 @@ class TestLeveraging:
             leveraging(-1.0, 1.0, TemperConfig(1.0), 1.0, 10)
 
     def test_violated_bound_is_a_typed_failure(self, monkeypatch):
-        monkeypatch.setattr(booster, "log_t", lambda z, cfg: -1e6)  # |mu| far too large
-        with pytest.raises(BoundViolatedError) as raised:
-            leveraging(0.5, 1.0, TemperConfig(0.5), 1.0, 10)
-        assert isinstance(raised.value, RuntimeError)
+        # |mu| far too large, then exactly at the bound 1/(R (1 - t)) = 2, which is excluded
+        for log_value in (-1e6, -2.0):
+            monkeypatch.setattr(booster, "log_t", lambda z, cfg: log_value)
+            with pytest.raises(BoundViolatedError) as raised:
+                leveraging(0.5, 1.0, TemperConfig(0.5), 1.0, 10)
+            assert isinstance(raised.value, RuntimeError)
 
     def test_bounded_below_saturation(self):
         for t in (0.0, 0.5, 0.9):
@@ -452,7 +454,8 @@ class TestScoreFold:
         # comparison can see a fault
         cfg = TemperConfig(0.5)
         spec = RunSpec(data_path="", folds=3, rounds=100)
-        _, train, test, _ = list(_folds(make_wideband(seed=0), spec))[1]
+        data = make_wideband(seed=0)
+        _, train, test, _ = _take_fold(data, spec, 1, *list(_splits(data, spec))[1])
         ensemble, _ = boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg)
         clamped = ensemble.decision_scores(test, clamped=True)  # ScoreFold.clamped
         assert (clamped != ensemble.decision_scores(test)).any()

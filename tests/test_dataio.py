@@ -76,6 +76,19 @@ def test_a_categorical_column_is_its_sorted_levels_and_one_code_per_row(tmp_path
     assert taken.values.tolist() == loaded.values[rows].tolist()
 
 
+def test_a_text_column_loads_the_levels_and_codes_that_np_unique_gives(tmp_path):
+    rng = np.random.default_rng(20)
+    letters = list("abzAZ09é_")
+    for words in (3, 300, 3000):  # few levels, then nearly every row its own
+        vocabulary = ["".join(rng.choice(letters, size=rng.integers(1, 7))) for _ in range(words)]
+        strings = rng.choice(vocabulary, size=2000).tolist()
+        rows = [[word, "ab"[i % 2]] for i, word in enumerate(strings)]
+        (column,) = load(write_raw_csv(tmp_path / "text.csv", ["c", "y"], rows)).columns
+        names, codes = np.unique(np.array(strings), return_inverse=True)
+        assert column.levels.dtype == names.dtype and column.levels.tobytes() == names.tobytes()
+        assert column.values.dtype == codes.dtype and column.values.tobytes() == codes.tobytes()
+
+
 def test_a_column_checks_the_codes_and_levels_it_is_given():
     levels = np.array(["a", "b"])
     for codes in ([0, 2], [-1, 1], [0.0, 1.0]):
@@ -92,6 +105,19 @@ def test_label_noise_flips_the_class_indicator_with_the_labels():
     flipped = noisy.labels != data.labels
     assert 0 < flipped.sum() < data.m
     assert inject_label_noise(data, 0.0, 7) is data
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        inject_label_noise(data, 1.0, 7)
+
+
+def test_take_rejects_row_indices_that_are_not_integers():
+    data = make_mixed_table(m=60)
+    # a mask would have taken rows 0 and 1; an empty list's dtype is float
+    for rows in (np.arange(60) >= 30, [0.0, 1.0], []):
+        with pytest.raises(ValueError, match="^row indices must be integers"):
+            data.take(rows)
+    assert describe(data.take(np.arange(30, 60, dtype=np.uint8))) == describe(
+        data.take(np.flatnonzero(np.arange(60) >= 30))
+    )
 
 
 @pytest.mark.parametrize("m", (1, 2, 9, 5000))

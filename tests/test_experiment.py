@@ -1,5 +1,6 @@
 """The cross-validated grid end to end, pinned by its trace hash."""
 
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -8,8 +9,12 @@ import json
 import math
 import os
 import platform
+import select
+import signal
 import subprocess
 import sys
+import threading
+import time
 import types
 from pathlib import Path
 
@@ -146,7 +151,8 @@ def test_categorical_grid_trace_is_pinned(tmp_path):
 def test_per_round_test_errors_are_those_of_the_rowwise_prefix_ensembles(t, monkeypatch):
     data = make_mixed_table(m=120, seed=4)
     spec = RunSpec(data_path="data.csv", t_values=(t,), rounds=4, folds=2, seed=3)
-    fold, train, test, flips = next(experiment._folds(data, spec))
+    split = next(experiment._splits(data, spec))
+    fold, train, test, flips = experiment._take_fold(data, spec, 0, *split)
     ensembles = []
     real_boost = experiment.boost
 
@@ -223,6 +229,7 @@ def test_each_tree_predicts_the_test_fold_once(tmp_path, monkeypatch):
         ("t_values", (0.0, -0.0)),
         ("t_values", (0.9999999995, 1.0)),  # within CLASSIC_TOLERANCE, stored as 1.0
         ("seed", -1),  # SeedSequence takes no negative entropy
+        ("noise", 1.0),
     ],
 )
 def test_run_spec_rejects_bad_settings(field, value):
@@ -318,46 +325,176 @@ def test_traces_do_not_depend_on_jobs_and_the_manifest_records_the_spec(tmp_path
     assert read_manifest(one / "out")["spec"] == as_json(expected)
 
 
-def test_a_pool_worker_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(monkeypatch):
+def test_the_cell_loop_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(monkeypatch):
     data = make_mixed_table(m=200, seed=5)
     spec = RunSpec("data.csv", t_values=(0.0, 0.6, 1.0, 1.5), rounds=2, folds=3, noise=0.1, seed=3)
-    serial = experiment._folds(data, spec)
-    expected = [experiment._run_cell(*fold, t, spec) for fold in serial for t in spec.t_values]
+    splits = enumerate(experiment._splits(data, spec))
+    folds = [experiment._take_fold(data, spec, fold, *split) for fold, split in splits]
+    expected = [experiment._run_cell(*fold, t, spec) for fold in folds for t in spec.t_values]
     assert sum(status.noise_flips for _, status in expected) > 0
-    built = []
-    block = Dataset.column_block
+    built, taken = [], []
+    block, take = Dataset.column_block, experiment._take_fold
 
     def counting_block(self):
         built.append(self)
         return block.func(self)
 
+    def recording_take(*args):
+        taken.append(take(*args))
+        return taken[-1]
+
     counting = functools.cached_property(counting_block)
     counting.__set_name__(Dataset, "column_block")
     monkeypatch.setattr(Dataset, "column_block", counting)
-    folds = list(experiment._folds(data, spec))
-    experiment._init_worker(spec, folds)
-    try:  # every cell of the grid, as the tasks of one worker
-        got = [experiment._worker_cell(f, t) for f in range(spec.folds) for t in spec.t_values]
-    finally:
-        experiment._worker.clear()
-    assert repr(got) == repr(expected)  # repr: nan equals nan, and -0.0 differs from 0.0
-    assert len(built) == len(folds)
-    assert all(dataset is train for dataset, (_, train, _, _) in zip(built, folds))
+    monkeypatch.setattr(experiment, "_take_fold", recording_take)
+    # every cell, as one process pulls them; then cells 1, 2 and 9 to 11, as one of
+    # several processes might: fold 1, whose every cell the others ran, is never made
+    for pulled in (range(12), [1, 2, 9, 10, 11]):
+        built.clear()
+        taken.clear()
+        pull = iter([*pulled, 12, 13]).__next__  # 12 is the first index past the grid
+        got = experiment._run_cells(data, spec, experiment._splits(data, spec), pull)
+        assert repr(got) == repr({cell: expected[cell] for cell in pulled})  # nan, -0.0
+        assert [fold for fold, *_ in taken] == sorted({cell // 4 for cell in pulled})
+        assert len(built) == len(taken)
+        assert all(dataset is train for dataset, (_, train, _, _) in zip(built, taken))
 
 
-def test_a_grid_with_fewer_cells_than_jobs_starts_one_worker_per_cell(tmp_path, monkeypatch):
-    started = []
+def no_child_is_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    class CountingPool(experiment.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+def test_fewer_cells_than_jobs_fork_one_child_per_cell_past_the_first(tmp_path, monkeypatch):
+    forks, contexts = [], []
+    fork, get_context = os.fork, experiment.multiprocessing.get_context
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(
+        experiment.multiprocessing, "get_context", lambda *a: contexts.append(a) or get_context(*a)
+    )
     data = make_mixed_table(m=60, seed=1)
-    result, _ = run_grid(tmp_path, data, t_values=(0.5,), rounds=1, folds=2, jobs=8)
-    assert result.failed_cells == 0 and len(result.cells) == 2
-    assert started == [2]
+    grid = dict(t_values=(0.5,), rounds=1, folds=2)
+    result, digest = run_grid(tmp_path, data, jobs=1, **grid)  # no fork, no shared counter
+    assert result.failed_cells == 0 and forks == contexts == []
+    result, fanned = run_grid(tmp_path, data, jobs=8, **grid)
+    assert result.failed_cells == 0 and len(result.cells) == 2 and fanned == digest
+    assert forks == [1] and contexts == [("fork",)]  # min(jobs, cells) - 1 children
+    assert no_child_is_left()
+
+
+def test_more_processes_than_cores_run_every_cell_exactly_once(tmp_path, monkeypatch):
+    data = make_mixed_table(m=120, seed=2)
+    grid = dict(t_values=(0.0, 0.5, 1.0, 1.5), rounds=1, tree_nodes=3, folds=6)
+    _, digest = run_grid(tmp_path, data, **grid)
+    log, real = tmp_path / "cells.log", experiment._run_cell
+
+    def logged(fold, train, test, noise_flips, t, spec):
+        with open(log, "a", encoding="utf-8") as handle:  # one short append per cell
+            handle.write(f"{fold},{t}\n")
+        return real(fold, train, test, noise_flips, t, spec)
+
+    monkeypatch.setattr(experiment, "_run_cell", logged)
+    jobs = (os.cpu_count() or 1) + 2  # at most the grid's 24 cells run at once
+    result, fanned = run_grid(tmp_path, data, jobs=jobs, **grid)
+    # a lost update of the shared counter would run some cell twice
+    expected = [f"{fold},{t}" for fold in range(6) for t in grid["t_values"]]
+    assert sorted(log.read_text(encoding="utf-8").splitlines()) == sorted(expected)
+    assert fanned == digest and result.failed_cells == 0 and no_child_is_left()
+
+
+@contextlib.contextmanager
+def forked_cells(monkeypatch, in_child=None, in_parent=None):
+    """``_run_cell`` patched: a forked child calls ``in_child`` at its first cell,
+    and this process waits for that before it calls ``in_parent`` at each of its own."""
+    parent, (started, starting) = os.getpid(), os.pipe()
+    real, first = experiment._run_cell, [True]
+
+    def patched(*args):
+        if os.getpid() == parent:
+            select.select([started], [], [], 60)  # until a child has started a cell
+            in_parent and in_parent()
+        elif first:  # the child's own copy of the flag: its first cell only
+            first.clear()
+            os.write(starting, b"x")
+            in_child and in_child()
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_run_cell", patched)
+    try:
+        yield
+    finally:
+        os.close(started)
+        os.close(starting)
+
+
+class HoldsALock(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()  # pickled with the instance's dict, and unpicklable
+
+
+class TwoArguments(Exception):
+    def __init__(self, code, detail):  # pickled as its one message, which this rejects
+        super().__init__(f"{code}: {detail}")
+
+
+def raising(error, *args):
+    def act():
+        raise error(*args)
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "where, act, raised, message",
+    [
+        ("in_child", raising(LookupError, "error in a child"), LookupError, "error in a child"),
+        ("in_parent", raising(LookupError, "beside a child"), LookupError, "beside a child"),
+        # an error that does not survive a pickle comes back by its type and message
+        ("in_child", raising(HoldsALock, "no pickle"), RuntimeError, "HoldsALock: no pickle"),
+        ("in_child", raising(TwoArguments, 7, "no load"), RuntimeError, "TwoArguments: 7: no load"),
+    ],
+)
+def test_a_programming_error_in_any_process_propagates_and_no_child_outlives_it(
+    tmp_path, monkeypatch, where, act, raised, message
+):
+    # a child that errs sends its exception back; one that runs on is killed
+    acts = {"in_child": functools.partial(time.sleep, 20), where: act}
+    start = time.monotonic()
+    with forked_cells(monkeypatch, **acts), pytest.raises(raised, match=f"^{message}$"):
+        grid = dict(t_values=(0.5, 1.0), rounds=1, folds=2, jobs=2)
+        run_grid(tmp_path, make_mixed_table(m=60, seed=1), **grid)
+    assert no_child_is_left() and time.monotonic() - start < 10
+
+
+def test_a_child_that_dies_without_reporting_fails_the_run_with_its_status(tmp_path, monkeypatch):
+    with forked_cells(monkeypatch, in_child=lambda: os.kill(os.getpid(), signal.SIGKILL)):
+        with pytest.raises(ChildProcessError, match="exit status -9 before reporting"):
+            grid = dict(t_values=(0.5, 1.0), rounds=1, folds=2, jobs=2)
+            run_grid(tmp_path, make_mixed_table(m=60, seed=1), **grid)
+    assert no_child_is_left()
+
+
+def test_without_os_fork_a_run_takes_one_job(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        RunSpec(data_path="data.csv", jobs=2)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--data", "data.csv", "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2 and "os.fork" in capsys.readouterr().err
+    assert RunSpec(data_path="data.csv", jobs=1).jobs == 1
+
+
+def test_a_fold_counts_the_training_labels_its_noise_flipped():
+    data = make_mixed_table(m=200, seed=5)
+    spec = RunSpec("data.csv", folds=2, noise=0.3, seed=3)
+    train_idx, test_idx = next(experiment._splits(data, spec))
+    _, noisy, test, flips = experiment._take_fold(data, spec, 0, train_idx, test_idx)
+    assert test.labels.tolist() == data.labels[test_idx].tolist()
+    assert 0 < flips == int(np.sum(noisy.labels != data.labels[train_idx])) < noisy.m // 2
 
 
 def test_every_cli_flag_sets_its_run_spec_field(tmp_path):
@@ -527,6 +664,12 @@ def test_each_run_pins_the_malloc_thresholds(tmp_path, monkeypatch, has_mallopt)
         assert mallopt.restype is ctypes.c_int
     else:
         assert calls == []
+
+
+def test_the_summary_spread_is_the_sample_standard_deviation_over_folds():
+    assert experiment._mean_std([1.0, 3.0]) == [2.0, math.sqrt(2.0)]  # ddof=1 from two folds
+    assert repr(experiment._mean_std([1.0])) == "[1.0, nan]"
+    assert repr(experiment._mean_std([])) == "[nan, nan]"
 
 
 class TestPairedTTest:

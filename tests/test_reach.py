@@ -19,8 +19,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tempboost"
 EXEMPT = {
     ("booster.Ensemble.decision_scores", None): "perfbench's tracer wraps it",
     ("experiment._pin_malloc_thresholds", "return"): "off Linux, or without mallopt",
-    ("experiment._init_worker", None): "runs in a pool worker",
-    ("experiment._worker_cell", None): "runs in a pool worker",
+    ("experiment._fork", "try:"): "runs in the forked cell process",
     ("synthetic.make_margin_blobs", None): "generates the tall benchmark's data",
 }
 
@@ -162,10 +161,10 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         assert late.read_text(encoding="utf-8").index("late") > dataio.BLOCK_CHARS
         tiny = dict(folds=2, t_values=(1.0,), rounds=1, tree_nodes=3)
         run(RunSpec(str(late), out_dir=str(tmp_path / "late"), **tiny))
-        # the command line and the pool's side of run; the workers run their
-        # cells in processes that this trace does not see
-        pool = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]
-        main(["--data", str(wideband), *pool, "--out", str(tmp_path / "c")])
+        # the command line and the fan-out's side of run in this process; the
+        # forked child runs its cells where this trace does not see them
+        fanned = ["--folds", "2", "--t", "1", "--iters", "1", "--jobs", "2"]
+        main(["--data", str(wideband), *fanned, "--out", str(tmp_path / "c")])
         # a 1-node tree predicts 0 once the classes balance: a cell fails, main exits 2
         stump = ["--folds", "2", "--t", "1", "--iters", "2", "--tree-nodes", "1"]
         assert main(["--data", str(small), *stump, "--out", str(tmp_path / "d")]) == 2
