@@ -5,31 +5,38 @@ no missing cells.  A column is numeric iff every cell parses as a finite
 real; anything else makes it categorical.  The (binary) label column is
 mapped to -1/+1 with the lexicographically smaller raw value becoming -1.
 
-``load_csv`` reads a file's text once, whole, and then block by block, a
-block being about ``BLOCK_CHARS`` characters of whole lines.  A file
-without quotes or lone carriage returns whose lines all hold the header's
-comma count, as ``save_csv`` writes any table without a comma in a cell,
-is split: each block on commas in one pass, each column a stride of the
-split.  Any other file, quoted, ragged or with a blank line, is parsed by
-``csv.reader`` in blocks of rows; it parses the first kind the same way.
-Both readers feed one consumer, which does the type inference: each block's
-numbers go into a float array per column, and a text column's stripped cells
-into codes of its distinct values, each kept as one string; once read, those
-are sorted into the column's ``levels`` and the codes remapped to them.
+``load_csv`` reads a file's bytes once, whole, and decodes them.  Two
+readers build the same columns from the text: a float array per numeric
+column, and per text column a code per cell into its distinct stripped
+cells, each kept once, which become the sorted ``levels``.  The C reader,
+the parser of ``np.loadtxt``, reads an unquoted file of rows as wide as its
+header, as ``save_csv`` writes the benchmark tables: a column whose first
+cell is a finite real as floats, the others and the label column through a
+converter that codes their cells.  It declines, to ``csv.reader``, wherever
+numpy could read the text otherwise:
+- a quote anywhere, which numpy does not unquote;
+- U+001C to U+001F, which numpy's float parser skips as space and float() refuses;
+- an empty or CR-only line, which numpy skips and csv.reader reads as a row
+  of no cells;
+- a CR that ends no line, where csv.reader ends one and numpy raises;
+- any ValueError of numpy's: a ragged row, or a cell that numpy's parser
+  refuses, as ``1_000`` or ``١٢``, which float() reads, or a word, in a
+  column whose first cell is a number;
+- a first row not as wide as the header, a value that is not finite, no
+  data row or no label column: csv.reader's errors and text columns.
+A declined file costs the C reader's pass up to its decline, then
+csv.reader's, which reads the text twice when a column turns to text after
+its first block.  On the tall benchmark's CSV (20000 rows, 1.65 MB) the C
+reader takes 25-27 ms and csv.reader 46 ms, and with ``NA`` as its last
+feature cell the load takes 128 ms.
 
-Memory: a load holds the text, the columns it builds (8 bytes a cell, a float
-or a code, and a text column's levels once) and the Python objects of one
-block's lines and cells, about 1 MiB at the default block size, never one
-object per line or cell of the whole file.
-On a numeric file of 20000 rows (1.6 MB) ``tracemalloc`` peaks at twice the
-file's size, which is reading the text: its bytes and its decoded string.
-``Dataset.column_block`` is built in place: on the benchmark tables its
-``tracemalloc`` peak is 3.2-3.5 times the table's d * m * 8 bytes, below
-what a boosting cell holds, so a run's peak does not come from it.  On the
-tall table every cell peaks at 5.3-5.5 MiB traced, the first of a fold,
-which builds the fold's block, as its others do.  ``stratified_folds``
-keeps one fold label per row and makes a fold's index arrays only when
-the fold is reached, so a run that goes fold by fold holds one fold's.
+Memory: a load holds the text, the columns it builds (8 bytes a cell, a
+float or a code, and a text column's levels once) and one piece's lines,
+with csv.reader their cells, about 1 MiB at the default ``BLOCK_CHARS``;
+the C reader makes no object for a numeric cell.  On a numeric file of
+20000 rows ``tracemalloc`` peaks at twice the file's size: its bytes and
+its decoded string.  ``Dataset.column_block`` and ``stratified_folds`` say
+what a run holds beside the table.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -229,10 +237,6 @@ def _parse_numeric(cells):
     return values if np.isfinite(values).all() else None
 
 
-class _NotSplit(Exception):
-    """Raised by ``_split_blocks`` on a text that only csv.reader reads."""
-
-
 def _pieces(text):
     """The text in pieces of whole lines: the header line, then pieces that
     each end with the first LF ``BLOCK_CHARS`` or more characters past
@@ -244,29 +248,6 @@ def _pieces(text):
         start = end
 
 
-def _split_blocks(text, ragged):
-    """The header's cells, then each piece's data cells column by column,
-    as ``split`` reads the text (see the module notes).  Raises ``_NotSplit``
-    at the first piece that it cannot read, or when no data line follows
-    the header.  ``ragged`` stays empty: a ragged line is csv.reader's.
-    """
-    if '"' in text:
-        raise _NotSplit
-    lines_read = commas = 0
-    for piece in _pieces(text):
-        piece = piece.replace("\r\n", "\n")  # csv.reader reads CRLF as LF
-        lines = piece.removesuffix("\n").split("\n")
-        commas = commas if lines_read else lines[0].count(",")
-        if "\r" in piece or set(map(str.count, lines, repeat(","))) != {commas}:
-            raise _NotSplit
-        flat = ",".join(lines).split(",")
-        # the header's cells, then each column a stride of the piece
-        yield [flat[j :: commas + 1] for j in range(commas + 1)] if lines_read else flat
-        lines_read += len(lines)
-    if lines_read < 2:
-        raise _NotSplit
-
-
 def _csv_blocks(text, ragged):
     """The header's cells, then the data rows before the first ragged row in
     blocks, column by column, as ``csv.reader`` parses the text.  The ragged
@@ -275,10 +256,10 @@ def _csv_blocks(text, ragged):
     csv.reader reads the lines of one ``_pieces`` piece at a time, through
     an ``io.StringIO(piece, newline="")``, which cuts them at LF, CRLF and a
     lone CR as one over the whole text would, without a copy of the whole
-    text.  In an unquoted text CRLF is read as LF first, as ``split`` reads
-    it.  A block holds the rows that end in one piece.  Every row is parsed,
-    those after a ragged one too, so that each ``csv.Error`` in the file
-    raises.
+    text.  In an unquoted text CRLF is read as LF first, so that CR CR LF
+    ends one line there.  A block holds the rows that end in one piece.
+    Every row is parsed, those after a ragged one too, so that each
+    ``csv.Error`` in the file raises.
     """
     quoted, current = '"' in text, [0]  # the piece that csv.reader reads
 
@@ -301,9 +282,16 @@ def _csv_blocks(text, ragged):
         raise ValueError("file needs a header row and at least one data row")
 
 
-def _consume(reader, text, label_column, known=frozenset()):
+def _label_index(header, label_column):
+    """The label column's index in the stripped ``header``, or None."""
+    if label_column == "last":
+        return len(header) - 1
+    return header.index(label_column) if label_column in header else None
+
+
+def _consume(text, label_column, known=frozenset()):
     """``(header, label_idx, as_text, parts, levels, ragged)`` of the blocks
-    that ``reader`` yields from ``text``: the stripped names, the label
+    that ``_csv_blocks`` yields from ``text``: the stripped names, the label
     column's index or None, and the first ragged row's ``(index, cell
     count)`` or None, before which the blocks stop.
 
@@ -316,15 +304,10 @@ def _consume(reader, text, label_column, known=frozenset()):
     read again with every such column known.
     """
     ragged = []
-    blocks = reader(text, ragged)
+    blocks = _csv_blocks(text, ragged)
     header = [name.strip() for name in next(blocks)]
-    if label_column == "last":
-        label_idx = len(header) - 1
-    else:
-        label_idx = header.index(label_column) if label_column in header else None
-    as_text = set(known)
-    if label_idx is not None:
-        as_text.add(label_idx)
+    label_idx = _label_index(header, label_column)
+    as_text = set(known) if label_idx is None else {*known, label_idx}
     parts, levels, again = [[] for _ in header], [{} for _ in header], False
     for block in blocks:
         for j, cells in enumerate(block):
@@ -341,25 +324,48 @@ def _consume(reader, text, label_column, known=frozenset()):
                 values = np.fromiter(map(index.__getitem__, stripped), np.intp, len(stripped))
             parts[j].append(values)
     if again:
-        return _consume(reader, text, label_column, as_text)
+        return _consume(text, label_column, as_text)
     return header, label_idx, as_text, parts, levels, ragged[0] if ragged else None
 
 
-def _read_table(path, label_column):
-    """``_consume``'s tuple for a CSV file.
+def _c_read(text, label_column):
+    """``_consume``'s tuple for ``text`` as ``np.loadtxt``'s C parser reads it,
+    or None where csv.reader might read it otherwise (see the module notes),
+    each such case raising to one ``return None``.  A column whose first cell
+    is not a finite real is text, as the label column is: its stripped cells
+    are coded by first appearance into ``levels[j]``, as ``_consume`` does."""
+    sizes = []  # the line count of each piece
 
-    The text is read once and whole, then block by block: by
-    ``_split_blocks`` when it can, else by ``_csv_blocks``, which is the
-    source of every row-shape error.  Outside the current block no object is
-    kept per line or per cell: a column keeps its float arrays, or its code
-    arrays and one string per distinct value.
-    """
-    with open(path, newline="", encoding="utf-8") as handle:
-        text = handle.read()
+    def lines(piece):
+        sizes.append(len(piece := piece.removesuffix("\n").split("\n")))
+        return piece
+
     try:
-        return _consume(_split_blocks, text, label_column)
-    except _NotSplit:
-        return _consume(_csv_blocks, text, label_column)
+        rows = chain.from_iterable(map(lines, _pieces(text)))
+        head, first = next(rows), next(rows)
+        header, cells = [name.strip() for name in head.split(",")], first.split(",")
+        label_idx = _label_index(header, label_column)
+        if label_idx is None or len(cells) != len(header) or not first.strip():
+            raise ValueError("no label column, or a first row blank or not as wide as the header")
+        if "\r" in head.removesuffix("\r") or any(char in text for char in '"\x1c\x1d\x1e\x1f'):
+            raise ValueError("a CR inside the header line, a quote, or a separator numpy skips")
+        as_text = {j for j, cell in enumerate(cells) if _parse_numeric([cell]) is None}
+        as_text.add(label_idx)
+        levels = [{} for _ in header]
+        coders = {
+            j: lambda cell, index=levels[j]: index.setdefault(cell.strip(), len(index))
+            for j in as_text
+        }
+        table = np.loadtxt(
+            chain([first], rows), delimiter=",", comments=None, ndmin=2, converters=coders
+        )
+        # numpy skips a line that is empty or only a CR
+        if len(table) != sum(sizes) - 1 or not np.isfinite(table).all():
+            raise ValueError("a blank line, or a value that is not finite")
+    except (ValueError, StopIteration):
+        return None
+    parts = [[col.astype(np.intp) if j in as_text else col] for j, col in enumerate(table.T)]
+    return header, label_idx, as_text, parts, levels, None
 
 
 def load_csv(path, label_column: str = "last") -> Dataset:
@@ -368,11 +374,14 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     ``label_column`` is a header name or "last".  Raises ValueError on
     missing cells, non-binary labels, or a malformed file.  A constant
     column, numeric or categorical, loads as a column without a cut.
-    A cell longer than ``csv.field_size_limit()`` loads when the file is
-    read by ``split`` (see the module notes) and raises ``csv.Error`` when
-    it is read by ``csv.reader``.
+    The file is read once and whole, by the C reader unless it declines, else
+    by csv.reader (see the module notes), which raises ``csv.Error`` on a cell
+    longer than ``csv.field_size_limit()`` that the C reader loads.
     """
-    header, label_idx, as_text, parts, levels, ragged = _read_table(path, label_column)
+    text = Path(path).read_bytes().decode("utf-8")
+    table = _c_read(text, label_column) or _consume(text, label_column)
+    del text  # not held while the columns are built
+    header, label_idx, as_text, parts, levels, ragged = table
     if len(header) < 2:
         raise ValueError("need at least one feature column plus the label")
     # missing cells are sought column-wise before the first ragged row: the first bad row wins

@@ -33,6 +33,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import pickle
 import signal
@@ -75,6 +76,11 @@ class RunSpec:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("rounds", "tree_nodes", "folds", "jobs", "seed"):  # numpy's integers too
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         object.__setattr__(self, "t_values", tuple(TemperConfig(t).t for t in self.t_values))
         if not self.t_values:
             raise ValueError("t_values names no temperature in [0, 2)")
@@ -249,8 +255,9 @@ class RunInputError(Exception):
 def run(spec: RunSpec) -> RunResult:
     """Execute the whole grid and write results under ``spec.out_dir``.
 
-    In order: load the table, split its folds, make the output directory and
-    run the cells.  ``TABLE_ERRORS`` in the first three raise a ``RunInputError``.
+    In order: load the table and hash its file, split its folds, make the
+    output directory and run the cells.  ``TABLE_ERRORS`` in the first three
+    raise a ``RunInputError``.
 
     ``min(jobs, cells)`` processes run the cells, this one and forked
     children, each taking the next (fold, t) of the fold-major grid from a
@@ -275,6 +282,7 @@ def run(spec: RunSpec) -> RunResult:
     out_dir = Path(spec.out_dir)
     try:
         data = load_csv(spec.data_path, spec.label_column)
+        sha256 = _file_sha256(spec.data_path)  # the file as loaded, were it changed later
         splits = _splits(data, spec)
         out_dir.mkdir(parents=True, exist_ok=True)
     except TABLE_ERRORS as exc:  # a mkdir's OSError and a fold's ValueError too
@@ -304,7 +312,7 @@ def run(spec: RunSpec) -> RunResult:
     write_csv(out_dir / "trace.csv", TRACE_FIELDS, rows)
     _write_summary(out_dir / "summary.csv", rows, spec)
     emit_plots(rows, out_dir)
-    _write_manifest(out_dir / "manifest.json", spec, data, cells)
+    _write_manifest(out_dir / "manifest.json", spec, data, sha256, cells)
     return RunResult(out_dir=out_dir, rows=rows, cells=cells)
 
 
@@ -430,13 +438,13 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path: Path, spec: RunSpec, data: Dataset, cells) -> None:
+def _write_manifest(path: Path, spec: RunSpec, data: Dataset, sha256: str, cells) -> None:
     manifest = {
         "library_version": __version__,
         "spec": asdict(spec),
         "dataset": {
             "path": spec.data_path,
-            "sha256": _file_sha256(spec.data_path),
+            "sha256": sha256,
             "m": data.m,
             "d": data.d,
         },

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ def test_csv_round_trip_keeps_columns_and_labels(tmp_path):
     data = make_mixed_table(m=120, seed=4)
     save_csv(data, tmp_path / "mixed.csv")
     assert describe(load(tmp_path / "mixed.csv")) == describe(data)  # repr() keeps floats exact
+    assert c_reads(tmp_path / "mixed.csv")
 
 
 def test_write_csv_writes_floats_as_their_repr_and_nan_as_an_empty_cell(tmp_path):
@@ -232,42 +235,54 @@ def describe(data):
 
 
 def load(path, **kwargs):
-    """``load_csv`` read in blocks of one line and in blocks of the default
-    size, which must agree: the same Dataset, bit for bit, or the same error."""
+    """``load_csv`` by the C reader and by csv.reader, the C reader made to
+    decline, each in blocks of one line and of the default size: all four
+    must agree, on the same Dataset, bit for bit, or the same error."""
     outcomes = []
-    for chars in (1, dataio.BLOCK_CHARS):
-        with pytest.MonkeyPatch.context() as patch:
+    for c_read, chars in itertools.product((decline, dataio._c_read), (1, dataio.BLOCK_CHARS)):
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a load warns of nothing
             patch.setattr(dataio, "BLOCK_CHARS", chars)
+            patch.setattr(dataio, "_c_read", c_read)
             try:
                 outcomes.append(load_csv(path, **kwargs))
             except (ValueError, csv.Error) as error:
                 outcomes.append(error)
-    one_line, default = outcomes
+    *others, default = outcomes
     if isinstance(default, Exception):
-        assert (type(one_line), str(one_line)) == (type(default), str(default))
+        for other in others:
+            assert (type(other), str(other)) == (type(default), str(default))
         raise default
-    assert describe(one_line) == describe(default)
+    for other in others:
+        assert describe(other) == describe(default)
     return default
 
 
-@pytest.mark.parametrize("newline, final", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
-def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newline, final):
+def decline(text, label_column):
+    return None
+
+
+def c_reads(path, label_column="last") -> bool:
+    """Whether the C reader takes the file, rather than leave it to csv.reader."""
+    return dataio._c_read(path.read_bytes().decode("utf-8"), label_column) is not None
+
+
+@pytest.mark.parametrize(
+    "newline, final", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", ""), ("\n", "\r")]
+)
+def test_the_c_reader_and_csv_reader_load_the_same_dataset(tmp_path, newline, final):
     # Quoting the header's names sends the file to csv.reader, which reads
-    # them unquoted; unquoted, the file is read by split.
+    # them unquoted; unquoted, the file is read by the C reader.  A CR at
+    # the end of the text ends the last line for both.
     data = make_mixed_table(m=60, seed=2)
     path = tmp_path / "x.csv"
     save_csv(data, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     quoted = ",".join(f'"{name}"' for name in header.split(","))
-    readers = []
-    reader = csv.reader
-    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or reader(*args))
-    loaded = []
     for head in (header, quoted):
         path.write_text(newline.join([head, *lines]) + final, encoding="utf-8", newline="")
-        loaded.append(describe(load(path)))
-    assert len(readers) == 2  # the quoted file's, at each block size
-    assert loaded[0] == loaded[1] == describe(data)
+        assert describe(load(path)) == describe(data)
+        assert c_reads(path) == (head == header)
 
 
 @pytest.mark.parametrize(
@@ -286,6 +301,7 @@ def test_split_and_csv_reader_load_the_same_dataset(tmp_path, monkeypatch, newli
 def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, text, outcome):
     path = tmp_path / "x.csv"
     path.write_text(text, encoding="utf-8", newline="")
+    assert not c_reads(path)
     if isinstance(outcome, str):
         with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
             load(path)
@@ -293,13 +309,44 @@ def test_quotes_lone_carriage_returns_and_blank_lines_parse_as_csv(tmp_path, tex
         assert cells(load(path).columns[1]).tolist() == outcome
 
 
-def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path):
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ('x,y\n1,"a"\n2,b\n', [1.0, 2.0]),  # a quote
+        ("x,y\n1,a\n1\x1e,b\n", ["1", "1"]),  # a separator, which numpy reads as space
+        ("x,y\n1,a\n\n2,b\n", "row 3 has 0 cells, expected 2"),  # numpy skips a blank line
+        ("x,y\r\n1,a\r\n\r\n2,b\r\n", "row 3 has 0 cells, expected 2"),  # and a CR alone
+        ("x,y\n1,a\r2,b\n", [1.0, 2.0]),  # a CR that ends no line
+        ("x,y\r1,z\n2,3,a\n4,5,b\n", "row 3 has 3 cells, expected 2"),  # in the header too
+        ("x,y\n1,a\n1_0,b\n", [1.0, 10.0]),  # a cell that float() reads and numpy refuses
+        ("x,y\n1,a\n2,b,c\n", "row 3 has 3 cells, expected 2"),  # a ragged row
+        ("x,y,z\n1,a\n2,b\n", "row 2 has 2 cells, expected 3"),  # narrower than the header
+        ("x,y\n1,a\nnan,b\n", ["1", "nan"]),  # a value that is not finite
+        ("x,y\n", "file needs a header row and at least one data row"),
+        ("y\n\n", "need at least one feature column plus the label"),  # numpy would warn
+    ],
+)
+def test_a_file_the_c_reader_declines_loads_as_csv_reader_reads_it(tmp_path, text, outcome):
+    path = tmp_path / "x.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert not c_reads(path)
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+            load(path)
+    else:
+        assert cells(load(path).columns[0]).tolist() == outcome
+
+
+def test_a_cell_beyond_the_csv_field_limit_loads_only_unquoted(tmp_path, monkeypatch):
     long = "v" * (csv.field_size_limit() + 1)
     rows = [["1", long, "a"], ["2", "w", "b"]]
-    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "c", "y"], rows))
-    assert cells(data.columns[1]).tolist() == [long, "w"]
+    path = write_raw_csv(tmp_path / "x.csv", ["x", "c", "y"], rows)
+    assert cells(load_csv(path).columns[1]).tolist() == [long, "w"]
     with pytest.raises(csv.Error):  # a quote sends the file to csv.reader
         load(write_raw_csv(tmp_path / "x.csv", ['"x"', "c", "y"], rows))
+    monkeypatch.setattr(dataio, "_c_read", decline)
+    with pytest.raises(csv.Error):  # as does any decline of the C reader
+        load_csv(path)
 
 
 def test_csv_reader_parses_the_rows_after_a_ragged_one_too(tmp_path):
@@ -311,23 +358,28 @@ def test_csv_reader_parses_the_rows_after_a_ragged_one_too(tmp_path):
 
 
 def test_numeric_cells_parse_as_python_floats(tmp_path):
-    cells = ["0.1", "-0", "1e-300", "5e-324", " 2.5 ", "1_000", "3.141592653589793", "-7"]
-    rows = [[cell, "a" if i % 2 else "b"] for i, cell in enumerate(cells)]
-    data = load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows))
-    (column,) = data.columns
-    assert column.kind == NUMERIC
-    expected = np.array([float(cell) for cell in cells])
-    assert column.values.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    # numpy's parser refuses the second list's cells, so csv.reader reads them
+    plain = ["0.1", "-0", "1e-300", "5e-324", " 2.5 ", "3.141592653589793", "-7", "+1E3"]
+    for cells in (plain, ["1_000", "١٢", "1_0", "2"]):
+        rows = [[cell, "a" if i % 2 else "b"] for i, cell in enumerate(cells)]
+        path = write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows)
+        (column,) = load(path).columns
+        assert column.kind == NUMERIC and c_reads(path) == (cells is plain)
+        expected = np.array([float(cell) for cell in cells])
+        assert column.values.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+    assert expected.tolist() == [1000.0, 12.0, 10.0, 2.0]
 
 
-@pytest.mark.parametrize("odd", ["nan", "NaN", "inf", "-inf", "1e999", "x"])
+@pytest.mark.parametrize("odd", ["nan", "NaN", "inf", "-inf", "1e999", "x", "1\x1c", "\x1f2"])
 def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path, odd):
+    # float() refuses the separators \x1c to \x1f, which numpy's parser reads as space
     rows = [["1.5", "a"], [odd, "b"], ["2", "a"], ["1.5", "b"]]
     data = load(write_raw_csv(tmp_path / "x.csv", ["x", "y"], rows))
     (column,) = data.columns
     assert column.kind == CATEGORICAL
-    assert cells(column).tolist() == ["1.5", odd, "2", "1.5"]
-    if odd != "x":  # a numeric Column refuses it too: nan sorts last, yet fails x >= cut
+    assert cells(column).tolist() == ["1.5", odd.strip(), "2", "1.5"]
+    # a numeric Column refuses a value that is not finite too: nan sorts last, yet fails x >= cut
+    if odd not in ("x", "1\x1c", "\x1f2"):
         with pytest.raises(ValueError, match="numeric column 'x' holds a value that is not"):
             Column("x", NUMERIC, [1.5, float(odd), 2.0, 1.5])
 
@@ -342,6 +394,8 @@ def test_a_cell_that_is_not_a_finite_real_makes_the_column_categorical(tmp_path,
         ({3: ["", "a", "b"], 5: ["2", ""]}, "row 5 has 3 cells, expected 2"),
         ({4: ["  ", "a"]}, "missing cell in row 6"),
         ({3: ["1", " "], 5: [" ", "b"]}, "missing cell in row 5"),
+        ({0: ["1", "a", "b"]}, "row 2 has 3 cells, expected 2"),
+        ({3: ["1", " "]}, "missing cell in row 5"),
     ],
 )
 def test_malformed_rows_are_named_by_their_first_occurrence(tmp_path, bad, message):
@@ -370,6 +424,7 @@ def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
     assert [c.name for c in data.columns] == ["x"]
     with pytest.raises(ValueError, match="^no column named 'z'$"):
         load(tmp_path / "x.csv", label_column="z")
+    assert c_reads(tmp_path / "x.csv", "y") and not c_reads(tmp_path / "x.csv", "z")
     rows[1][1] = " "
     with pytest.raises(ValueError, match="^missing cell in row 3$"):
         load(write_raw_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")

@@ -7,10 +7,13 @@ import functools
 import hashlib
 import json
 import math
+import multiprocessing.connection
 import os
+import pickle
 import platform
 import select
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -235,6 +238,24 @@ def test_each_tree_predicts_the_test_fold_once(tmp_path, monkeypatch):
 def test_run_spec_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
         RunSpec(data_path="data.csv", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rounds", 2.5),  # these three raised an untyped TypeError after the load
+        ("folds", 2.5),
+        ("jobs", 1.5),
+        ("seed", 1.5),  # numpy's TypeError
+        ("tree_nodes", 3.0),  # ran as 3 nodes
+        ("rounds", True),  # ran as one round
+    ],
+)
+def test_run_spec_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        RunSpec(data_path="data.csv", **{field: value})
+    spec = RunSpec(data_path="data.csv", **{field: np.int64(3)})  # kept, as a Python int
+    assert type(getattr(spec, field)) is int and getattr(spec, field) == 3
 
 
 @pytest.mark.parametrize("t_values", [(-0.5,), (0.5, 2.0), (math.nan,), ()])
@@ -478,6 +499,22 @@ def test_a_child_that_dies_without_reporting_fails_the_run_with_its_status(tmp_p
     assert no_child_is_left()
 
 
+def test_a_child_that_dies_partway_through_its_send_fails_the_run_with_its_status(
+    tmp_path, monkeypatch
+):
+    def truncated(connection, sent):  # a length header and half the pickle, then the end
+        payload = pickle.dumps(sent)
+        header = struct.pack("!i", len(payload))  # as Connection.send frames it
+        os.write(connection.fileno(), header + payload[: len(payload) // 2])
+        os._exit(3)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", truncated)
+    with pytest.raises(ChildProcessError, match="exit status 3 before reporting"):
+        grid = dict(t_values=(0.5, 1.0), rounds=1, folds=2, jobs=2)
+        run_grid(tmp_path, make_mixed_table(m=60, seed=1), **grid)
+    assert no_child_is_left()
+
+
 def test_without_os_fork_a_run_takes_one_job(tmp_path, monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
     with pytest.raises(ValueError, match="os.fork"):
@@ -495,6 +532,26 @@ def test_a_fold_counts_the_training_labels_its_noise_flipped():
     _, noisy, test, flips = experiment._take_fold(data, spec, 0, train_idx, test_idx)
     assert test.labels.tolist() == data.labels[test_idx].tolist()
     assert 0 < flips == int(np.sum(noisy.labels != data.labels[train_idx])) < noisy.m // 2
+
+
+@pytest.mark.parametrize("change", ["rewrite", "delete"])
+def test_the_manifest_hashes_the_table_as_the_run_loaded_it(tmp_path, monkeypatch, change):
+    path, out = tmp_path / "data.csv", tmp_path / "out"
+    save_csv(make_mixed_table(m=60, seed=1), path)
+    loaded = hashlib.sha256(path.read_bytes()).hexdigest()
+    real = experiment._run_cell
+
+    def changing(*args):  # every cell, at --jobs 1 in this process
+        if change == "rewrite":
+            path.write_text("x,y\n1,a\n2,b\n", encoding="utf-8")
+        else:
+            path.unlink(missing_ok=True)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_run_cell", changing)
+    result = run(RunSpec(str(path), t_values=(0.5,), rounds=1, folds=2, out_dir=str(out)))
+    assert result.failed_cells == 0 and path.exists() == (change == "rewrite")
+    assert read_manifest(out)["dataset"]["sha256"] == loaded
 
 
 def test_every_cli_flag_sets_its_run_spec_field(tmp_path):

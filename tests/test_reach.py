@@ -124,8 +124,8 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
 
     def grids():
         save_csv(make_wideband(m=120), wideband)
-        # a level with a comma makes save_csv quote it, so that csv.reader
-        # reads this file; load_csv splits the unquoted wideband one itself
+        # a level with a comma makes save_csv quote it, so that the C reader
+        # declines this file to csv.reader; it reads the unquoted wideband one
         table = make_mixed_table(m=400)
         color = table.columns[0]
         dark = np.where(cells(color) == "red", "red, dark", cells(color))
@@ -152,7 +152,8 @@ def test_every_statement_runs_on_the_grids_or_is_exempt(tmp_path):
         tiny = dict(folds=3, t_values=(1.0,), rounds=1, tree_nodes=3)
         run(RunSpec(str(doubles), out_dir=str(tmp_path / "doubles"), **tiny))
         # a column of numbers for more than a block of the text, then of words:
-        # load_csv reads the file again with that column read as text
+        # numpy refuses the words, and csv.reader reads the file again with
+        # that column read as text
         rng = np.random.default_rng(3)
         m = 3000
         level = np.where(np.arange(m) < m - 100, (np.arange(m) % 5).astype(str), "late")

@@ -137,8 +137,32 @@ def test_csv_imports_are_found():
     assert csv_imports(source) == [1, 2, 3]
 
 
+# numpy's text readers and writers, which parse or write CSV as the csv module does
+NUMPY_TEXT_IO = {"loadtxt", "genfromtxt", "fromstring", "savetxt"}
+
+
+def numpy_text_io(source: str) -> list:
+    """Lines that call a name in ``NUMPY_TEXT_IO``, as an attribute, as in
+    ``np.loadtxt(...)``, or bare, as after ``from numpy import loadtxt``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in NUMPY_TEXT_IO
+    ]
+
+
+def test_numpy_text_io_calls_are_found():
+    source = (
+        "import numpy as np\nfrom numpy import genfromtxt\na = np.loadtxt(f, delimiter=',')\n"
+        "b = genfromtxt(f)\nnp.savetxt(f, a)\nc = np.fromstring(s, sep=',')\nd = np.frombuffer(s)\n"
+    )
+    assert numpy_text_io(source) == [3, 4, 5, 6]
+
+
 def test_only_dataio_reads_or_writes_csv():
     assert not by_module(csv_imports, {"tempboost/dataio.py"})
+    assert not by_module(numpy_text_io, {"tempboost/dataio.py"})
 
 
 # numpy names backed by BLAS, whose sum order depends on the BLAS library
