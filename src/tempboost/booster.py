@@ -20,7 +20,8 @@ rho, the confidence bound R, mu, alpha, Z, the co-density range, and the
 training 0/1 errors of the plain and the clamped model.  The records are
 also the ensemble's members.  Those errors come from running training
 scores built from the training predictions each round receives, and
-``boost`` checks the guarantee on exit from the last of them.
+``boost`` checks the guarantee against them at every round, from the running
+product of the rounds' factors.
 
 A weak hypothesis is any object with ``predict(data) -> ndarray`` over a
 Dataset; a weak learner is a callable ``learner(weights, data) ->
@@ -178,14 +179,7 @@ def kt_bound(rho: float, cfg: TemperConfig) -> float:
     """
     if not abs(rho) < 1.0:  # a nan fails too
         raise ValueError(f"edge must lie in (-1, 1), got {rho}")
-    if cfg.is_classic():
-        return math.sqrt(1.0 - rho * rho)
     return (1.0 - rho * rho) / power_mean(1.0 - rho, 1.0 + rho, 1.0 - cfg.t)
-
-
-def risk_bound(trace, cfg: TemperConfig) -> float:
-    """Guaranteed training-risk bound prod_j K_t(rho_j)."""
-    return math.prod(kt_bound(record.rho, cfg) for record in trace)
 
 
 def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=None):
@@ -201,8 +195,9 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
 
     ``on_round(record, weights)``, when given, runs after every round with
     its record and the freshly updated weights.
-    For t <= 1 the training-risk guarantee is checked on exit against
-    the last round's training errors.
+    For t <= 1 every round's training errors (plain, clamped) are checked
+    against the guarantee prod_j K_t(rho_j) over the rounds so far; the
+    first round above it raises ``BoundViolatedError``.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -211,10 +206,10 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         raise SingleClassError("training data must contain both classes")
 
     weights = uniform_init(data.m, cfg)
-    z_product = 1.0
+    z_product = bound = 1.0
     trace = []
     fold = ScoreFold(data.m, cfg)
-    for _ in range(rounds):
+    for j in range(1, rounds + 1):
         hypothesis, h = weak_learner(weights, data)
         h = np.asarray(h, dtype=float)
         u = labels * h
@@ -228,7 +223,11 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         z_product *= z
         p = co_density(weights)
         fold.add(alpha * h)
-        train_err, train_err_clamped = fold.errors(labels)
+        train_err, train_err_clamped = errs = fold.errors(labels)
+        if cfg.t <= 1.0:
+            bound *= kt_bound(rho, cfg)
+            if max(errs) > bound + 1e-9:  # max(x, nan) is x: a nan clamped error passes
+                raise BoundViolatedError(f"risk guarantee violated at round {j}: {errs} > {bound}")
         record = IterationRecord(
             hypothesis=hypothesis,
             rho=rho,
@@ -245,15 +244,5 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
         if on_round is not None:
             on_round(record, weights)
 
-    if trace and cfg.t <= 1.0:
-        _check_guarantee(trace, cfg)
     return Ensemble(tuple(trace), cfg), trace
 
-
-def _check_guarantee(trace, cfg: TemperConfig):
-    """Training-risk bound of the last round, for the plain and the clamped
-    model; a nan error (no clamped model) never exceeds the bound."""
-    bound = risk_bound(trace, cfg) + 1e-9
-    for model, err in (("", trace[-1].train_err), ("clamped ", trace[-1].train_err_clamped)):
-        if err > bound:
-            raise BoundViolatedError(f"{model}risk guarantee violated: {err} > {bound}")

@@ -378,7 +378,7 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     by csv.reader (see the module notes), which raises ``csv.Error`` on a cell
     longer than ``csv.field_size_limit()`` that the C reader loads.
     """
-    text = Path(path).read_bytes().decode("utf-8")
+    text = Path(path).read_bytes().decode("utf-8-sig")  # a leading BOM is no cell's
     table = _c_read(text, label_column) or _consume(text, label_column)
     del text  # not held while the columns are built
     header, label_idx, as_text, parts, levels, ragged = table

@@ -38,7 +38,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -130,7 +130,7 @@ class CellStatus(NamedTuple):
 class RunResult:
     out_dir: Path
     rows: list
-    cells: list = field(default_factory=list)
+    cells: list
 
     @property
     def failed_cells(self) -> int:

@@ -47,9 +47,9 @@ class TemperConfig:
     """Temperature parameter driving every deformed operation.
 
     ``t`` must lie in [0, 2), where boosting is defined; this is the one
-    range check, and a nan fails it.  A t within ``CLASSIC_TOLERANCE`` of 1
-    is stored as 1.0: every layer then agrees on which runs are classic.  The
-    CPE-loss family's t < 0 is paper mathematics only the tests run.
+    range check, and a nan fails it.  It stores a t within ``CLASSIC_TOLERANCE``
+    of 1 as 1.0, so that every layer agrees on which runs are classic, and
+    -0.0 as 0.0.  The CPE-loss family's t < 0 is paper mathematics only the tests run.
     """
 
     t: float
@@ -58,7 +58,7 @@ class TemperConfig:
         t = float(self.t)
         if not 0.0 <= t < 2.0:  # a nan fails too
             raise ValueError(f"temperature must lie in [0, 2), got {self.t}")
-        object.__setattr__(self, "t", 1.0 if abs(t - 1.0) < CLASSIC_TOLERANCE else t)
+        object.__setattr__(self, "t", 1.0 if abs(t - 1.0) < CLASSIC_TOLERANCE else t + 0.0)
 
     @property
     def t_star(self) -> float:

@@ -30,7 +30,6 @@ from tempboost.booster import (
     edge,
     kt_bound,
     leveraging,
-    risk_bound,
     zero_one_error,
 )
 from tempboost.dataio import NUMERIC, Column, Dataset
@@ -267,7 +266,7 @@ class TestBoostLoop:
         expected_rho = float(np.dot(w0.q, u) / expected_r)
         assert record.rho == pytest.approx(expected_rho, rel=1e-12)
         err = zero_one_error(ens.decision_scores(data), data.labels)
-        assert err <= risk_bound(trace, TemperConfig(0.5)) + 1e-9
+        assert err <= kt_bound(record.rho, TemperConfig(0.5)) + 1e-9
 
     def test_classic_matches_textbook_adaboost(self):
         rng = np.random.default_rng(12)
@@ -303,7 +302,7 @@ class TestBoostLoop:
             z_product_pow = np.prod([r.z ** (2 - t) for r in trace])
             err = zero_one_error(ens.decision_scores(data), data.labels)
             assert err <= z_product_pow + 1e-9
-            assert z_product_pow <= risk_bound(trace, cfg) + 1e-9
+            assert z_product_pow <= math.prod(kt_bound(r.rho, cfg) for r in trace) + 1e-9
             for record in trace:
                 assert -1.0 <= record.rho <= 1.0
                 if t < 1.0:
@@ -405,16 +404,28 @@ class TestRunningTrainingScores:
         assert any(r.train_err_clamped != r.train_err for r in trace)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
-    def test_guarantee_is_checked_on_exit_for_t_at_most_one(self, t, monkeypatch):
-        monkeypatch.setattr(booster, "risk_bound", lambda trace, cfg: -1.0)
-        data = make_mixed_table(m=40, seed=1)
-        learner = TreeWeakLearner(max_nodes=3)
+    def test_guarantee_is_checked_at_every_round(self, t, monkeypatch):
+        # factors 1, 1e-12, 1e12, ...: only round 2's errors exceed the running product
+        calls = []
+
+        def factor(rho, cfg):
+            calls.append(rho)
+            return {1: 1.0, 2: 1e-12}.get(len(calls), 1e12)
+
+        monkeypatch.setattr(booster, "kt_bound", factor)
+        data, learner = make_mixed_table(m=40, seed=1), TreeWeakLearner(max_nodes=3)
         if t > 1.0:
-            boost(data, learner, 2, TemperConfig(t))
+            boost(data, learner, 3, TemperConfig(t))
+            assert calls == []
         else:
-            with pytest.raises(RuntimeError, match="risk guarantee violated") as raised:
-                boost(data, learner, 2, TemperConfig(t))
-            assert isinstance(raised.value, BoundViolatedError)
+            with pytest.raises(BoundViolatedError, match="guarantee violated at round 2: "):
+                boost(data, learner, 3, TemperConfig(t))
+
+    def test_guarantee_covers_the_clamped_model(self, monkeypatch):
+        monkeypatch.setattr(booster.ScoreFold, "errors", lambda self, labels: (0.0, 1.0))
+        data, learner = make_mixed_table(m=40, seed=1), TreeWeakLearner(max_nodes=3)
+        with pytest.raises(BoundViolatedError, match=r"at round 1: \(0\.0, 1\.0\) > "):
+            boost(data, learner, 2, TemperConfig(0.5))
 
     @staticmethod
     def _check_prefixes(data, learner, cfg, rounds):

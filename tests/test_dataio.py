@@ -264,7 +264,7 @@ def decline(text, label_column):
 
 def c_reads(path, label_column="last") -> bool:
     """Whether the C reader takes the file, rather than leave it to csv.reader."""
-    return dataio._c_read(path.read_bytes().decode("utf-8"), label_column) is not None
+    return dataio._c_read(path.read_bytes().decode("utf-8-sig"), label_column) is not None
 
 
 @pytest.mark.parametrize(
@@ -273,16 +273,17 @@ def c_reads(path, label_column="last") -> bool:
 def test_the_c_reader_and_csv_reader_load_the_same_dataset(tmp_path, newline, final):
     # Quoting the header's names sends the file to csv.reader, which reads
     # them unquoted; unquoted, the file is read by the C reader.  A CR at
-    # the end of the text ends the last line for both.
+    # the end of the text ends the last line for both, and a leading
+    # byte-order mark is part of no name.
     data = make_mixed_table(m=60, seed=2)
     path = tmp_path / "x.csv"
     save_csv(data, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     quoted = ",".join(f'"{name}"' for name in header.split(","))
-    for head in (header, quoted):
+    for head in (header, quoted, "\ufeff" + header):
         path.write_text(newline.join([head, *lines]) + final, encoding="utf-8", newline="")
         assert describe(load(path)) == describe(data)
-        assert c_reads(path) == (head == header)
+        assert c_reads(path) == (head != quoted)
 
 
 @pytest.mark.parametrize(
@@ -425,6 +426,8 @@ def test_a_named_label_column_is_found_after_the_cell_checks(tmp_path):
     with pytest.raises(ValueError, match="^no column named 'z'$"):
         load(tmp_path / "x.csv", label_column="z")
     assert c_reads(tmp_path / "x.csv", "y") and not c_reads(tmp_path / "x.csv", "z")
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbfy,x\na,1\nb,2\n")  # as Excel writes UTF-8
+    assert load(tmp_path / "bom.csv", label_column="y").labels.tolist() == [-1, 1]
     rows[1][1] = " "
     with pytest.raises(ValueError, match="^missing cell in row 3$"):
         load(write_raw_csv(tmp_path / "x.csv", ["y", "x"], rows), label_column="z")

@@ -586,7 +586,7 @@ def test_cli_defaults_are_the_run_spec_defaults(tmp_path, monkeypatch):
 
     def fake_run(spec):
         specs.append(spec)
-        return experiment.RunResult(out_dir=tmp_path, rows=[])
+        return experiment.RunResult(out_dir=tmp_path, rows=[], cells=[])
 
     monkeypatch.setattr(experiment, "run", fake_run)
     assert main(["--data", "data.csv"]) == 0

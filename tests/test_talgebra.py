@@ -32,6 +32,7 @@ class TestTemperConfig:
         for t in (-1e-300, -3.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match=r"\[0, 2\)"):
                 TemperConfig(t)
+        assert math.copysign(1.0, TemperConfig(-0.0).t) == 1.0  # in range, and stored as 0.0
 
     def test_conjugate_exponent(self):
         for t in T_GRID:
