@@ -212,6 +212,8 @@ def boost(data: Dataset, weak_learner, rounds: int, cfg: TemperConfig, on_round=
     for j in range(1, rounds + 1):
         hypothesis, h = weak_learner(weights, data)
         h = np.asarray(h, dtype=float)
+        if h.shape != labels.shape or not np.isfinite(h).all():
+            raise ValueError(f"a weak learner must predict {data.m} finite values, got {h.shape}")
         u = labels * h
         r_max = confidence_bounds(weights, u)
         rho = edge(weights, u, r_max)

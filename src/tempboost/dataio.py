@@ -142,11 +142,12 @@ class Dataset:
     label_name: str = "label"
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)  # a copy, as Column's values are
+        labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must form a nonempty vector")
-        if not np.all(np.isin(labels, (-1, 1))):
+        if not np.all((labels == 1) | (labels == -1)):  # before a cast truncates 1.9 to 1
             raise ValueError("labels must be -1 or +1")
+        labels = labels.astype(np.int64)  # a copy, as Column's values are
         for column in self.columns:
             if column.values.shape != labels.shape:
                 raise ValueError(f"column {column.name!r} length mismatch")
@@ -437,13 +438,13 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def stratified_folds(data: Dataset, k: int, seed):
-    """k disjoint test folds with per-class counts within 1 of proportional.
+    """Each row's fold, 0 to k - 1: k disjoint test folds with per-class
+    counts within 1 of proportional.
 
     Deterministic for a given seed: each class's indices are shuffled once
-    and dealt into k nearly equal chunks, larger first, one per fold.  The
-    call checks its arguments and draws every shuffle; the iterator it
-    returns makes each fold's (train, test), ascending int arrays, only when
-    it is reached.  train is every row test lacks.
+    and dealt into k nearly equal chunks, larger first, one per fold.  A run
+    keeps this array, 8 bytes a row, and makes fold f's index arrays,
+    ``np.flatnonzero(fold != f)`` and ``== f``, only while it trains on it.
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
@@ -455,7 +456,7 @@ def stratified_folds(data: Dataset, k: int, seed):
             raise ValueError(f"class {cls} has fewer than {k} examples")
         for f, chunk in enumerate(np.array_split(rng.permutation(idx), k)):
             fold[chunk] = f
-    return ((np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k))
+    return fold
 
 
 def inject_label_noise(data: Dataset, eta: float, seed) -> Dataset:

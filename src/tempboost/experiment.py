@@ -161,28 +161,26 @@ def _run_cell(fold: int, train: Dataset, test: Dataset, noise_flips: int, t: flo
 _FOLD_STREAM_TAG = 0x5F01D  # keeps the fold stream apart from the (seed, fold) noise streams
 
 
-def _splits(data: Dataset, spec: RunSpec):
-    """Each fold's ``(train_idx, test_idx)``.  Every row's fold is drawn now, and a
-    bad fold count raises here; a fold's index arrays are made when it is reached."""
-    stream = np.random.SeedSequence(entropy=(spec.seed, _FOLD_STREAM_TAG))
-    return stratified_folds(data, spec.folds, stream)
+def _folds(data: Dataset, spec: RunSpec) -> np.ndarray:
+    return stratified_folds(data, spec.folds, np.random.SeedSequence((spec.seed, _FOLD_STREAM_TAG)))
 
 
-def _take_fold(data: Dataset, spec: RunSpec, fold: int, train_idx, test_idx):
-    train = data.take(train_idx)
+def _take_fold(data: Dataset, spec: RunSpec, fold: int, folds: np.ndarray):
+    train = data.take(np.flatnonzero(folds != fold))
     noisy = inject_label_noise(train, spec.noise, np.random.SeedSequence(entropy=(spec.seed, fold)))
-    return fold, noisy, data.take(test_idx), int(np.sum(noisy.labels != train.labels))
+    test = data.take(np.flatnonzero(folds == fold))
+    return fold, noisy, test, int(np.sum(noisy.labels != train.labels))
 
 
-def _run_cells(data: Dataset, spec: RunSpec, splits, pull) -> dict:
+def _run_cells(data: Dataset, spec: RunSpec, folds: np.ndarray, pull) -> dict:
     """``{cell: (rows, status)}`` for each index ``pull()`` returns inside the fold-major
-    grid, ascending; a fold is taken from ``splits`` at its first cell."""
+    grid, ascending; a fold is taken at its first cell."""
     outcomes, fold = {}, (-1,)
     while (cell := pull()) < spec.folds * len(spec.t_values):
         f, k = divmod(cell, len(spec.t_values))
-        if f != fold[0]:  # the last fold freed, and any run by other processes skipped
-            skip, fold = f - fold[0] - 1, None
-            fold = _take_fold(data, spec, f, *next(itertools.islice(splits, skip, None)))
+        if f != fold[0]:
+            fold = None  # the last fold freed before the next is taken
+            fold = _take_fold(data, spec, f, folds)
         outcomes[cell] = _run_cell(*fold, spec.t_values[k], spec)
     return outcomes
 
@@ -263,7 +261,7 @@ def run(spec: RunSpec) -> RunResult:
     children, each taking the next (fold, t) of the fold-major grid from a
     shared counter; one job counts with a plain iterator and forks nothing.
     A process makes a fold's index arrays, Datasets and column block at its
-    first cell of that fold, from the fold draw made before any fork, and
+    first cell of that fold, from the row folds drawn before any fork, and
     frees them at its next fold; a cell keeps a tree and a trace row per
     round, no array of the fold's rows.  A child's exception is raised
     here, by type and message if it does not survive a pickle; a child that
@@ -283,7 +281,7 @@ def run(spec: RunSpec) -> RunResult:
     try:
         data = load_csv(spec.data_path, spec.label_column)
         sha256 = _file_sha256(spec.data_path)  # the file as loaded, were it changed later
-        splits = _splits(data, spec)
+        folds = _folds(data, spec)
         out_dir.mkdir(parents=True, exist_ok=True)
     except TABLE_ERRORS as exc:  # a mkdir's OSError and a fold's ValueError too
         raise RunInputError(exc) from exc
@@ -292,7 +290,7 @@ def run(spec: RunSpec) -> RunResult:
     pull = itertools.count().__next__
     if workers > 1:
         pull = functools.partial(_pull, multiprocessing.get_context("fork").Value("i", 0))
-    run_cells = functools.partial(_run_cells, data, spec, splits, pull)
+    run_cells = functools.partial(_run_cells, data, spec, folds, pull)
     children: dict = {}  # pid -> the receiving end of its pipe
     try:
         children.update(_fork(run_cells) for _ in range(workers - 1))
@@ -360,14 +358,9 @@ def paired_ttest(errors_a, errors_b) -> str:
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two equal-length per-fold error vectors")
     diff = a - b
-    mean = float(diff.mean())
-    sd = float(diff.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            return "equivalent"
-        return "better" if mean < 0 else "worse"
-    statistic = mean / (sd / math.sqrt(diff.size))
-    if _two_sided_p(statistic, diff.size - 1) >= TTEST_ALPHA:
+    mean, sd = float(diff.mean()), float(diff.std(ddof=1))
+    p = _two_sided_p(mean / (sd / math.sqrt(diff.size)), diff.size - 1) if sd > 0.0 else 0.0
+    if mean == 0.0 or p >= TTEST_ALPHA:
         return "equivalent"
     return "better" if mean < 0 else "worse"
 

@@ -38,8 +38,9 @@ from tempboost.errors import (
     DegenerateHypothesisError,
     EdgeSaturatedError,
     SingleClassError,
+    TempBoostError,
 )
-from tempboost.experiment import RunSpec, _splits, _take_fold
+from tempboost.experiment import RunSpec, _folds, _take_fold
 from tempboost.synthetic import make_margin_blobs, make_mixed_table, make_wideband
 from tempboost.talgebra import CLASSIC_TOLERANCE, TemperConfig, power_mean
 from tempboost.tree import TreeWeakLearner
@@ -362,6 +363,15 @@ class TestBoostLoop:
             boost(one_class, TreeWeakLearner(3), 3, TemperConfig(0.5))
         assert isinstance(raised.value, ValueError)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 1.5])
+    def test_a_weak_learner_that_predicts_a_nan_or_too_few_values_is_named(self, t):
+        data = make_mixed_table(m=60)
+        good = np.where(data.labels > 0, 1.0, -0.5)
+        for bad in (np.where(np.arange(data.m) == 3, np.nan, good), good[:-1]):
+            with pytest.raises(ValueError, match="^a weak learner must predict 60 finite") as raised:
+                boost(data, lambda weights, data: constant(bad), 3, TemperConfig(t))
+            assert not isinstance(raised.value, TempBoostError)  # a programming error
+
     def test_memory_does_not_grow_with_the_rounds(self):
         # every round's record is an ensemble member, and none may keep an
         # array of the training rows: 35 more rounds add less than 4 m floats
@@ -466,7 +476,7 @@ class TestScoreFold:
         cfg = TemperConfig(0.5)
         spec = RunSpec(data_path="", folds=3, rounds=100)
         data = make_wideband(seed=0)
-        _, train, test, _ = _take_fold(data, spec, 1, *list(_splits(data, spec))[1])
+        _, train, test, _ = _take_fold(data, spec, 1, _folds(data, spec))
         ensemble, _ = boost(train, TreeWeakLearner(spec.tree_nodes), spec.rounds, cfg)
         clamped = ensemble.decision_scores(test, clamped=True)  # ScoreFold.clamped
         assert (clamped != ensemble.decision_scores(test)).any()

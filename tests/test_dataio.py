@@ -64,6 +64,14 @@ def test_a_dataset_copies_the_labels_it_is_given():
     assert data.labels.tolist() == [-1, 1, -1, 1]
 
 
+@pytest.mark.parametrize(
+    "labels", [[1.9, -1.2, 1.0], ["1", "-1", "1"], [1, -1, 1.5], [1.0, math.nan, -1.0]]
+)
+def test_a_dataset_refuses_labels_that_are_not_exactly_minus_one_or_plus_one(labels):
+    with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+        Dataset((Column("x", NUMERIC, [1.0, 2.0, 3.0]),), labels)
+
+
 def test_a_categorical_column_is_its_sorted_levels_and_one_code_per_row(tmp_path):
     strings = ["red", "blue", "red", "Z", "é", "blue", "amber"]
     rows = [[cell, "ab"[i % 2]] for i, cell in enumerate(strings)]
@@ -190,35 +198,30 @@ def dealt_test_folds(labels, k, seed) -> list:
 @pytest.mark.parametrize("k", (2, 3, 7))
 def test_stratified_folds_partition_rows_in_proportion(k):
     data = make_mixed_table(m=101, seed=7)
-    folds = list(stratified_folds(data, k, seed=9))
-    assert len(folds) == k
-    tests = [test for _, test in folds]
-    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(data.m))
-    for train, test in folds:
-        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(data.m))
-        assert np.all(np.diff(train) > 0)  # tree growth relies on ascending rows
-        reference = np.setdiff1d(np.arange(data.m), test)
-        assert train.dtype == reference.dtype and np.array_equal(train, reference)
+    folds = stratified_folds(data, k, seed=9)
+    tests = [np.flatnonzero(folds == f) for f in range(k)]
+    for test in tests:
         for cls in (-1, 1):
             share = np.sum(data.labels == cls) / k
             assert abs(np.sum(data.labels[test] == cls) - share) < 1
-    assert next(stratified_folds(data, k, seed=9))[1].tolist() == tests[0].tolist()
+    assert np.flatnonzero(stratified_folds(data, k, seed=9) == 0).tolist() == tests[0].tolist()
     assert [test.tolist() for test in tests] == dealt_test_folds(data.labels, k, 9)
     seed = np.random.SeedSequence(entropy=(k, 5))  # as the experiment seeds the folds
-    got = [test.tolist() for _, test in stratified_folds(data, k, seed)]
+    folds = stratified_folds(data, k, seed)
+    got = [np.flatnonzero(folds == f).tolist() for f in range(k)]
     assert got == dealt_test_folds(data.labels, k, seed)
 
 
-def test_stratified_folds_check_and_draw_in_the_call_then_make_each_fold_lazily():
+def test_stratified_folds_check_the_call_and_return_each_rows_fold():
     data = make_mixed_table(m=101, seed=7)
     for k, message in ((1, "at least 2 folds"), (60, "fewer than 60 examples")):
         with pytest.raises(ValueError, match=message):
             stratified_folds(data, k, seed=9)  # the call raises, before any fold
-    rng = np.random.default_rng(9)
-    folds = stratified_folds(data, 3, rng)
-    assert iter(folds) is folds  # an iterator, not a list of every fold's arrays
-    rng.random()  # the shuffles were drawn in the call: a later draw moves no fold
-    assert [test.tolist() for _, test in folds] == dealt_test_folds(data.labels, 3, 9)
+    folds = stratified_folds(data, 3, np.random.default_rng(9))
+    assert isinstance(folds, np.ndarray) and folds.dtype.kind == "i" and folds.shape == (data.m,)
+    assert set(folds.tolist()) == {0, 1, 2}
+    got = [np.flatnonzero(folds == f).tolist() for f in range(3)]
+    assert got == dealt_test_folds(data.labels, 3, 9)
 
 
 def write_raw_csv(path, header, rows, newline="\n"):

@@ -154,8 +154,7 @@ def test_categorical_grid_trace_is_pinned(tmp_path):
 def test_per_round_test_errors_are_those_of_the_rowwise_prefix_ensembles(t, monkeypatch):
     data = make_mixed_table(m=120, seed=4)
     spec = RunSpec(data_path="data.csv", t_values=(t,), rounds=4, folds=2, seed=3)
-    split = next(experiment._splits(data, spec))
-    fold, train, test, flips = experiment._take_fold(data, spec, 0, *split)
+    fold, train, test, flips = experiment._take_fold(data, spec, 0, experiment._folds(data, spec))
     ensembles = []
     real_boost = experiment.boost
 
@@ -349,8 +348,8 @@ def test_traces_do_not_depend_on_jobs_and_the_manifest_records_the_spec(tmp_path
 def test_the_cell_loop_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(monkeypatch):
     data = make_mixed_table(m=200, seed=5)
     spec = RunSpec("data.csv", t_values=(0.0, 0.6, 1.0, 1.5), rounds=2, folds=3, noise=0.1, seed=3)
-    splits = enumerate(experiment._splits(data, spec))
-    folds = [experiment._take_fold(data, spec, fold, *split) for fold, split in splits]
+    ids = experiment._folds(data, spec)
+    folds = [experiment._take_fold(data, spec, fold, ids) for fold in range(spec.folds)]
     expected = [experiment._run_cell(*fold, t, spec) for fold in folds for t in spec.t_values]
     assert sum(status.noise_flips for _, status in expected) > 0
     built, taken = [], []
@@ -369,12 +368,13 @@ def test_the_cell_loop_runs_each_cell_as_run_cell_does_and_sorts_each_fold_once(
     monkeypatch.setattr(Dataset, "column_block", counting)
     monkeypatch.setattr(experiment, "_take_fold", recording_take)
     # every cell, as one process pulls them; then cells 1, 2 and 9 to 11, as one of
-    # several processes might: fold 1, whose every cell the others ran, is never made
-    for pulled in (range(12), [1, 2, 9, 10, 11]):
+    # several processes might: fold 1, whose every cell the others ran, is never made;
+    # then cells 5 to 7, from inside fold 1, which take fold 1 alone
+    for pulled in (range(12), [1, 2, 9, 10, 11], [5, 6, 7]):
         built.clear()
         taken.clear()
         pull = iter([*pulled, 12, 13]).__next__  # 12 is the first index past the grid
-        got = experiment._run_cells(data, spec, experiment._splits(data, spec), pull)
+        got = experiment._run_cells(data, spec, ids, pull)
         assert repr(got) == repr({cell: expected[cell] for cell in pulled})  # nan, -0.0
         assert [fold for fold, *_ in taken] == sorted({cell // 4 for cell in pulled})
         assert len(built) == len(taken)
@@ -528,10 +528,10 @@ def test_without_os_fork_a_run_takes_one_job(tmp_path, monkeypatch, capsys):
 def test_a_fold_counts_the_training_labels_its_noise_flipped():
     data = make_mixed_table(m=200, seed=5)
     spec = RunSpec("data.csv", folds=2, noise=0.3, seed=3)
-    train_idx, test_idx = next(experiment._splits(data, spec))
-    _, noisy, test, flips = experiment._take_fold(data, spec, 0, train_idx, test_idx)
-    assert test.labels.tolist() == data.labels[test_idx].tolist()
-    assert 0 < flips == int(np.sum(noisy.labels != data.labels[train_idx])) < noisy.m // 2
+    folds = experiment._folds(data, spec)
+    _, noisy, test, flips = experiment._take_fold(data, spec, 0, folds)
+    assert test.labels.tolist() == data.labels[folds == 0].tolist()
+    assert 0 < flips == int(np.sum(noisy.labels != data.labels[folds != 0])) < noisy.m // 2
 
 
 @pytest.mark.parametrize("change", ["rewrite", "delete"])
